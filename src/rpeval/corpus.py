@@ -259,13 +259,14 @@ class UtteranceSegmentation:
     """Delimiter-split view of a response's text content."""
 
     utterances: list[str]
-    count: int
 
     def __post_init__(self) -> None:
-        if self.count != len(self.utterances):
-            raise CorpusError("segmentation count does not match utterance list")
-        if self.count < 1:
+        if not self.utterances:
             raise CorpusError("segmentation must contain at least one utterance")
+
+    @property
+    def count(self) -> int:
+        return len(self.utterances)
 
 
 def segment_utterances(
@@ -295,7 +296,7 @@ def segment_utterances(
     if not parts:
         # content was made of delimiters/whitespace only
         parts = [content.strip()]
-    return UtteranceSegmentation(utterances=parts, count=len(parts))
+    return UtteranceSegmentation(utterances=parts)
 
 
 @dataclass

@@ -10,9 +10,11 @@ ambiguous sentinel.
 
 from __future__ import annotations
 
+import json
 import logging
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from functools import partial
+from typing import Callable, Mapping, Optional, Sequence
 
 from .corpus import (
     AMBIGUOUS,
@@ -22,8 +24,6 @@ from .corpus import (
 )
 from .judges import TransportError, extract_json_object
 from .prompts import build_erc_prompt
-
-import json
 
 logger = logging.getLogger(__name__)
 
@@ -130,6 +130,7 @@ def run_panel(
     experts: Sequence,
     taxonomy: EmotionTaxonomy,
     passes: int = DEFAULT_PASSES,
+    fan_out: Optional[Callable[[list], list]] = None,
 ) -> list[ErcResult]:
     """Query every expert ``passes`` times over one response.
 
@@ -138,46 +139,57 @@ def run_panel(
     corrective re-prompt restating the closed label set and the exact
     list length; modalities still invalid after that are dropped for
     that (expert, pass) with a logged shortfall.  Transport failures are
-    treated the same way.
+    treated the same way.  The (expert, pass) queries are independent:
+    ``fan_out``, given a list of zero-argument callables, runs them and
+    returns their results in order (concurrently, in the pipeline); by
+    default they run one after another.  Results come in (expert, pass)
+    order either way.
     """
     if not experts:
         raise ValueError("panel needs at least one expert")
     if passes < 1:
         raise ValueError("passes must be at least 1")
     response_json = response.to_json()
-    prompt = build_erc_prompt(response_json, segmentation.utterances, taxonomy.labels)
-    retry_prompt = build_erc_prompt(
-        response_json, segmentation.utterances, taxonomy.labels, retry=True
+    prompts = (
+        build_erc_prompt(response_json, segmentation.utterances, taxonomy.labels),
+        build_erc_prompt(
+            response_json, segmentation.utterances, taxonomy.labels, retry=True
+        ),
     )
-    results: list[ErcResult] = []
-    for expert in experts:
-        for pass_index in range(1, passes + 1):
-            votes = _query_once(
-                expert, prompt, pass_index, segmentation.count, taxonomy
-            )
-            if any(votes[m] is None for m in MODALITIES):
-                retried = _query_once(
-                    expert, retry_prompt, pass_index, segmentation.count, taxonomy
-                )
-                for m in MODALITIES:
-                    if votes[m] is None:
-                        votes[m] = retried[m]
-            dropped = [m for m in MODALITIES if votes[m] is None]
-            if dropped:
-                logger.warning(
-                    "expert %s pass %d: dropping modalities %s",
-                    getattr(expert, "name", "?"),
-                    pass_index,
-                    dropped,
-                )
-            results.append(
-                ErcResult(
-                    expert_id=getattr(expert, "name", "expert"),
-                    pass_index=pass_index,
-                    votes=votes,
-                )
-            )
-    return results
+    calls = [
+        partial(_expert_pass, expert, prompts, pass_index, segmentation.count,
+                taxonomy)
+        for expert in experts
+        for pass_index in range(1, passes + 1)
+    ]
+    if fan_out is None:
+        return [call() for call in calls]
+    return fan_out(calls)
+
+
+def _expert_pass(expert, prompts, pass_index, n_utterances, taxonomy) -> ErcResult:
+    prompt, retry_prompt = prompts
+    votes = _query_once(expert, prompt, pass_index, n_utterances, taxonomy)
+    if any(votes[m] is None for m in MODALITIES):
+        retried = _query_once(
+            expert, retry_prompt, pass_index, n_utterances, taxonomy
+        )
+        for m in MODALITIES:
+            if votes[m] is None:
+                votes[m] = retried[m]
+    dropped = [m for m in MODALITIES if votes[m] is None]
+    if dropped:
+        logger.warning(
+            "expert %s pass %d: dropping modalities %s",
+            getattr(expert, "name", "?"),
+            pass_index,
+            dropped,
+        )
+    return ErcResult(
+        expert_id=getattr(expert, "name", "expert"),
+        pass_index=pass_index,
+        votes=votes,
+    )
 
 
 def _query_once(expert, prompt, pass_index, n_utterances, taxonomy):

@@ -2,26 +2,28 @@
 
 A judge is anything that turns a prompt into text: a remote
 OpenAI-compatible endpoint in production, a fixture-backed mock in
-tests.  ``JudgeClient`` layers retry with exponential backoff, an
-on-disk reply cache keyed by request digest, and simple call counters
-on top of any backend.
+tests.  ``JudgeClient`` layers per-judge rate limiting, retry with
+exponential backoff, an on-disk reply cache keyed by request digest, and
+simple call counters on top of any backend.
 """
 
 from __future__ import annotations
 
+import base64
+import dataclasses
 import hashlib
 import json
 import logging
 import os
 import re
+import select
 import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Protocol, Sequence, runtime_checkable
-
-import requests
+from urllib.parse import unquote, urlsplit
 
 logger = logging.getLogger(__name__)
 
@@ -52,13 +54,20 @@ class Sampling:
     max_tokens: int = 1024
 
 
+# Version of the reply-cache key layout; bumping it orphans old entries.
+CACHE_SCHEMA = 2
+
+
 @dataclass(frozen=True)
 class JudgeRequest:
     """One unit of judge work; the digest doubles as a cache key.
 
     ``judge`` is the asking judge's name.  It is part of the key so
     panel members never share cached replies: the same prompt sent to
-    two different judges is two different opinions.
+    two different judges is two different opinions.  ``backend`` is the
+    answering backend's identity (kind, model, endpoint; a mock's name),
+    so a judge renamed to another model never gets the old model's
+    replies.
     """
 
     kind: str  # repair | erc | rc | generate
@@ -66,11 +75,14 @@ class JudgeRequest:
     sampling: Sampling = Sampling()
     pass_index: int = 1
     judge: str = ""
+    backend: tuple = ()
 
     @property
     def idempotency_key(self) -> str:
         payload = json.dumps(
             [
+                CACHE_SCHEMA,
+                list(self.backend),
                 self.judge,
                 self.kind,
                 self.prompt,
@@ -127,7 +139,9 @@ class MockBackend:
     Replies come from, in order: a handler callable, an in-memory
     fixture table keyed by prompt digest, or ``<digest>.txt`` files in a
     fixture directory.  A prompt with no fixture raises
-    ``TransportError`` so exhaustion paths stay testable.
+    ``TransportError`` so exhaustion paths stay testable.  ``rate_limit``
+    (requests per second) is honoured by the ``JudgeClient`` that drives
+    it, as for HTTP backends.
     """
 
     provenance = "mock"
@@ -138,18 +152,23 @@ class MockBackend:
         fixtures: Optional[Mapping[str, str]] = None,
         fixture_dir: Optional[str | Path] = None,
         handler: Optional[Callable[[str, Sampling], str]] = None,
+        rate_limit: float = 0.0,
     ):
         self.name = name
+        self.identity = ("mock", name)
+        self.rate_limit = rate_limit
         self.fixtures = dict(fixtures or {})
         self.fixture_dir = Path(fixture_dir) if fixture_dir else None
         self.handler = handler
         self.calls = 0
+        self._calls_lock = threading.Lock()
 
     def add_reply(self, prompt: str, text: str) -> None:
         self.fixtures[prompt_digest(prompt)] = text
 
     def complete(self, prompt: str, sampling: Sampling) -> str:
-        self.calls += 1
+        with self._calls_lock:
+            self.calls += 1
         if self.handler is not None:
             return self.handler(prompt, sampling)
         key = prompt_digest(prompt)
@@ -166,13 +185,51 @@ class MockBackend:
 _RETRIABLE_STATUSES = {408, 409, 425, 429, 500, 502, 503, 504}
 
 
+def _proxy_for(scheme: str, host: str) -> Optional[tuple[str, int, dict]]:
+    """(host, port, auth headers) of the proxy the environment names, or ``None``.
+
+    Reads ``HTTP_PROXY``, ``HTTPS_PROXY``, ``ALL_PROXY`` and ``NO_PROXY``
+    (either case) the way urllib does.
+    """
+    import urllib.request
+
+    proxies = urllib.request.getproxies()
+    url = proxies.get(scheme) or proxies.get("all")
+    if not url or urllib.request.proxy_bypass(host):
+        return None
+    parts = urlsplit(url if "://" in url else f"http://{url}")
+    if parts.scheme != "http" or not parts.hostname:
+        raise BackendConfigError(f"unsupported proxy {url!r}: only http:// proxies")
+    auth = {}
+    if parts.username:
+        pair = f"{unquote(parts.username)}:{unquote(parts.password or '')}"
+        auth["Proxy-Authorization"] = (
+            "Basic " + base64.b64encode(pair.encode("utf-8")).decode("ascii"))
+    return parts.hostname, parts.port or 80, auth
+
+
+def _dropped(sock) -> bool:
+    """Whether an idle keep-alive socket was closed (or written to) by the peer."""
+    try:
+        if hasattr(select, "poll"):
+            poller = select.poll()
+            poller.register(sock, select.POLLIN)
+            return bool(poller.poll(0))
+        return bool(select.select([sock], [], [], 0)[0])
+    except (OSError, ValueError):
+        return True
+
+
 class HttpBackend:
-    """OpenAI-compatible chat-completions backend.
+    """OpenAI-compatible chat-completions backend over ``http.client``.
 
     Credentials come from the environment variable named by
     ``credential_env``; a missing credential or an auth rejection is a
-    configuration error, not a transient fault.  An optional
-    ``rate_limit`` (requests per second) is enforced across threads.
+    configuration error, not a transient fault.  ``rate_limit``
+    (requests per second) is enforced by the driving ``JudgeClient``.
+    Up to ``max_connections`` idle connections are kept alive for reuse
+    when the server allows it.  Proxies come from the environment, and
+    TLS verifies against the system trust store (``SSL_CERT_FILE``).
     """
 
     provenance = "remote"
@@ -185,32 +242,76 @@ class HttpBackend:
         credential_env: str = "",
         rate_limit: float = 0.0,
         timeout: float = 60.0,
+        max_connections: int = 1,
     ):
         if not endpoint:
             raise BackendConfigError(f"backend {name!r}: endpoint is required")
         if not model:
             raise BackendConfigError(f"backend {name!r}: model is required")
+        url = urlsplit(endpoint)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise BackendConfigError(
+                f"backend {name!r}: endpoint {endpoint!r} is not an http(s) URL")
         self.name = name
         self.endpoint = endpoint
         self.model = model
+        self.identity = ("http", model, endpoint)
         self.credential_env = credential_env
+        self.rate_limit = rate_limit
         self.timeout = timeout
-        self._min_interval = 1.0 / rate_limit if rate_limit > 0 else 0.0
-        self._gate = threading.Lock()
-        self._next_slot = 0.0
+        self.max_connections = max_connections
+        self._https = url.scheme == "https"
+        self._host = url.hostname
+        self._port = url.port or (443 if self._https else 80)
+        self._target = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        self._headers = {"Content-Type": "application/json", "User-Agent": "rpeval"}
+        self._proxy = _proxy_for(url.scheme, url.hostname)
+        if self._proxy is not None and not self._https:
+            # A plain-HTTP proxy takes the absolute URL as the target.
+            self._target = endpoint
+            self._headers.update(self._proxy[2])
+        self._tls = None
+        if self._https:
+            import ssl
 
-    def _throttle(self) -> None:
-        if self._min_interval <= 0:
-            return
-        with self._gate:
-            now = time.monotonic()
-            wait = self._next_slot - now
-            self._next_slot = max(now, self._next_slot) + self._min_interval
-        if wait > 0:
-            time.sleep(wait)
+            self._tls = ssl.create_default_context()
+        self._idle: list = []
+        self._pool_lock = threading.Lock()
+
+    def _connect(self):
+        import http.client
+
+        host, port = self._host, self._port
+        if self._proxy is not None:
+            host, port, auth = self._proxy
+        if not self._https:
+            return http.client.HTTPConnection(host, port, timeout=self.timeout)
+        conn = http.client.HTTPSConnection(
+            host, port, timeout=self.timeout, context=self._tls)
+        if self._proxy is not None:
+            conn.set_tunnel(self._host, self._port, headers=auth)
+        return conn
+
+    def _checkout(self):
+        with self._pool_lock:
+            conn = self._idle.pop() if self._idle else None
+        if conn is None:
+            return self._connect()
+        if conn.sock is not None and _dropped(conn.sock):
+            conn.close()  # reopens on the next request
+        return conn
+
+    def _checkin(self, conn) -> None:
+        with self._pool_lock:
+            if len(self._idle) < self.max_connections:
+                self._idle.append(conn)
+                return
+        conn.close()
 
     def complete(self, prompt: str, sampling: Sampling) -> str:
-        headers = {"Content-Type": "application/json"}
+        import http.client
+
+        headers = dict(self._headers)
         if self.credential_env:
             token = os.environ.get(self.credential_env, "")
             if not token:
@@ -219,36 +320,41 @@ class HttpBackend:
                     f"{self.credential_env!r} is not set"
                 )
             headers["Authorization"] = f"Bearer {token}"
-        body = {
+        body = json.dumps({
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],
             "temperature": sampling.temperature,
             "top_p": sampling.top_p,
             "max_tokens": sampling.max_tokens,
-        }
-        self._throttle()
+        }).encode("utf-8")
+        conn = self._checkout()
         try:
-            resp = requests.post(
-                self.endpoint, json=body, headers=headers, timeout=self.timeout
-            )
-        except requests.RequestException as exc:
+            conn.request("POST", self._target, body=body, headers=headers)
+            with conn.getresponse() as resp:
+                status, data = resp.status, resp.read()
+        except (OSError, http.client.HTTPException) as exc:
+            conn.close()
             raise TransportError(f"backend {self.name!r}: {exc}") from exc
-        if resp.status_code in (401, 403):
+        except BaseException:
+            conn.close()
+            raise
+        self._checkin(conn)
+        if status in (401, 403):
             raise BackendConfigError(
                 f"backend {self.name!r}: authentication rejected "
-                f"(HTTP {resp.status_code})"
+                f"(HTTP {status})"
             )
-        if resp.status_code in _RETRIABLE_STATUSES:
+        if status in _RETRIABLE_STATUSES:
             raise TransportError(
-                f"backend {self.name!r}: HTTP {resp.status_code}"
+                f"backend {self.name!r}: HTTP {status}"
             )
-        if resp.status_code != 200:
+        if status != 200:
             raise BackendConfigError(
-                f"backend {self.name!r}: unexpected HTTP {resp.status_code}: "
-                f"{resp.text[:200]}"
+                f"backend {self.name!r}: unexpected HTTP {status}: "
+                f"{data.decode('utf-8', 'replace')[:200]}"
             )
         try:
-            payload = resp.json()
+            payload = json.loads(data)
             return payload["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise TransportError(
@@ -302,12 +408,74 @@ class ReplyCache:
             raise
 
 
+class RunAborted(Exception):
+    """Raised instead of starting a judge request once the run has failed."""
+
+
+class Permits:
+    """Semaphore over a run's in-flight backend requests.
+
+    A rate-limited judge that has waited out its limit takes the next
+    free permit ahead of every other waiter (``ahead=True``), so queueing
+    behind unthrottled judges does not slow its send rate below its
+    limit.  After ``close`` every acquire raises ``RunAborted``, waiting
+    ones included, so no request starts once the run has failed.
+    """
+
+    def __init__(self, n: int):
+        self._free = n
+        self._lock = threading.Lock()
+        # Waiters, indexed by ``ahead``: [in turn, ahead of the others].
+        self._queues = (threading.Condition(self._lock),
+                        threading.Condition(self._lock))
+        self._waiting = [0, 0]
+        self.closed = False
+
+    def acquire(self, ahead: bool = False) -> bool:
+        with self._lock:
+            self._waiting[ahead] += 1
+            try:
+                while not self.closed and (
+                        self._free == 0 or (not ahead and self._waiting[True])):
+                    self._queues[ahead].wait()
+            finally:
+                self._waiting[ahead] -= 1
+            if self.closed:
+                raise RunAborted()
+            self._free -= 1
+            if self._free:
+                self._wake()
+        return True
+
+    def release(self) -> None:
+        with self._lock:
+            self._free += 1
+            self._wake()
+
+    def close(self) -> None:
+        with self._lock:
+            self.closed = True
+            for queue in self._queues:
+                queue.notify_all()
+
+    def _wake(self) -> None:
+        if self._waiting[True]:
+            self._queues[True].notify()
+        elif self._waiting[False]:
+            self._queues[False].notify()
+
+
 class JudgeClient:
-    """Backend wrapper adding cache lookup, retries and counters.
+    """Backend wrapper adding rate limiting, cache lookup, retries and counters.
 
     ``sleep`` is injectable so retry schedules are testable without wall
-    clock time; ``limiter`` (any semaphore-like object) bounds in-flight
-    backend calls when the pipeline fans out across threads.
+    clock time; ``limiter`` (``Permits`` or any semaphore-like object)
+    bounds in-flight backend calls when the pipeline fans out across
+    threads.  The backend's ``rate_limit`` (requests per second, if it
+    has one) is waited out *before* taking a permit from ``limiter``, so
+    a throttled judge never holds a permit while it waits; consecutive
+    sends of this client are at least ``1 / rate_limit`` seconds apart,
+    and from ``Permits`` the client then takes the next permit first.
     """
 
     def __init__(
@@ -325,10 +493,19 @@ class JudgeClient:
         self.sampling = sampling
         self.limiter = limiter
         self.sleep = sleep
+        self.identity = tuple(getattr(backend, "identity", None)
+                              or (type(backend).__name__, backend.name))
+        rate = getattr(backend, "rate_limit", 0.0) or 0.0
+        # Minimum seconds between two sends; 0 for an unlimited backend.
+        self.interval = 1.0 / rate if rate > 0 else 0.0
+        self._pace = threading.Lock()
+        self._last_send = float("-inf")
         self._lock = threading.Lock()
         self.cache_hits = 0
         self.cache_misses = 0
         self.backend_calls = 0
+        self.replies = 0
+        self.transport_failures = 0
 
     @property
     def name(self) -> str:
@@ -340,15 +517,42 @@ class JudgeClient:
                 "cache_hits": self.cache_hits,
                 "cache_misses": self.cache_misses,
                 "backend_calls": self.backend_calls,
+                "replies": self.replies,
+                "transport_failures": self.transport_failures,
             }
 
+    def _send(self, request: JudgeRequest) -> str:
+        """One backend attempt: wait out the rate limit, then take a permit."""
+        if self.interval > 0:
+            # Holding the pace lock through the permit wait orders this
+            # client's sends, so the spacing holds between actual sends.
+            with self._pace:
+                wait = self._last_send + self.interval - time.monotonic()
+                if wait > 0:
+                    time.sleep(wait)
+                if isinstance(self.limiter, Permits):
+                    self.limiter.acquire(ahead=True)
+                elif self.limiter is not None:
+                    self.limiter.acquire()
+                self._last_send = time.monotonic()
+        elif self.limiter is not None:
+            self.limiter.acquire()
+        try:
+            return self.backend.complete(request.prompt, request.sampling)
+        finally:
+            if self.limiter is not None:
+                self.limiter.release()
+
     def call(self, request: JudgeRequest) -> JudgeReply:
+        if not request.backend:
+            request = dataclasses.replace(request, backend=self.identity)
         key = request.idempotency_key
         if self.cache is not None:
             cached = self.cache.get(key)
             if cached is not None:
                 with self._lock:
                     self.cache_hits += 1
+                    self.replies += 1
                 return JudgeReply(text=cached, provenance="cache")
             with self._lock:
                 self.cache_misses += 1
@@ -356,11 +560,7 @@ class JudgeClient:
         for attempt in range(1, self.policy.max_attempts + 1):
             started = time.monotonic()
             try:
-                if self.limiter is not None:
-                    with self.limiter:
-                        text = self.backend.complete(request.prompt, request.sampling)
-                else:
-                    text = self.backend.complete(request.prompt, request.sampling)
+                text = self._send(request)
             except TransportError as exc:
                 last_error = exc
                 logger.warning(
@@ -379,12 +579,16 @@ class JudgeClient:
             latency = time.monotonic() - started
             if self.cache is not None:
                 self.cache.put(key, request.kind, text)
+            with self._lock:
+                self.replies += 1
             return JudgeReply(
                 text=text,
                 provenance=getattr(self.backend, "provenance", "remote"),
                 latency=latency,
                 attempt=attempt,
             )
+        with self._lock:
+            self.transport_failures += 1
         raise TransportError(
             f"judge {self.name!r} exhausted {self.policy.max_attempts} attempts: "
             f"{last_error}",
@@ -405,6 +609,7 @@ class JudgeClient:
             sampling=sampling or self.sampling,
             pass_index=pass_index,
             judge=self.name,
+            backend=self.identity,
         )
         return self.call(request).text
 

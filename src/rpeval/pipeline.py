@@ -15,11 +15,10 @@ import io
 import json
 import logging
 import random
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
@@ -45,6 +44,7 @@ from .judges import (
     HttpBackend,
     JudgeClient,
     MockBackend,
+    Permits,
     ReplyCache,
     RetryPolicy,
     Sampling,
@@ -73,6 +73,7 @@ from .prompts import (
     build_rc_prompt,
     render_history,
 )
+from .scheduler import Scheduler
 
 logger = logging.getLogger(__name__)
 
@@ -149,9 +150,10 @@ class BackendSpec:
             "fixture_dir": self.fixture_dir,
         }
 
-    def build_backend(self):
+    def build_backend(self, max_connections: int = 1):
         if self.kind == "mock":
-            return MockBackend(self.name, fixture_dir=self.fixture_dir or None)
+            return MockBackend(self.name, fixture_dir=self.fixture_dir or None,
+                               rate_limit=self.rate_limit)
         try:
             return HttpBackend(
                 name=self.name,
@@ -160,6 +162,7 @@ class BackendSpec:
                 credential_env=self.credential_env,
                 rate_limit=self.rate_limit,
                 timeout=self.timeout,
+                max_connections=max_connections,
             )
         except BackendConfigError as exc:
             raise ConfigError(str(exc)) from None
@@ -378,34 +381,6 @@ def group_role_dialogues(
     return [(key[2], groups[key]) for key in order]
 
 
-class _CountingJudge:
-    """Thin judge wrapper that tallies replies and transport failures."""
-
-    def __init__(self, client: JudgeClient, counters: dict, lock: threading.Lock):
-        self._client = client
-        self._counters = counters
-        self._lock = lock
-
-    @property
-    def name(self) -> str:
-        return self._client.name
-
-    def stats(self) -> dict:
-        return self._client.stats()
-
-    def ask(self, kind, prompt, pass_index=1, sampling=None):
-        try:
-            text = self._client.ask(kind, prompt,
-                                    pass_index=pass_index, sampling=sampling)
-        except TransportError:
-            with self._lock:
-                self._counters["transport_failures"] += 1
-            raise
-        with self._lock:
-            self._counters["replies"] += 1
-        return text
-
-
 @dataclass
 class EvaluationRun:
     """Everything a finished run produced."""
@@ -431,61 +406,42 @@ class _Clients:
     """Judge clients for one run, built from config or injected objects."""
 
     def __init__(self, config: RunConfig, cache: Optional[ReplyCache],
-                 limiter: threading.Semaphore, counters: dict,
-                 lock: threading.Lock,
-                 experts=None, rc_evaluators=None, repair_judge=None):
+                 limiter: Permits, experts=None, rc_evaluators=None,
+                 repair_judge=None):
         self._config = config
         self._cache = cache
         self._limiter = limiter
-        self._counters = counters
-        self._lock = lock
         self.experts = self._many(experts, config.experts, "experts")
         self.rc_evaluators = self._many(
             rc_evaluators, config.rc_evaluators, "rc_evaluators")
-        if repair_judge is not None:
-            self.repair = self._wrap(self._client(repair_judge))
-        elif config.repair is not None:
-            self.repair = self._wrap(self._from_spec(config.repair))
-        else:
-            self.repair = None
+        repair = repair_judge if repair_judge is not None else config.repair
+        self.repair = self._client(repair) if repair is not None else None
         names = [c.name for c in self.experts + self.rc_evaluators]
         if len(names) != len(set(names)):
             raise ConfigError("judge names must be unique within a run")
 
-    def _from_spec(self, spec: BackendSpec) -> JudgeClient:
+    def _client(self, obj) -> JudgeClient:
+        if isinstance(obj, JudgeClient):
+            return obj
+        if isinstance(obj, BackendSpec):
+            obj = obj.build_backend(max_connections=self._config.concurrency)
+        elif not hasattr(obj, "complete"):
+            raise ConfigError(f"cannot build a judge from {type(obj).__name__}")
         return JudgeClient(
-            backend=spec.build_backend(),
+            backend=obj,
             policy=self._config.retry,
             cache=self._cache,
             sampling=self._config.judge_sampling,
             limiter=self._limiter,
         )
 
-    def _client(self, obj) -> JudgeClient:
-        if isinstance(obj, JudgeClient):
-            return obj
-        if isinstance(obj, BackendSpec):
-            return self._from_spec(obj)
-        if hasattr(obj, "complete"):
-            return JudgeClient(
-                backend=obj,
-                policy=self._config.retry,
-                cache=self._cache,
-                sampling=self._config.judge_sampling,
-                limiter=self._limiter,
-            )
-        raise ConfigError(f"cannot build a judge from {type(obj).__name__}")
-
-    def _wrap(self, client: JudgeClient) -> _CountingJudge:
-        return _CountingJudge(client, self._counters, self._lock)
-
-    def _many(self, injected, specs, what) -> list[_CountingJudge]:
+    def _many(self, injected, specs, what) -> list[JudgeClient]:
         source = injected if injected is not None else specs
         if not source:
             raise ConfigError(f"run config declares no {what}")
-        return [self._wrap(self._client(item)) for item in source]
+        return [self._client(item) for item in source]
 
-    def all_named(self) -> list[_CountingJudge]:
+    def all_named(self) -> list[JudgeClient]:
         out = list(self.experts) + list(self.rc_evaluators)
         if self.repair is not None:
             out.append(self.repair)
@@ -582,41 +538,46 @@ def _rc_materials(sample: DialogueSample, fields: Sequence[str]) -> str:
     return "\n".join(parts)
 
 
-def _rc_judge_sample(sample, response, clients, config):
-    """All three role-consistency questions for one sample."""
+def _rc_judge_sample(sample, response, clients, config, fan_out):
+    """All three role-consistency questions for one sample.
+
+    The (question, evaluator) queries are independent and go out through
+    ``fan_out``; each corrective re-prompt follows its own first reply.
+    """
     history_text = render_history(sample.history)
-    verdicts: dict[str, dict] = {}
+    keys, calls = [], []
     for metric in RC_METRICS:
         routing = config.rc_routing.get(metric, DEFAULT_RC_ROUTING[metric])
         materials = _rc_materials(sample, routing)
         sources = _rc_sources(sample, response, materials, history_text)
-        prompt = build_rc_prompt(
-            metric, materials, history_text,
-            sample.user_input.content, response.to_json(),
-        )
-        retry_prompt = build_rc_prompt(
-            metric, materials, history_text,
-            sample.user_input.content, response.to_json(), retry=True,
-        )
-        per_evaluator: dict[str, Optional[object]] = {}
+        prompts = [
+            build_rc_prompt(metric, materials, history_text,
+                            sample.user_input.content, response.to_json(),
+                            retry=retry)
+            for retry in (False, True)
+        ]
         for evaluator in clients.rc_evaluators:
-            verdict = None
-            for attempt_prompt in (prompt, retry_prompt):
-                try:
-                    text = evaluator.ask("rc", attempt_prompt)
-                except TransportError:
-                    continue
-                verdict = parse_rc_verdict(text, sources=sources)
-                if verdict is not None:
-                    break
-            if verdict is None:
-                logger.warning(
-                    "rc %s: evaluator %s unusable for sample %s",
-                    metric, evaluator.name, sample.sample_id,
-                )
-            per_evaluator[evaluator.name] = verdict
-        verdicts[metric] = per_evaluator
+            keys.append((metric, evaluator.name))
+            calls.append(partial(_rc_verdict, evaluator, prompts, sources,
+                                 metric, sample.sample_id))
+    verdicts: dict[str, dict] = {metric: {} for metric in RC_METRICS}
+    for (metric, name), verdict in zip(keys, fan_out(calls)):
+        verdicts[metric][name] = verdict
     return verdicts
+
+
+def _rc_verdict(evaluator, prompts, sources, metric, sample_id):
+    for prompt in prompts:
+        try:
+            text = evaluator.ask("rc", prompt)
+        except TransportError:
+            continue
+        verdict = parse_rc_verdict(text, sources=sources)
+        if verdict is not None:
+            return verdict
+    logger.warning("rc %s: evaluator %s unusable for sample %s",
+                   metric, evaluator.name, sample_id)
+    return None
 
 
 def evaluate(
@@ -654,23 +615,30 @@ def evaluate(
     missing = sorted(set(by_id) - {p.sample_id for p in predictions})
 
     cache = ReplyCache(config.cache_dir) if config.cache_dir else None
-    limiter = threading.Semaphore(config.concurrency)
-    counters = {"replies": 0, "transport_failures": 0}
-    lock = threading.Lock()
-    clients = _Clients(config, cache, limiter, counters, lock,
-                       experts=experts, rc_evaluators=rc_evaluators,
-                       repair_judge=repair_judge)
+    permits = Permits(config.concurrency)
+    clients = _Clients(config, cache, permits, experts=experts,
+                       rc_evaluators=rc_evaluators, repair_judge=repair_judge)
 
-    # Stage 1: format gate.
-    def _gate(pred: PredictionRecord):
-        return pred.sample_id, format_response(
-            pred.raw_output, clients.repair,
-            max_attempts=config.max_repair_attempts,
-        )
+    # Each prediction flows format gate -> emotion panel -> role
+    # consistency on its own; only the metric assembly waits for all.
+    def _judge(pred: PredictionRecord):
+        outcome = format_response(pred.raw_output, clients.repair,
+                                  max_attempts=config.max_repair_attempts)
+        if outcome.response is None:
+            return outcome, None, None
+        seg = segment_utterances(outcome.response.content, config.delimiters)
+        results = run_panel(outcome.response, seg, clients.experts, taxonomy,
+                            passes=config.passes, fan_out=scheduler.fan_out)
+        votes = aggregate(results, tau=config.tau, n_utterances=seg.count)
+        return outcome, votes, _rc_judge_sample(
+            by_id[pred.sample_id], outcome.response, clients, config,
+            scheduler.fan_out)
 
-    with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
-        outcomes = dict(pool.map(_gate, predictions))
+    with Scheduler(permits, config.concurrency, clients.all_named()) as scheduler:
+        judged = dict(zip((p.sample_id for p in predictions),
+                          scheduler.map(_judge, predictions)))
 
+    outcomes = {sid: outcome for sid, (outcome, _, _) in judged.items()}
     formatted_ids = sorted(
         sid for sid, out in outcomes.items() if out.response is not None
     )
@@ -684,44 +652,26 @@ def evaluate(
         "dropped_format": sum(
             1 for o in outcomes.values() if o.status == UNREPAIRABLE),
     }
-
-    # Stage 2: emotion-recognition panel over formatted responses.
-    def _judge_emotions(sample_id: str):
-        response = outcomes[sample_id].response
-        seg = segment_utterances(response.content, config.delimiters)
-        results = run_panel(response, seg, clients.experts, taxonomy,
-                            passes=config.passes)
-        return sample_id, aggregate(results, tau=config.tau,
-                                    n_utterances=seg.count)
-
-    with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
-        panel = dict(pool.map(_judge_emotions, formatted_ids))
-
-    voted = {sid: agg for sid, agg in panel.items() if agg.has_votes}
-    tally["dropped_erc"] = len(panel) - len(voted)
+    voted = {sid: judged[sid][1] for sid in formatted_ids
+             if judged[sid][1].has_votes}
+    tally["dropped_erc"] = len(formatted_ids) - len(voted)
     ec_ids = sorted(voted)
     tally["ec_samples"] = len(ec_ids)
+    rc_raw = {sid: judged[sid][2] for sid in formatted_ids}
 
-    # Stage 3: role-consistency judging over formatted responses.
-    def _judge_rc(sample_id: str):
-        return sample_id, _rc_judge_sample(
-            by_id[sample_id], outcomes[sample_id].response, clients, config)
-
-    with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
-        rc_raw = dict(pool.map(_judge_rc, formatted_ids))
-
-    # Stage 4: deterministic metric assembly.
+    # Deterministic metric assembly, once every sample is judged.
     ec_report = _assemble_ec(config, taxonomy, samples, by_id, voted, ec_ids)
     rc_report, rc_tally = _assemble_rc(config, clients, outcomes, rc_raw,
                                        formatted_ids)
     tally.update(rc_tally)
 
-    if counters["replies"] == 0 and counters["transport_failures"] > 0:
+    judge_stats = {c.name: c.stats() for c in clients.all_named()}
+    if (sum(s["replies"] for s in judge_stats.values()) == 0
+            and sum(s["transport_failures"] for s in judge_stats.values()) > 0):
         raise TransportError(
             "no judge request succeeded in this run; backends unreachable")
 
     report = _assemble_report(ec_report, rc_report, tally)
-    judge_stats = {c.name: c.stats() for c in clients.all_named()}
     lookups = sum(s["cache_hits"] + s["cache_misses"]
                   for s in judge_stats.values())
     hits = sum(s["cache_hits"] for s in judge_stats.values())

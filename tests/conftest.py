@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import re
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -193,3 +195,44 @@ def small_world(tmp_path):
         "experts": make_experts(),
         "rc": make_rc_evaluators(),
     }
+
+
+class _Judge(BaseHTTPRequestHandler):
+    """Loopback chat-completions endpoint answering from ``server.script``."""
+
+    protocol_version = "HTTP/1.1"
+
+    def log_message(self, *args):
+        pass
+
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.seen.append({
+            "path": self.path, "json": json.loads(body),
+            "peer": self.client_address, "headers": dict(self.headers)})
+        status, payload = self.server.script.pop(0) if self.server.script else (
+            200, {"choices": [{"message": {"content": "ok"}}]})
+        data = b"" if payload is None else json.dumps(payload).encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+
+@pytest.fixture
+def judge_server(monkeypatch):
+    """A loopback judge; ``script`` queues (status, payload) replies."""
+    for var in ("http_proxy", "https_proxy", "all_proxy",
+                "HTTP_PROXY", "HTTPS_PROXY", "ALL_PROXY"):
+        monkeypatch.delenv(var, raising=False)
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _Judge)
+    server.daemon_threads = True
+    server.script, server.seen = [], []
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,),
+                              daemon=True)
+    thread.start()
+    server.url = f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
+    yield server
+    server.shutdown()
+    server.server_close()

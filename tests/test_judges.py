@@ -1,7 +1,9 @@
 """Judge clients: idempotency keys, retry, cache, backends, reply parsing."""
 
+import base64
 import json
 import threading
+import time
 
 import pytest
 
@@ -121,7 +123,8 @@ def test_cache_second_call_is_served_locally(tmp_path):
     assert second.text == "reply!"
     assert backend.calls == 1
     assert client.stats() == {
-        "cache_hits": 1, "cache_misses": 1, "backend_calls": 1}
+        "cache_hits": 1, "cache_misses": 1, "backend_calls": 1,
+        "replies": 2, "transport_failures": 0}
 
 
 def test_cache_layout_is_sharded_json(tmp_path):
@@ -194,18 +197,6 @@ def test_limiter_bounds_concurrent_backend_calls():
     assert active["peak"] <= 2
 
 
-class _FakeResponse:
-    def __init__(self, status_code, payload=None, text=""):
-        self.status_code = status_code
-        self._payload = payload
-        self.text = text
-
-    def json(self):
-        if self._payload is None:
-            raise ValueError("no json")
-        return self._payload
-
-
 def test_http_backend_requires_credential(monkeypatch):
     backend = HttpBackend("j", endpoint="https://api.test/v1",
                           model="judge-1", credential_env="MISSING_KEY_VAR")
@@ -214,53 +205,83 @@ def test_http_backend_requires_credential(monkeypatch):
         backend.complete("p", Sampling())
 
 
-def test_http_backend_statuses(monkeypatch):
-    backend = HttpBackend("j", endpoint="https://api.test/v1", model="judge-1")
-    responses = {}
+def test_http_backend_statuses(judge_server):
+    backend = HttpBackend("j", endpoint=judge_server.url, model="judge-1")
+    script = judge_server.script
 
-    def fake_post(url, json=None, headers=None, timeout=None):
-        return responses["next"]
-
-    monkeypatch.setattr("rpeval.judges.requests.post", fake_post)
-
-    responses["next"] = _FakeResponse(401)
+    script.append((401, None))
     with pytest.raises(BackendConfigError):
         backend.complete("p", Sampling())
 
-    responses["next"] = _FakeResponse(429)
+    script.append((429, None))
     with pytest.raises(TransportError):
         backend.complete("p", Sampling())
 
-    responses["next"] = _FakeResponse(503)
+    script.append((503, None))
     with pytest.raises(TransportError):
         backend.complete("p", Sampling())
 
-    responses["next"] = _FakeResponse(200, payload={"choices": []})
+    script.append((200, {"choices": []}))
     with pytest.raises(TransportError):
         backend.complete("p", Sampling())
 
-    responses["next"] = _FakeResponse(
-        200, payload={"choices": [{"message": {"content": "verdict"}}]})
+    script.append((200, {"choices": [{"message": {"content": "verdict"}}]}))
     assert backend.complete("p", Sampling()) == "verdict"
 
 
-def test_http_backend_sends_sampling(monkeypatch):
-    captured = {}
-
-    def fake_post(url, json=None, headers=None, timeout=None):
-        captured.update(json)
-        return _FakeResponse(
-            200, payload={"choices": [{"message": {"content": "ok"}}]})
-
-    monkeypatch.setattr("rpeval.judges.requests.post", fake_post)
-    backend = HttpBackend("j", endpoint="https://api.test/v1", model="judge-1")
+def test_http_backend_sends_sampling(judge_server):
+    backend = HttpBackend("j", endpoint=judge_server.url, model="judge-1")
     backend.complete("the prompt", Sampling(temperature=0.7, top_p=0.95,
                                             max_tokens=64))
+    captured = judge_server.seen[0]["json"]
     assert captured["model"] == "judge-1"
     assert captured["temperature"] == 0.7
     assert captured["top_p"] == 0.95
     assert captured["max_tokens"] == 64
     assert captured["messages"] == [{"role": "user", "content": "the prompt"}]
+
+
+def test_http_backend_keeps_connection_alive(judge_server):
+    backend = HttpBackend("j", endpoint=judge_server.url, model="judge-1")
+    for _ in range(3):
+        assert backend.complete("p", Sampling()) == "ok"
+    assert len({seen["peer"] for seen in judge_server.seen}) == 1
+
+
+def test_http_backend_reconnects_after_idle_close(judge_server, monkeypatch):
+    monkeypatch.setattr(judge_server.RequestHandlerClass, "timeout", 0.05)
+    backend = HttpBackend("j", endpoint=judge_server.url, model="judge-1")
+    assert backend.complete("p", Sampling()) == "ok"
+    time.sleep(0.2)  # the server has dropped the idle connection by now
+    assert backend.complete("p", Sampling()) == "ok"
+    assert len({seen["peer"] for seen in judge_server.seen}) == 2
+
+
+def test_http_backend_honours_proxy_variables(judge_server, monkeypatch):
+    proxy = judge_server.url.rsplit("/v1/", 1)[0].replace("//", "//me:p%40ss@")
+    monkeypatch.setenv("HTTP_PROXY", proxy)
+    monkeypatch.setenv("NO_PROXY", "localhost")
+    proxied = HttpBackend("j", endpoint="http://judge.test/v1/chat", model="m")
+    assert proxied.complete("p", Sampling()) == "ok"
+    assert judge_server.seen[-1]["path"] == "http://judge.test/v1/chat"
+    assert judge_server.seen[-1]["headers"]["Host"] == "judge.test"
+    assert judge_server.seen[-1]["headers"]["Proxy-Authorization"] == (
+        "Basic " + base64.b64encode(b"me:p@ss").decode("ascii"))
+    # NO_PROXY sends matching hosts direct, past a proxy that is not there.
+    monkeypatch.setenv("HTTP_PROXY", "http://127.0.0.1:9")
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    direct = HttpBackend("j", endpoint=judge_server.url, model="m")
+    assert direct.complete("p", Sampling()) == "ok"
+    assert judge_server.seen[-1]["path"] == "/v1/chat/completions"
+
+
+def test_cache_misses_when_the_model_changes(judge_server, tmp_path):
+    cache = ReplyCache(tmp_path / "cache")
+    for model in ("judge-1", "judge-1", "judge-2"):
+        backend = HttpBackend("j", endpoint=judge_server.url, model=model)
+        JudgeClient(backend, cache=cache).ask("erc", "same prompt")
+    assert [seen["json"]["model"] for seen in judge_server.seen] == [
+        "judge-1", "judge-2"]
 
 
 def test_http_backend_validates_construction():
