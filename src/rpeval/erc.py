@@ -10,7 +10,6 @@ ambiguous sentinel.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 from functools import partial
@@ -24,6 +23,8 @@ from .corpus import (
 )
 from .judges import TransportError, extract_json_object
 from .prompts import build_erc_prompt
+
+import json
 
 logger = logging.getLogger(__name__)
 

@@ -308,6 +308,13 @@ class HttpBackend:
                 return
         conn.close()
 
+    def close(self) -> None:
+        """Close the idle keep-alive connections; later calls reconnect."""
+        with self._pool_lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
+
     def complete(self, prompt: str, sampling: Sampling) -> str:
         import http.client
 
@@ -539,6 +546,14 @@ class JudgeClient:
             self.limiter.acquire()
         try:
             return self.backend.complete(request.prompt, request.sampling)
+        except TransportError:
+            raise
+        except BaseException:
+            # Any other failure ends the run: close the permits before
+            # this one is handed on, so no request starts after it.
+            if isinstance(self.limiter, Permits):
+                self.limiter.close()
+            raise
         finally:
             if self.limiter is not None:
                 self.limiter.release()

@@ -411,6 +411,7 @@ class _Clients:
         self._config = config
         self._cache = cache
         self._limiter = limiter
+        self._built: list = []
         self.experts = self._many(experts, config.experts, "experts")
         self.rc_evaluators = self._many(
             rc_evaluators, config.rc_evaluators, "rc_evaluators")
@@ -425,6 +426,7 @@ class _Clients:
             return obj
         if isinstance(obj, BackendSpec):
             obj = obj.build_backend(max_connections=self._config.concurrency)
+            self._built.append(obj)
         elif not hasattr(obj, "complete"):
             raise ConfigError(f"cannot build a judge from {type(obj).__name__}")
         return JudgeClient(
@@ -440,6 +442,12 @@ class _Clients:
         if not source:
             raise ConfigError(f"run config declares no {what}")
         return [self._client(item) for item in source]
+
+    def close(self) -> None:
+        """Close the backends built here from specs (their idle connections)."""
+        for backend in self._built:
+            if hasattr(backend, "close"):
+                backend.close()
 
     def all_named(self) -> list[JudgeClient]:
         out = list(self.experts) + list(self.rc_evaluators)
@@ -634,9 +642,13 @@ def evaluate(
             by_id[pred.sample_id], outcome.response, clients, config,
             scheduler.fan_out)
 
-    with Scheduler(permits, config.concurrency, clients.all_named()) as scheduler:
-        judged = dict(zip((p.sample_id for p in predictions),
-                          scheduler.map(_judge, predictions)))
+    try:
+        with Scheduler(permits, config.concurrency,
+                       clients.all_named()) as scheduler:
+            judged = dict(zip((p.sample_id for p in predictions),
+                              scheduler.map(_judge, predictions)))
+    finally:
+        clients.close()
 
     outcomes = {sid: outcome for sid, (outcome, _, _) in judged.items()}
     formatted_ids = sorted(
@@ -868,12 +880,14 @@ def generate(
     """
     taxonomy = config.taxonomy()
     samples = load_corpus(corpus_path, taxonomy, config.delimiters)
+    built = None
     if generator is None:
         spec = next((s for s in config.generators if s.name == backend_name), None)
         if spec is None:
             raise ConfigError(f"no generator backend named {backend_name!r}")
+        built = spec.build_backend()
         client = JudgeClient(
-            backend=spec.build_backend(),
+            backend=built,
             policy=config.retry,
             cache=ReplyCache(config.cache_dir) if config.cache_dir else None,
             sampling=config.generation_sampling,
@@ -884,16 +898,20 @@ def generate(
         client = JudgeClient(backend=generator, policy=config.retry,
                              sampling=config.generation_sampling)
     records = []
-    for sample in samples:
-        materials = _rc_materials(sample, ["profile", "previous_info"])
-        prompt = build_generate_prompt(
-            materials, render_history(sample.history),
-            sample.role.user_name, sample.user_input.content,
-        )
-        text = client.ask("generate", prompt,
-                          sampling=config.generation_sampling)
-        records.append(PredictionRecord(sample_id=sample.sample_id,
-                                        raw_output=text))
+    try:
+        for sample in samples:
+            materials = _rc_materials(sample, ["profile", "previous_info"])
+            prompt = build_generate_prompt(
+                materials, render_history(sample.history),
+                sample.role.user_name, sample.user_input.content,
+            )
+            text = client.ask("generate", prompt,
+                              sampling=config.generation_sampling)
+            records.append(PredictionRecord(sample_id=sample.sample_id,
+                                            raw_output=text))
+    finally:
+        if hasattr(built, "close"):
+            built.close()
     save_jsonl(out_path, [r.to_record() for r in records])
     return records
 

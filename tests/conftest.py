@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import re
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -210,8 +211,9 @@ class _Judge(BaseHTTPRequestHandler):
         self.server.seen.append({
             "path": self.path, "json": json.loads(body),
             "peer": self.client_address, "headers": dict(self.headers)})
-        status, payload = self.server.script.pop(0) if self.server.script else (
+        status, payload, *delay = self.server.script.pop(0) if self.server.script else (
             200, {"choices": [{"message": {"content": "ok"}}]})
+        time.sleep(delay[0] if delay else 0)
         data = b"" if payload is None else json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
@@ -222,7 +224,7 @@ class _Judge(BaseHTTPRequestHandler):
 
 @pytest.fixture
 def judge_server(monkeypatch):
-    """A loopback judge; ``script`` queues (status, payload) replies."""
+    """A loopback judge; ``script`` queues (status, payload[, delay]) replies."""
     for var in ("http_proxy", "https_proxy", "all_proxy",
                 "HTTP_PROXY", "HTTPS_PROXY", "ALL_PROXY"):
         monkeypatch.delenv(var, raising=False)

@@ -227,12 +227,14 @@ def test_http_backend_statuses(judge_server):
 
     script.append((200, {"choices": [{"message": {"content": "verdict"}}]}))
     assert backend.complete("p", Sampling()) == "verdict"
+    backend.close()
 
 
 def test_http_backend_sends_sampling(judge_server):
     backend = HttpBackend("j", endpoint=judge_server.url, model="judge-1")
     backend.complete("the prompt", Sampling(temperature=0.7, top_p=0.95,
                                             max_tokens=64))
+    backend.close()
     captured = judge_server.seen[0]["json"]
     assert captured["model"] == "judge-1"
     assert captured["temperature"] == 0.7
@@ -245,6 +247,7 @@ def test_http_backend_keeps_connection_alive(judge_server):
     backend = HttpBackend("j", endpoint=judge_server.url, model="judge-1")
     for _ in range(3):
         assert backend.complete("p", Sampling()) == "ok"
+    backend.close()
     assert len({seen["peer"] for seen in judge_server.seen}) == 1
 
 
@@ -254,6 +257,7 @@ def test_http_backend_reconnects_after_idle_close(judge_server, monkeypatch):
     assert backend.complete("p", Sampling()) == "ok"
     time.sleep(0.2)  # the server has dropped the idle connection by now
     assert backend.complete("p", Sampling()) == "ok"
+    backend.close()
     assert len({seen["peer"] for seen in judge_server.seen}) == 2
 
 
@@ -263,6 +267,7 @@ def test_http_backend_honours_proxy_variables(judge_server, monkeypatch):
     monkeypatch.setenv("NO_PROXY", "localhost")
     proxied = HttpBackend("j", endpoint="http://judge.test/v1/chat", model="m")
     assert proxied.complete("p", Sampling()) == "ok"
+    proxied.close()
     assert judge_server.seen[-1]["path"] == "http://judge.test/v1/chat"
     assert judge_server.seen[-1]["headers"]["Host"] == "judge.test"
     assert judge_server.seen[-1]["headers"]["Proxy-Authorization"] == (
@@ -272,6 +277,7 @@ def test_http_backend_honours_proxy_variables(judge_server, monkeypatch):
     monkeypatch.setenv("NO_PROXY", "127.0.0.1")
     direct = HttpBackend("j", endpoint=judge_server.url, model="m")
     assert direct.complete("p", Sampling()) == "ok"
+    direct.close()
     assert judge_server.seen[-1]["path"] == "/v1/chat/completions"
 
 
@@ -280,6 +286,7 @@ def test_cache_misses_when_the_model_changes(judge_server, tmp_path):
     for model in ("judge-1", "judge-1", "judge-2"):
         backend = HttpBackend("j", endpoint=judge_server.url, model=model)
         JudgeClient(backend, cache=cache).ask("erc", "same prompt")
+        backend.close()
     assert [seen["json"]["model"] for seen in judge_server.seen] == [
         "judge-1", "judge-2"]
 

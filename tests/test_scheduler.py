@@ -186,8 +186,10 @@ def test_auth_failure_in_a_worker_aborts_the_run(judge_server, tmp_path):
     corpus = write_corpus(tmp_path / "corpus.jsonl", samples)
     predictions = write_predictions(
         tmp_path / "preds.jsonl", [echo_prediction(s) for s in samples])
-    ok = (200, {"choices": [{"message": {"content": "{}"}}]})
-    judge_server.script.extend([ok] * 4 + [(401, None)])
+    # Replies other than the 401 take 50 ms, so the client has handled
+    # the 401 before the request beside it in flight returns its permit.
+    ok = (200, {"choices": [{"message": {"content": "{}"}}]}, 0.05)
+    judge_server.script.extend([ok] * 4 + [(401, None)] + [ok] * 100)
 
     def spec(name):
         return {"name": name, "kind": "http", "model": name,
