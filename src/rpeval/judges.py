@@ -66,7 +66,7 @@ class JudgeRequest:
     panel members never share cached replies: the same prompt sent to
     two different judges is two different opinions.  ``backend`` is the
     answering backend's identity (kind, model, endpoint; a mock's name),
-    so a judge renamed to another model never gets the old model's
+    so a judge switched to another model never gets the old model's
     replies.
     """
 
