@@ -227,9 +227,10 @@ class HttpBackend:
     ``credential_env``; a missing credential or an auth rejection is a
     configuration error, not a transient fault.  ``rate_limit``
     (requests per second) is enforced by the driving ``JudgeClient``.
-    Up to ``max_connections`` idle connections are kept alive for reuse
-    when the server allows it.  Proxies come from the environment, and
-    TLS verifies against the system trust store (``SSL_CERT_FILE``).
+    Connections are kept alive for reuse when the server allows it; each
+    call checks one out, so no more stay open than calls ever overlapped.
+    Proxies come from the environment, and TLS verifies against the
+    system trust store (``SSL_CERT_FILE``).
     """
 
     provenance = "remote"
@@ -242,7 +243,6 @@ class HttpBackend:
         credential_env: str = "",
         rate_limit: float = 0.0,
         timeout: float = 60.0,
-        max_connections: int = 1,
     ):
         if not endpoint:
             raise BackendConfigError(f"backend {name!r}: endpoint is required")
@@ -259,7 +259,6 @@ class HttpBackend:
         self.credential_env = credential_env
         self.rate_limit = rate_limit
         self.timeout = timeout
-        self.max_connections = max_connections
         self._https = url.scheme == "https"
         self._host = url.hostname
         self._port = url.port or (443 if self._https else 80)
@@ -303,10 +302,7 @@ class HttpBackend:
 
     def _checkin(self, conn) -> None:
         with self._pool_lock:
-            if len(self._idle) < self.max_connections:
-                self._idle.append(conn)
-                return
-        conn.close()
+            self._idle.append(conn)
 
     def close(self) -> None:
         """Close the idle keep-alive connections; later calls reconnect."""
@@ -335,9 +331,20 @@ class HttpBackend:
             "max_tokens": sampling.max_tokens,
         }).encode("utf-8")
         conn = self._checkout()
+        reused = conn.sock is not None
         try:
-            conn.request("POST", self._target, body=body, headers=headers)
-            with conn.getresponse() as resp:
+            try:
+                conn.request("POST", self._target, body=body, headers=headers)
+                resp = conn.getresponse()
+            except ConnectionError:  # RemoteDisconnected, BrokenPipe, reset
+                if not reused:
+                    raise
+                # The server closed the idle connection as it was reused,
+                # before answering: send once more on a fresh connection.
+                conn.close()
+                conn.request("POST", self._target, body=body, headers=headers)
+                resp = conn.getresponse()
+            with resp:
                 status, data = resp.status, resp.read()
         except (OSError, http.client.HTTPException) as exc:
             conn.close()

@@ -150,7 +150,7 @@ class BackendSpec:
             "fixture_dir": self.fixture_dir,
         }
 
-    def build_backend(self, max_connections: int = 1):
+    def build_backend(self):
         if self.kind == "mock":
             return MockBackend(self.name, fixture_dir=self.fixture_dir or None,
                                rate_limit=self.rate_limit)
@@ -162,7 +162,6 @@ class BackendSpec:
                 credential_env=self.credential_env,
                 rate_limit=self.rate_limit,
                 timeout=self.timeout,
-                max_connections=max_connections,
             )
         except BackendConfigError as exc:
             raise ConfigError(str(exc)) from None
@@ -425,7 +424,7 @@ class _Clients:
         if isinstance(obj, JudgeClient):
             return obj
         if isinstance(obj, BackendSpec):
-            obj = obj.build_backend(max_connections=self._config.concurrency)
+            obj = obj.build_backend()
             self._built.append(obj)
         elif not hasattr(obj, "complete"):
             raise ConfigError(f"cannot build a judge from {type(obj).__name__}")

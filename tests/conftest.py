@@ -199,9 +199,13 @@ def small_world(tmp_path):
 
 
 class _Judge(BaseHTTPRequestHandler):
-    """Loopback chat-completions endpoint answering from ``server.script``."""
+    """Loopback chat-completions endpoint answering from ``server.script``.
+
+    A ``None`` status hangs up after reading the request, unanswered.
+    """
 
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True  # no delayed-ACK stall between head and body
 
     def log_message(self, *args):
         pass
@@ -214,6 +218,9 @@ class _Judge(BaseHTTPRequestHandler):
         status, payload, *delay = self.server.script.pop(0) if self.server.script else (
             200, {"choices": [{"message": {"content": "ok"}}]})
         time.sleep(delay[0] if delay else 0)
+        if status is None:
+            self.close_connection = True
+            return
         data = b"" if payload is None else json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")

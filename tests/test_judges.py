@@ -252,13 +252,33 @@ def test_http_backend_keeps_connection_alive(judge_server):
 
 
 def test_http_backend_reconnects_after_idle_close(judge_server, monkeypatch):
-    monkeypatch.setattr(judge_server.RequestHandlerClass, "timeout", 0.05)
+    monkeypatch.setattr(judge_server.RequestHandlerClass, "timeout", 0.02)
     backend = HttpBackend("j", endpoint=judge_server.url, model="judge-1")
     assert backend.complete("p", Sampling()) == "ok"
-    time.sleep(0.2)  # the server has dropped the idle connection by now
+    time.sleep(0.1)  # the server has dropped the idle connection by now
     assert backend.complete("p", Sampling()) == "ok"
     backend.close()
     assert len({seen["peer"] for seen in judge_server.seen}) == 2
+
+
+def test_http_backend_resends_once_when_a_reused_connection_drops(judge_server):
+    backend = HttpBackend("j", endpoint=judge_server.url, model="judge-1")
+    judge_server.script.append((None, None))
+    with pytest.raises(TransportError):  # a fresh connection is not resent
+        backend.complete("p", Sampling())
+    assert len(judge_server.seen) == 1
+
+    client = JudgeClient(backend, policy=RetryPolicy(max_attempts=1))
+    assert client.ask("erc", "p1") == "ok"
+    # The server hangs up on the kept-alive connection after the idle check.
+    judge_server.script.append((None, None))
+    assert client.ask("erc", "p2") == "ok"
+    backend.close()
+    assert [seen["json"]["messages"][0]["content"]
+            for seen in judge_server.seen[1:]] == ["p1", "p2", "p2"]
+    assert judge_server.seen[2]["peer"] == judge_server.seen[1]["peer"]
+    assert judge_server.seen[3]["peer"] != judge_server.seen[2]["peer"]
+    assert client.stats()["transport_failures"] == 0
 
 
 def test_http_backend_honours_proxy_variables(judge_server, monkeypatch):

@@ -34,7 +34,8 @@ def _run_all(targets):
 
 def test_rate_limited_judge_does_not_starve_the_others():
     permits = threading.Semaphore(2)
-    limited = JudgeClient(MockBackend("A", handler=lambda p, s: "a", rate_limit=5.0),
+    # A's ten sends take 0.225 s; a B queued behind A's waits would too.
+    limited = JudgeClient(MockBackend("A", handler=lambda p, s: "a", rate_limit=40.0),
                           limiter=permits)
 
     def ten_ms(prompt, sampling):
@@ -50,12 +51,12 @@ def test_rate_limited_judge_does_not_starve_the_others():
     b_elapsed = time.monotonic() - started
     for t in a_threads:
         t.join()
-    assert b_elapsed < 0.3
+    assert b_elapsed < 0.15  # about 0.05 s: ten 10 ms calls on two permits
     assert limited.stats()["replies"] == free.stats()["replies"] == 10
 
 
 def test_rate_limited_sends_are_spaced_under_contention():
-    rate = 100.0
+    rate = 200.0
     sends = []
 
     def record(prompt, sampling):
@@ -114,6 +115,12 @@ def test_permits_and_counters_hold_under_thread_stress():
     assert sum(c.stats()["backend_calls"] for c in clients) == 240
 
 
+def _until(condition):
+    deadline = time.monotonic() + 5
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.001)
+
+
 def test_paced_waiter_takes_the_next_permit_first():
     permits = Permits(1)
     permits.acquire()
@@ -125,9 +132,9 @@ def test_paced_waiter_takes_the_next_permit_first():
         permits.release()
 
     queued = _run_all([(take, (f"in turn {i}", False)) for i in range(3)])
-    time.sleep(0.05)
+    _until(lambda: permits._waiting == [3, 0])
     queued += _run_all([(take, ("paced", True))])
-    time.sleep(0.05)
+    _until(lambda: permits._waiting == [3, 1])
     permits.release()
     for t in queued:
         t.join()
@@ -147,7 +154,7 @@ def test_closed_permits_refuse_waiting_and_new_acquires():
             refused.append(True)
 
     waiters = _run_all([(take, ())] * 2)
-    time.sleep(0.05)
+    _until(lambda: permits._waiting == [2, 0])
     permits.close()
     for t in waiters:
         t.join(timeout=5)
@@ -159,12 +166,12 @@ def test_closed_permits_refuse_waiting_and_new_acquires():
 def test_single_permit_run_over_many_samples_completes(tmp_path):
     golds = [("happy", "grateful"), ("anger",), ("worried", "sadness"), ("fear",)]
     samples = [make_sample(f"m{i:03d}", role_id=f"r{i % 3}", gt=golds[i % 4])
-               for i in range(60)]
+               for i in range(30)]
     corpus = write_corpus(tmp_path / "corpus.jsonl", samples)
     predictions = write_predictions(
         tmp_path / "preds.jsonl", [echo_prediction(s) for s in samples])
     experts = make_experts()
-    experts[0].rate_limit = 500.0  # one throttled judge among the panel
+    experts[0].rate_limit = 2000.0  # one throttled judge among the panel
     outcome = {}
 
     def run():
@@ -177,7 +184,7 @@ def test_single_permit_run_over_many_samples_completes(tmp_path):
     worker.join(timeout=60)
     assert not worker.is_alive(), "evaluate with concurrency=1 deadlocked"
     counts = outcome["run"].report["counts"]
-    assert counts["ec_samples"] == 60
+    assert counts["ec_samples"] == 30
     assert outcome["run"].report["summary"]["mec.lower"] == 1.0
 
 
