@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterator, Mapping, Optional, Sequence
 
@@ -145,14 +145,6 @@ class RoleCard:
     profile: str = ""
     image_ref: str = ""
     user_name: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "role_id": self.role_id,
-            "profile": self.profile,
-            "image_ref": self.image_ref,
-            "user_name": self.user_name,
-        }
 
     @classmethod
     def from_dict(cls, obj: Mapping) -> "RoleCard":
@@ -315,7 +307,7 @@ class DialogueSample:
     def to_record(self) -> dict:
         record: dict = {
             "sample_id": self.sample_id,
-            "role": self.role.to_dict(),
+            "role": asdict(self.role),
             "previous_info": self.previous_info,
             "history": [
                 {"user": user.to_dict(), "agent": agent.to_short_dict()}

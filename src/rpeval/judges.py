@@ -40,6 +40,10 @@ class TransportError(RuntimeError):
         self.attempts = attempts
 
 
+class RequestRejected(TransportError):
+    """The backend refused this one request (HTTP 400/413/422); never retried."""
+
+
 @dataclass(frozen=True)
 class Sampling:
     """Decoding parameters sent with every judge request.
@@ -53,6 +57,9 @@ class Sampling:
     top_p: float = 1.0
     max_tokens: int = 1024
 
+
+# Sampling values go into cache keys and request bodies in field order.
+_SAMPLING_FIELDS = tuple(f.name for f in dataclasses.fields(Sampling))
 
 # Version of the reply-cache key layout; bumping it orphans old entries.
 CACHE_SCHEMA = 2
@@ -86,9 +93,7 @@ class JudgeRequest:
                 self.judge,
                 self.kind,
                 self.prompt,
-                self.sampling.temperature,
-                self.sampling.top_p,
-                self.sampling.max_tokens,
+                *(getattr(self.sampling, name) for name in _SAMPLING_FIELDS),
                 self.pass_index,
             ],
             ensure_ascii=False,
@@ -115,6 +120,10 @@ class RetryPolicy:
     max_attempts: int = 3
     base_delay: float = 0.5
     max_delay: float = 30.0
+
+    def __post_init__(self) -> None:
+        if self.max_attempts < 1:
+            raise ValueError("max_attempts must be at least 1")
 
     def delay(self, attempt: int) -> float:
         """Backoff before retry number ``attempt`` (attempt counts from 1)."""
@@ -181,8 +190,11 @@ class MockBackend:
         raise TransportError(f"{self.name}: no fixture for prompt digest {key[:12]}")
 
 
-# HTTP statuses worth retrying; everything else 4xx is a hard failure.
+# HTTP statuses worth retrying.
 _RETRIABLE_STATUSES = {408, 409, 425, 429, 500, 502, 503, 504}
+# Statuses that reject one request (too long, malformed), not the backend;
+# never retried.  Any other non-200 status is a configuration error.
+_REJECTED_STATUSES = {400, 413, 422}
 
 
 def _proxy_for(scheme: str, host: str) -> Optional[tuple[str, int, dict]]:
@@ -326,9 +338,7 @@ class HttpBackend:
         body = json.dumps({
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],
-            "temperature": sampling.temperature,
-            "top_p": sampling.top_p,
-            "max_tokens": sampling.max_tokens,
+            **{name: getattr(sampling, name) for name in _SAMPLING_FIELDS},
         }).encode("utf-8")
         conn = self._checkout()
         reused = conn.sock is not None
@@ -361,6 +371,11 @@ class HttpBackend:
         if status in _RETRIABLE_STATUSES:
             raise TransportError(
                 f"backend {self.name!r}: HTTP {status}"
+            )
+        if status in _REJECTED_STATUSES:
+            raise RequestRejected(
+                f"backend {self.name!r}: request rejected (HTTP {status}): "
+                f"{data.decode('utf-8', 'replace')[:200]}"
             )
         if status != 200:
             raise BackendConfigError(
@@ -583,6 +598,10 @@ class JudgeClient:
             started = time.monotonic()
             try:
                 text = self._send(request)
+            except RequestRejected:
+                with self._lock:
+                    self.transport_failures += 1
+                raise
             except TransportError as exc:
                 last_error = exc
                 logger.warning(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -566,14 +566,6 @@ class RcMetricSummary:
     scored: int
     dropped: int
 
-    def to_dict(self) -> dict:
-        return {
-            "score": self.score,
-            "per_evaluator": dict(self.per_evaluator),
-            "scored": self.scored,
-            "dropped": self.dropped,
-        }
-
 
 @dataclass
 class EcReport:
@@ -607,4 +599,4 @@ class RcReport:
     metrics: dict[str, RcMetricSummary]
 
     def to_dict(self) -> dict:
-        return {name: summary.to_dict() for name, summary in self.metrics.items()}
+        return {name: asdict(summary) for name, summary in self.metrics.items()}

@@ -10,6 +10,7 @@ degrade into tallied exclusions instead of aborting the run.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -20,7 +21,8 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import (Mapping, Optional, Sequence, Union, get_args, get_origin,
+                    get_type_hints)
 
 from . import __version__
 from .corpus import (
@@ -37,7 +39,7 @@ from .corpus import (
     save_jsonl,
     segment_utterances,
 )
-from .erc import MODALITIES, aggregate, run_panel
+from .erc import DEFAULT_PASSES, DEFAULT_TAU, MODALITIES, aggregate, run_panel
 from .formatter import REPAIRED, UNREPAIRABLE, VALID_DIRECT, format_response
 from .judges import (
     BackendConfigError,
@@ -52,6 +54,7 @@ from .judges import (
     parse_rc_verdict,
 )
 from .metrics import (
+    DEFAULT_SMOOTHING,
     EcReport,
     RcdResult,
     RcMetricSummary,
@@ -122,34 +125,6 @@ class BackendSpec:
         if self.kind not in ("http", "mock"):
             raise ConfigError(f"backend {self.name!r}: unknown kind {self.kind!r}")
 
-    @classmethod
-    def from_dict(cls, obj: Mapping) -> "BackendSpec":
-        if not isinstance(obj, Mapping):
-            raise ConfigError("backend spec must be an object")
-        allowed = {
-            "name", "kind", "endpoint", "model", "credential_env",
-            "rate_limit", "timeout", "fixture_dir",
-        }
-        unknown = set(obj) - allowed
-        if unknown:
-            raise ConfigError(f"backend spec has unknown keys: {sorted(unknown)}")
-        try:
-            return cls(**obj)
-        except TypeError as exc:
-            raise ConfigError(f"bad backend spec: {exc}") from None
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "endpoint": self.endpoint,
-            "model": self.model,
-            "credential_env": self.credential_env,
-            "rate_limit": self.rate_limit,
-            "timeout": self.timeout,
-            "fixture_dir": self.fixture_dir,
-        }
-
     def build_backend(self):
         if self.kind == "mock":
             return MockBackend(self.name, fixture_dir=self.fixture_dir or None,
@@ -167,23 +142,54 @@ class BackendSpec:
             raise ConfigError(str(exc)) from None
 
 
-def _sampling_from_dict(obj: Mapping, where: str) -> Sampling:
-    allowed = {"temperature", "top_p", "max_tokens"}
-    unknown = set(obj) - allowed
+def _field_types(cls) -> dict:
+    """Field name -> resolved annotation of a config dataclass."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+
+
+def _from_value(tp, value, where: str):
+    """Check ``value`` against annotation ``tp``, building nested dataclasses."""
+    if get_origin(tp) is Union:  # Optional[X]
+        if value is None:
+            return None
+        (tp,) = [arg for arg in get_args(tp) if arg is not type(None)]
+    if dataclasses.is_dataclass(tp):
+        return _from_dict(tp, value, where)
+    origin = get_origin(tp) or tp
+    if origin in (list, tuple):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{where} must be a list")
+        item = get_args(tp)[0]
+        return [_from_value(item, v, f"{where}[{i}]") for i, v in enumerate(value)]
+    if origin is dict:
+        if not isinstance(value, Mapping):
+            raise ConfigError(f"{where} must be an object")
+        return value
+    # JSON 1 is a valid float; bool is an int subclass but no number here.
+    allowed = (int, float) if tp is float else tp
+    if not isinstance(value, allowed) or (isinstance(value, bool) and tp is not bool):
+        raise ConfigError(
+            f"{where} must be {tp.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _from_dict(cls, obj, where: str):
+    """Build config dataclass ``cls`` from a JSON object, checked against its fields."""
+    if not isinstance(obj, Mapping):
+        raise ConfigError(f"{where} must be an object")
+    types = _field_types(cls)
+    unknown = set(obj) - set(types)
     if unknown:
         raise ConfigError(f"{where} has unknown keys: {sorted(unknown)}")
-    return Sampling(**obj)
-
-
-def _retry_from_dict(obj: Mapping) -> RetryPolicy:
-    allowed = {"max_attempts", "base_delay", "max_delay"}
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ConfigError(f"retry policy has unknown keys: {sorted(unknown)}")
-    policy = RetryPolicy(**obj)
-    if policy.max_attempts < 1:
-        raise ConfigError("retry max_attempts must be at least 1")
-    return policy
+    kwargs = {key: _from_value(types[key], value, f"{where}.{key}")
+              for key, value in obj.items()}
+    try:
+        return cls(**kwargs)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {where}: {exc}") from None
 
 
 @dataclass
@@ -193,14 +199,14 @@ class RunConfig:
     labels: tuple[str, ...] = DEFAULT_EMOTION_LABELS
     tendency_map: dict = field(default_factory=lambda: dict(DEFAULT_TENDENCY_MAP))
     delimiters: str = DEFAULT_DELIMITERS
-    tau: float = 0.7
-    passes: int = 2
+    tau: float = DEFAULT_TAU
+    passes: int = DEFAULT_PASSES
     max_repair_attempts: int = 2
     concurrency: int = 4
     seed: int = 0
     sample_limit: Optional[int] = None
     cache_dir: str = ""
-    smoothing: float = 1e-9
+    smoothing: float = DEFAULT_SMOOTHING
     divergence_mode: str = "flatten"
     rc_floor_unrepairable: bool = False
     rc_routing: dict = field(default_factory=lambda: {
@@ -209,10 +215,10 @@ class RunConfig:
     judge_sampling: Sampling = Sampling()
     generation_sampling: Sampling = Sampling(temperature=0.7, top_p=0.95)
     retry: RetryPolicy = RetryPolicy()
-    experts: list = field(default_factory=list)
-    rc_evaluators: list = field(default_factory=list)
+    experts: list[BackendSpec] = field(default_factory=list)
+    rc_evaluators: list[BackendSpec] = field(default_factory=list)
     repair: Optional[BackendSpec] = None
-    generators: list = field(default_factory=list)
+    generators: list[BackendSpec] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         self.labels = tuple(self.labels)
@@ -239,8 +245,7 @@ class RunConfig:
                 raise ConfigError(
                     f"rc_routing[{metric!r}] has unknown fields: {sorted(bad)}"
                 )
-        names = [s.name for s in self.experts + self.rc_evaluators
-                 if isinstance(s, BackendSpec)]
+        names = [s.name for s in self.experts + self.rc_evaluators]
         if len(names) != len(set(names)):
             raise ConfigError("judge backend names must be unique")
 
@@ -253,40 +258,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, obj: Mapping) -> "RunConfig":
-        if not isinstance(obj, Mapping):
-            raise ConfigError("config must be a JSON object")
-        obj = dict(obj)
-        allowed = {
-            "labels", "tendency_map", "delimiters", "tau", "passes",
-            "max_repair_attempts", "concurrency", "seed", "sample_limit",
-            "cache_dir", "smoothing", "divergence_mode",
-            "rc_floor_unrepairable", "rc_routing", "judge_sampling",
-            "generation_sampling", "retry", "experts", "rc_evaluators",
-            "repair", "generators",
-        }
-        unknown = set(obj) - allowed
-        if unknown:
-            raise ConfigError(f"config has unknown keys: {sorted(unknown)}")
-        for key in ("experts", "rc_evaluators", "generators"):
-            if key in obj:
-                specs = obj[key]
-                if not isinstance(specs, list):
-                    raise ConfigError(f"{key} must be a list")
-                obj[key] = [BackendSpec.from_dict(s) for s in specs]
-        if obj.get("repair") is not None:
-            obj["repair"] = BackendSpec.from_dict(obj["repair"])
-        if "judge_sampling" in obj:
-            obj["judge_sampling"] = _sampling_from_dict(
-                obj["judge_sampling"], "judge_sampling")
-        if "generation_sampling" in obj:
-            obj["generation_sampling"] = _sampling_from_dict(
-                obj["generation_sampling"], "generation_sampling")
-        if "retry" in obj:
-            obj["retry"] = _retry_from_dict(obj["retry"])
-        try:
-            config = cls(**obj)
-        except TypeError as exc:
-            raise ConfigError(f"bad config: {exc}") from None
+        config = _from_dict(cls, obj, "config")
         config.taxonomy()  # fail fast on a bad label scheme
         return config
 
@@ -302,45 +274,7 @@ class RunConfig:
         return cls.from_dict(obj)
 
     def to_dict(self) -> dict:
-        return {
-            "labels": list(self.labels),
-            "tendency_map": dict(self.tendency_map),
-            "delimiters": self.delimiters,
-            "tau": self.tau,
-            "passes": self.passes,
-            "max_repair_attempts": self.max_repair_attempts,
-            "concurrency": self.concurrency,
-            "seed": self.seed,
-            "sample_limit": self.sample_limit,
-            "cache_dir": self.cache_dir,
-            "smoothing": self.smoothing,
-            "divergence_mode": self.divergence_mode,
-            "rc_floor_unrepairable": self.rc_floor_unrepairable,
-            "rc_routing": {k: list(v) for k, v in self.rc_routing.items()},
-            "judge_sampling": {
-                "temperature": self.judge_sampling.temperature,
-                "top_p": self.judge_sampling.top_p,
-                "max_tokens": self.judge_sampling.max_tokens,
-            },
-            "generation_sampling": {
-                "temperature": self.generation_sampling.temperature,
-                "top_p": self.generation_sampling.top_p,
-                "max_tokens": self.generation_sampling.max_tokens,
-            },
-            "retry": {
-                "max_attempts": self.retry.max_attempts,
-                "base_delay": self.retry.base_delay,
-                "max_delay": self.retry.max_delay,
-            },
-            "experts": [s.to_dict() for s in self.experts
-                        if isinstance(s, BackendSpec)],
-            "rc_evaluators": [s.to_dict() for s in self.rc_evaluators
-                              if isinstance(s, BackendSpec)],
-            "repair": self.repair.to_dict()
-            if isinstance(self.repair, BackendSpec) else None,
-            "generators": [s.to_dict() for s in self.generators
-                           if isinstance(s, BackendSpec)],
-        }
+        return dataclasses.asdict(self)
 
     @property
     def digest(self) -> str:
@@ -401,16 +335,38 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
 
 
+def _judge_client(obj, config: RunConfig, sampling: Sampling,
+                  cache: Optional[ReplyCache], built: list,
+                  limiter: Optional[Permits] = None) -> JudgeClient:
+    """A client over a spec, backend or client; backends built here go to ``built``."""
+    if isinstance(obj, JudgeClient):
+        return obj
+    if isinstance(obj, BackendSpec):
+        obj = obj.build_backend()
+        built.append(obj)
+    elif not hasattr(obj, "complete"):
+        raise ConfigError(f"cannot build a judge from {type(obj).__name__}")
+    return JudgeClient(backend=obj, policy=config.retry, cache=cache,
+                       sampling=sampling, limiter=limiter)
+
+
+def _close(backends: Sequence) -> None:
+    """Close backends that hold connections (their idle keep-alives)."""
+    for backend in backends:
+        if hasattr(backend, "close"):
+            backend.close()
+
+
 class _Clients:
     """Judge clients for one run, built from config or injected objects."""
 
     def __init__(self, config: RunConfig, cache: Optional[ReplyCache],
                  limiter: Permits, experts=None, rc_evaluators=None,
                  repair_judge=None):
-        self._config = config
-        self._cache = cache
-        self._limiter = limiter
         self._built: list = []
+        self._client = partial(_judge_client, config=config,
+                               sampling=config.judge_sampling, cache=cache,
+                               built=self._built, limiter=limiter)
         self.experts = self._many(experts, config.experts, "experts")
         self.rc_evaluators = self._many(
             rc_evaluators, config.rc_evaluators, "rc_evaluators")
@@ -420,22 +376,6 @@ class _Clients:
         if len(names) != len(set(names)):
             raise ConfigError("judge names must be unique within a run")
 
-    def _client(self, obj) -> JudgeClient:
-        if isinstance(obj, JudgeClient):
-            return obj
-        if isinstance(obj, BackendSpec):
-            obj = obj.build_backend()
-            self._built.append(obj)
-        elif not hasattr(obj, "complete"):
-            raise ConfigError(f"cannot build a judge from {type(obj).__name__}")
-        return JudgeClient(
-            backend=obj,
-            policy=self._config.retry,
-            cache=self._cache,
-            sampling=self._config.judge_sampling,
-            limiter=self._limiter,
-        )
-
     def _many(self, injected, specs, what) -> list[JudgeClient]:
         source = injected if injected is not None else specs
         if not source:
@@ -443,10 +383,8 @@ class _Clients:
         return [self._client(item) for item in source]
 
     def close(self) -> None:
-        """Close the backends built here from specs (their idle connections)."""
-        for backend in self._built:
-            if hasattr(backend, "close"):
-                backend.close()
+        """Close the backends built here from specs."""
+        _close(self._built)
 
     def all_named(self) -> list[JudgeClient]:
         out = list(self.experts) + list(self.rc_evaluators)
@@ -879,23 +817,15 @@ def generate(
     """
     taxonomy = config.taxonomy()
     samples = load_corpus(corpus_path, taxonomy, config.delimiters)
-    built = None
     if generator is None:
-        spec = next((s for s in config.generators if s.name == backend_name), None)
-        if spec is None:
+        generator = next(
+            (s for s in config.generators if s.name == backend_name), None)
+        if generator is None:
             raise ConfigError(f"no generator backend named {backend_name!r}")
-        built = spec.build_backend()
-        client = JudgeClient(
-            backend=built,
-            policy=config.retry,
-            cache=ReplyCache(config.cache_dir) if config.cache_dir else None,
-            sampling=config.generation_sampling,
-        )
-    elif isinstance(generator, JudgeClient):
-        client = generator
-    else:
-        client = JudgeClient(backend=generator, policy=config.retry,
-                             sampling=config.generation_sampling)
+    built: list = []
+    client = _judge_client(
+        generator, config, config.generation_sampling,
+        ReplyCache(config.cache_dir) if config.cache_dir else None, built)
     records = []
     try:
         for sample in samples:
@@ -904,13 +834,11 @@ def generate(
                 materials, render_history(sample.history),
                 sample.role.user_name, sample.user_input.content,
             )
-            text = client.ask("generate", prompt,
-                              sampling=config.generation_sampling)
+            text = client.ask("generate", prompt)
             records.append(PredictionRecord(sample_id=sample.sample_id,
                                             raw_output=text))
     finally:
-        if hasattr(built, "close"):
-            built.close()
+        _close(built)
     save_jsonl(out_path, [r.to_record() for r in records])
     return records
 

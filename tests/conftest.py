@@ -20,7 +20,7 @@ from rpeval.corpus import (
     save_jsonl,
 )
 from rpeval.judges import MockBackend, RetryPolicy
-from rpeval.pipeline import BackendSpec, RunConfig
+from rpeval.pipeline import RunConfig
 
 LABEL_SET = set(DEFAULT_EMOTION_LABELS)
 
@@ -167,10 +167,6 @@ def fast_config(**overrides) -> RunConfig:
     return RunConfig(**base)
 
 
-def mock_spec(name: str, fixture_dir: str = "") -> BackendSpec:
-    return BackendSpec(name=name, kind="mock", fixture_dir=fixture_dir)
-
-
 @pytest.fixture
 def small_world(tmp_path):
     """Two roles, three samples each, echo predictions, scripted judges."""
@@ -201,7 +197,8 @@ def small_world(tmp_path):
 class _Judge(BaseHTTPRequestHandler):
     """Loopback chat-completions endpoint answering from ``server.script``.
 
-    A ``None`` status hangs up after reading the request, unanswered.
+    Once the script is empty, ``server.answer(request_json)`` gives the
+    reply.  A ``None`` status hangs up after reading the request, unanswered.
     """
 
     protocol_version = "HTTP/1.1"
@@ -212,11 +209,12 @@ class _Judge(BaseHTTPRequestHandler):
 
     def do_POST(self):
         body = self.rfile.read(int(self.headers["Content-Length"]))
+        request = json.loads(body)
         self.server.seen.append({
-            "path": self.path, "json": json.loads(body),
+            "path": self.path, "json": request, "body": body,
             "peer": self.client_address, "headers": dict(self.headers)})
-        status, payload, *delay = self.server.script.pop(0) if self.server.script else (
-            200, {"choices": [{"message": {"content": "ok"}}]})
+        status, payload, *delay = (self.server.script.pop(0) if self.server.script
+                                   else self.server.answer(request))
         time.sleep(delay[0] if delay else 0)
         if status is None:
             self.close_connection = True
@@ -238,6 +236,8 @@ def judge_server(monkeypatch):
     server = ThreadingHTTPServer(("127.0.0.1", 0), _Judge)
     server.daemon_threads = True
     server.script, server.seen = [], []
+    server.answer = lambda request: (
+        200, {"choices": [{"message": {"content": "ok"}}]})
     thread = threading.Thread(target=server.serve_forever, args=(0.01,),
                               daemon=True)
     thread.start()

@@ -16,6 +16,7 @@ from rpeval.judges import (
     MockBackend,
     RcVerdict,
     ReplyCache,
+    RequestRejected,
     RetryPolicy,
     Sampling,
     TransportError,
@@ -37,6 +38,17 @@ def test_idempotency_key_is_stable_and_sensitive():
     # two panel members asking the same question are two opinions
     assert base.idempotency_key != JudgeRequest(
         kind="erc", prompt="hello", judge="expert1").idempotency_key
+
+
+def test_idempotency_key_is_pinned():
+    # Existing reply caches keep hitting only while these bytes hold.
+    request = JudgeRequest(
+        kind="erc", prompt="h\u00e9llo",
+        sampling=Sampling(temperature=0.5, top_p=0.9, max_tokens=77),
+        pass_index=2, judge="expert1",
+        backend=("http", "judge-1", "http://127.0.0.1/v1"))
+    assert request.idempotency_key == (
+        "4eee7b6d13cd6028608b04fe7f331e43b52d9bf7e23b2d550c3a0d652eb59f89")
 
 
 def test_same_prompt_different_judges_do_not_share_cache(tmp_path):
@@ -221,6 +233,16 @@ def test_http_backend_statuses(judge_server):
     with pytest.raises(TransportError):
         backend.complete("p", Sampling())
 
+    for status in (400, 413, 422):  # this request, not the backend, is bad
+        script.append((status, {"error": "context length exceeded"}))
+        with pytest.raises(RequestRejected, match="context length"):
+            backend.complete("p", Sampling())
+
+    for status in (403, 404, 405):
+        script.append((status, None))
+        with pytest.raises(BackendConfigError):
+            backend.complete("p", Sampling())
+
     script.append((200, {"choices": []}))
     with pytest.raises(TransportError):
         backend.complete("p", Sampling())
@@ -241,6 +263,9 @@ def test_http_backend_sends_sampling(judge_server):
     assert captured["top_p"] == 0.95
     assert captured["max_tokens"] == 64
     assert captured["messages"] == [{"role": "user", "content": "the prompt"}]
+    assert judge_server.seen[0]["body"] == (
+        b'{"model": "judge-1", "messages": [{"role": "user", "content": '
+        b'"the prompt"}], "temperature": 0.7, "top_p": 0.95, "max_tokens": 64}')
 
 
 def test_http_backend_keeps_connection_alive(judge_server):

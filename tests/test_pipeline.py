@@ -63,7 +63,35 @@ def test_config_rejects_unknown_keys_and_bad_values():
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"labels": ["happy"]})  # taxonomy too small
     with pytest.raises(ConfigError):
-        BackendSpec.from_dict({"name": "x", "kind": "carrier-pigeon"})
+        RunConfig.from_dict({"experts": [{"name": "x", "kind": "carrier-pigeon"}]})
+    with pytest.raises(ConfigError, match="unknown keys"):
+        RunConfig.from_dict({"repair": {"name": "x", "kind": "mock", "url": ""}})
+    with pytest.raises(ConfigError, match="unknown keys"):
+        RunConfig.from_dict({"judge_sampling": {"temprature": 0.1}})
+    # values of the wrong type, checked against the field annotations
+    for bad in (
+        {"judge_sampling": 5},
+        {"retry": 3},
+        {"tendency_map": 3},
+        {"retry": {"max_attempts": "3"}},
+        {"retry": {"max_attempts": 0}},
+        {"rc_routing": ["exp"]},
+        {"rc_routing": {"exp": 5}},
+        {"experts": {"name": "e", "kind": "mock"}},
+        {"experts": [{"name": "e", "kind": "http", "rate_limit": "fast"}]},
+        {"concurrency": 2.5},
+        {"passes": True},
+        {"rc_floor_unrepairable": 1},
+        {"labels": "happy"},
+        {"sample_limit": "10"},
+    ):
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict(bad)
+    # a float field takes a JSON integer, an Optional one takes null
+    config = RunConfig.from_dict({"tau": 1, "sample_limit": None,
+                                  "experts": [{"name": "e", "kind": "mock",
+                                               "rate_limit": 2}]})
+    assert config.tau == 1 and config.experts[0].rate_limit == 2
 
 
 def test_config_roundtrip_and_digest():
@@ -77,7 +105,13 @@ def test_config_roundtrip_and_digest():
     again = RunConfig.from_dict(config.to_dict())
     assert again == config
     assert again.digest == config.digest
-    assert config.digest != RunConfig().digest
+    assert config.experts == [BackendSpec(name="e1", kind="mock")]
+    assert config.retry == RetryPolicy(max_attempts=2)
+    # Manifests and caches from earlier runs stay comparable: pinned digests.
+    assert config.digest == (
+        "db09e5f6acc6aacafd9689866c024fa67795a1c7719dde01f68b1bb8a03f9e40")
+    assert RunConfig().digest == (
+        "a5f996129df361278edc54c727ae5ffc2ba35ff1927310aa89d2bd10a5bbb96c")
 
 
 def test_config_from_file_errors(tmp_path):
@@ -481,6 +515,16 @@ def test_cli_exit_codes(tmp_path):
         tmp_path / "p.jsonl",
         [echo_prediction(make_sample("a"))])
     assert main(["evaluate", "--config", str(bad_config), "--corpus", corpus,
+                 "--predictions", predictions,
+                 "--out", str(tmp_path / "o1")]) == 2
+    # 2: a value of the wrong type, which used to fail only at client build
+    mistyped = tmp_path / "mistyped.json"
+    mistyped.write_text(json.dumps({
+        "experts": [{"name": "e", "kind": "http", "model": "m",
+                     "endpoint": "http://127.0.0.1:9/v1", "rate_limit": "fast"}],
+        "rc_evaluators": [{"name": "r", "kind": "mock"}],
+    }), encoding="utf-8")
+    assert main(["evaluate", "--config", str(mistyped), "--corpus", corpus,
                  "--predictions", predictions,
                  "--out", str(tmp_path / "o1")]) == 2
 

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 from conftest import (
+    _response_content,
     echo_prediction,
     fast_config,
     make_experts,
@@ -216,6 +217,58 @@ def test_auth_failure_in_a_worker_aborts_the_run(judge_server, tmp_path):
     assert 5 <= len(judge_server.seen) <= 6
     time.sleep(0.05)
     assert len(judge_server.seen) <= 6
+
+
+def test_rejected_request_costs_one_request_not_the_run(judge_server, tmp_path):
+    golds = [("happy", "grateful"), ("anger",), ("worried", "sadness"),
+             ("fear",), ("relaxed",), ("disgust", "anger")]
+    samples = [make_sample(f"s{i}", role_id=f"r{i % 2}", gt=gold)
+               for i, gold in enumerate(golds)]
+    corpus = write_corpus(tmp_path / "corpus.jsonl", samples)
+    predictions = write_predictions(
+        tmp_path / "preds.jsonl", [echo_prediction(s) for s in samples])
+    judges = {b.name: b.handler for b in make_experts(3) + make_rc_evaluators()}
+    rejected, lock = [], threading.Lock()
+
+    def answer(request, reject=False):
+        model, prompt = request["model"], request["messages"][0]["content"]
+        with lock:
+            if (reject and not rejected and model == "critic0"
+                    and _response_content(prompt).startswith("fear")):
+                rejected.append(prompt)
+                return 400, {"error": "context length exceeded"}
+        text = judges[model](prompt, None)
+        return 200, {"choices": [{"message": {"content": text}}]}
+
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "concurrency": 2,
+        "retry": {"max_attempts": 3, "base_delay": 0.0},
+        "experts": [{"name": name, "kind": "http", "model": name,
+                     "endpoint": judge_server.url} for name in list(judges)[:3]],
+        "rc_evaluators": [{"name": name, "kind": "http", "model": name,
+                           "endpoint": judge_server.url}
+                          for name in list(judges)[3:]],
+    }), encoding="utf-8")
+
+    def run(out, reject):
+        judge_server.answer = lambda request: answer(request, reject)
+        code = main(["evaluate", "--config", str(config), "--corpus", corpus,
+                     "--predictions", predictions, "--out", str(out)])
+        assert code == 0
+        return [json.loads((out / name).read_text("utf-8"))
+                for name in ("report.json", "manifest.json")]
+
+    clean, _ = run(tmp_path / "clean", reject=False)
+    judge_server.seen.clear()
+    report, manifest = run(tmp_path / "out", reject=True)
+    assert len(rejected) == 1
+    sent = [seen["json"]["messages"][0]["content"] for seen in judge_server.seen
+            if seen["json"]["model"] == "critic0"]
+    assert sent.count(rejected[0]) == 1  # not retried
+    assert manifest["judges"]["critic0"]["transport_failures"] == 1
+    # The corrective re-prompt recovered the verdict: no score moved.
+    assert report == clean
 
 
 def test_import_leaves_requests_unloaded():
