@@ -17,7 +17,6 @@ import logging
 import os
 import re
 import select
-import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
@@ -392,49 +391,77 @@ class HttpBackend:
 
 
 class ReplyCache:
-    """Content-addressed reply store.
+    """Content-addressed reply store: one SQLite database per cache root.
 
-    Layout is stable: ``<root>/<first two hex chars>/<key>.json`` where
-    ``key`` is the request digest and the file holds
-    ``{"kind": ..., "text": ...}``.  Writes go through a temp file and
-    ``os.replace`` so concurrent writers never expose partial records.
+    Layout is stable: ``<root>/replies.sqlite3`` holds one table,
+    ``replies(key TEXT PRIMARY KEY, kind TEXT NOT NULL, text TEXT NOT
+    NULL)``, where ``key`` is the request digest.  The database runs in
+    WAL mode; each ``put`` is its own transaction, so readers never see a
+    partial record, and runs sharing a root wait out each other's writes
+    instead of failing.  ``close`` checkpoints the WAL into the database
+    file.  When the database is created, entries of the older
+    ``<root>/<xx>/<key>.json`` layout are imported once.
     """
 
+    FILE = "replies.sqlite3"
+
     def __init__(self, root: str | Path):
+        import sqlite3
+
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        path = self.root / self.FILE
+        fresh = not path.exists()
+        self._lock = threading.Lock()
+        self._db = None
+        try:
+            # The timeout is how long a write waits out another process's.
+            self._db = sqlite3.connect(path, timeout=30.0, check_same_thread=False)
+            self._db.execute("PRAGMA journal_mode=WAL")
+            self._db.execute("PRAGMA synchronous=NORMAL")
+            self._db.execute("CREATE TABLE IF NOT EXISTS replies (key TEXT PRIMARY KEY,"
+                             " kind TEXT NOT NULL, text TEXT NOT NULL)")
+            if fresh:
+                self._import_directory_layout()
+        except sqlite3.DatabaseError as exc:
+            if self._db is not None:
+                self._db.close()
+            raise BackendConfigError(f"reply cache {path}: {exc}") from exc
 
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+    def _import_directory_layout(self) -> None:
+        rows = []
+        for path in self.root.glob("??/*.json"):
+            try:
+                record = json.loads(path.read_text(encoding="utf-8"))
+            except (ValueError, OSError):
+                record = None
+            if isinstance(record, dict) and isinstance(record.get("text"), str):
+                rows.append((path.stem, str(record.get("kind", "")), record["text"]))
+            else:
+                logger.warning("discarding unreadable cache entry %s", path)
+        with self._db:
+            self._db.executemany("INSERT OR IGNORE INTO replies VALUES (?, ?, ?)", rows)
 
     def get(self, key: str) -> Optional[str]:
-        path = self._path(key)
-        try:
-            with open(path, encoding="utf-8") as fh:
-                record = json.load(fh)
-        except FileNotFoundError:
+        with self._lock:
+            row = self._db.execute(
+                "SELECT text FROM replies WHERE key = ?", (key,)).fetchone()
+        if row is None:
             return None
-        except (json.JSONDecodeError, OSError):
-            logger.warning("discarding unreadable cache entry %s", path)
+        if not isinstance(row[0], str):
+            logger.warning("discarding unreadable cache entry %s", key)
             return None
-        text = record.get("text")
-        return text if isinstance(text, str) else None
+        return row[0]
 
     def put(self, key: str, kind: str, text: str) -> None:
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        record = json.dumps({"kind": kind, "text": text}, ensure_ascii=False)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(record)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        with self._lock, self._db:
+            self._db.execute("INSERT OR REPLACE INTO replies VALUES (?, ?, ?)",
+                             (key, kind, text))
+
+    def close(self) -> None:
+        """Close the connection; the last one to close folds the WAL back in."""
+        with self._lock:
+            self._db.close()
 
 
 class RunAborted(Exception):
@@ -452,6 +479,9 @@ class Permits:
     """
 
     def __init__(self, n: int):
+        # A fractional count would never reach 0, so it would never block.
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ValueError(f"permit count must be a positive integer, got {n!r}")
         self._free = n
         self._lock = threading.Lock()
         # Waiters, indexed by ``ahead``: [in turn, ahead of the others].
@@ -636,18 +666,12 @@ class JudgeClient:
             attempts=self.policy.max_attempts,
         )
 
-    def ask(
-        self,
-        kind: str,
-        prompt: str,
-        pass_index: int = 1,
-        sampling: Optional[Sampling] = None,
-    ) -> str:
+    def ask(self, kind: str, prompt: str, pass_index: int = 1) -> str:
         """Convenience wrapper: build a request, return the reply text."""
         request = JudgeRequest(
             kind=kind,
             prompt=prompt,
-            sampling=sampling or self.sampling,
+            sampling=self.sampling,
             pass_index=pass_index,
             judge=self.name,
             backend=self.identity,
@@ -666,6 +690,21 @@ def extract_json_object(text: str) -> Optional[str]:
     """
     candidates = [m.group(1) for m in _FENCE_RE.finditer(text)]
     candidates.append(text)
+    # Fast path: when the first candidate is, stripped, a JSON object, the
+    # scan below would return exactly that string.
+    first = candidates[0].strip()
+    if first.startswith("{") and first.endswith("}"):
+        try:
+            json.loads(first)
+        except (ValueError, RecursionError):
+            pass
+        else:
+            return first
+    return _scan_json_object(candidates)
+
+
+def _scan_json_object(candidates: Sequence[str]) -> Optional[str]:
+    """The first balanced ``{...}`` in the first candidate that has one."""
     for candidate in candidates:
         start = candidate.find("{")
         while start != -1:

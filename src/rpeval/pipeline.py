@@ -228,8 +228,9 @@ class RunConfig:
             raise ConfigError("passes must be at least 1")
         if self.max_repair_attempts < 1:
             raise ConfigError("max_repair_attempts must be at least 1")
-        if self.concurrency < 1:
-            raise ConfigError("concurrency must be at least 1")
+        if (isinstance(self.concurrency, bool)
+                or not isinstance(self.concurrency, int) or self.concurrency < 1):
+            raise ConfigError("concurrency must be an integer of at least 1")
         if self.sample_limit is not None and self.sample_limit < 1:
             raise ConfigError("sample_limit must be positive when set")
         if self.smoothing < 0:
@@ -586,6 +587,8 @@ def evaluate(
                               scheduler.map(_judge, predictions)))
     finally:
         clients.close()
+        if cache is not None:
+            cache.close()
 
     outcomes = {sid: outcome for sid, (outcome, _, _) in judged.items()}
     formatted_ids = sorted(
@@ -823,9 +826,9 @@ def generate(
         if generator is None:
             raise ConfigError(f"no generator backend named {backend_name!r}")
     built: list = []
-    client = _judge_client(
-        generator, config, config.generation_sampling,
-        ReplyCache(config.cache_dir) if config.cache_dir else None, built)
+    cache = ReplyCache(config.cache_dir) if config.cache_dir else None
+    client = _judge_client(generator, config, config.generation_sampling,
+                           cache, built)
     records = []
     try:
         for sample in samples:
@@ -839,6 +842,8 @@ def generate(
                                             raw_output=text))
     finally:
         _close(built)
+        if cache is not None:
+            cache.close()
     save_jsonl(out_path, [r.to_record() for r in records])
     return records
 

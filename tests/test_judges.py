@@ -2,12 +2,15 @@
 
 import base64
 import json
+import sqlite3
+import sys
 import threading
 import time
 
 import pytest
 
 from rpeval.judges import (
+    _FENCE_RE,
     BackendConfigError,
     HttpBackend,
     JudgeClient,
@@ -20,6 +23,7 @@ from rpeval.judges import (
     RetryPolicy,
     Sampling,
     TransportError,
+    _scan_json_object,
     extract_json_object,
     parse_rc_verdict,
     prompt_digest,
@@ -139,24 +143,105 @@ def test_cache_second_call_is_served_locally(tmp_path):
         "replies": 2, "transport_failures": 0}
 
 
-def test_cache_layout_is_sharded_json(tmp_path):
+def test_cache_layout_is_one_sqlite_file(tmp_path):
     cache = ReplyCache(tmp_path / "cache")
     key = "ab" + "0" * 62
-    cache.put(key, "erc", "hello")
-    path = tmp_path / "cache" / "ab" / f"{key}.json"
-    assert path.exists()
-    record = json.loads(path.read_text(encoding="utf-8"))
-    assert record == {"kind": "erc", "text": "hello"}
-    assert cache.get(key) == "hello"
+    cache.put(key, "erc", "h\u00e9llo")
+    assert cache.get(key) == "h\u00e9llo"
     assert cache.get("cd" + "0" * 62) is None
+    cache.close()
+    path = tmp_path / "cache" / "replies.sqlite3"
+    assert sorted(tmp_path.joinpath("cache").iterdir()) == [path]
+    with sqlite3.connect(path) as db:
+        columns = [(name, kind, notnull, pk) for _, name, kind, notnull, _, pk
+                   in db.execute("PRAGMA table_info(replies)")]
+        rows = db.execute("SELECT key, kind, text FROM replies").fetchall()
+    db.close()
+    assert columns == [("key", "TEXT", 0, 1), ("kind", "TEXT", 1, 0),
+                       ("text", "TEXT", 1, 0)]
+    assert rows == [(key, "erc", "h\u00e9llo")]
 
 
-def test_cache_ignores_corrupt_entries(tmp_path):
+def test_cache_ignores_corrupt_rows(tmp_path, caplog):
     cache = ReplyCache(tmp_path / "cache")
     key = "ef" + "0" * 62
     cache.put(key, "erc", "good")
-    cache._path(key).write_text("{broken", encoding="utf-8")
-    assert cache.get(key) is None
+    with sqlite3.connect(tmp_path / "cache" / "replies.sqlite3") as db:
+        db.execute("UPDATE replies SET text = x'00ff' WHERE key = ?", (key,))
+    db.close()
+    with caplog.at_level("WARNING", logger="rpeval.judges"):
+        assert cache.get(key) is None
+    assert "discarding unreadable cache entry" in caplog.text
+    cache.close()
+
+
+def test_cache_file_that_is_not_a_database_is_a_config_error(tmp_path):
+    root = tmp_path / "cache"
+    root.mkdir()
+    (root / "replies.sqlite3").write_text("not a database " * 100, encoding="utf-8")
+    with pytest.raises(BackendConfigError, match="not a database"):
+        ReplyCache(root)
+
+
+def test_cache_is_shared_by_threads_and_a_second_cache(tmp_path):
+    first, second = ReplyCache(tmp_path / "cache"), ReplyCache(tmp_path / "cache")
+    errors = []
+
+    def write(worker):
+        try:
+            for i in range(200):
+                first.put(f"{worker:02x}{i:062x}", "erc", f"reply {worker} {i}")
+        except Exception as exc:  # re-raised on the main thread below
+            errors.append(exc)
+
+    def read_and_write():
+        try:
+            for i in range(200):
+                second.get(f"{i % 8:02x}{i:062x}")
+                second.put(f"08{i:062x}", "rc", f"reply 8 {i}")
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=write, args=(w,)) for w in range(8)]
+    threads.append(threading.Thread(target=read_and_write))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    for w in range(9):
+        for i in range(200):
+            key = f"{w:02x}{i:062x}"
+            assert second.get(key) == first.get(key) == f"reply {w} {i}"
+    first.close()
+    second.close()
+
+
+def test_cache_in_the_directory_layout_is_imported(tmp_path, caplog):
+    # ``<root>/<xx>/<key>.json`` holding {"kind", "text"}: the layout
+    # reply caches had before the single database file.
+    root = tmp_path / "cache"
+    backend = MockBackend("m", handler=lambda p, s: "fresh")
+    key = JudgeRequest(kind="erc", prompt="p", judge="m",
+                       backend=backend.identity).idempotency_key
+    (root / key[:2]).mkdir(parents=True)
+    (root / key[:2] / f"{key}.json").write_text(
+        json.dumps({"kind": "erc", "text": "from before"}), encoding="utf-8")
+    (root / "ff").mkdir()
+    (root / "ff" / f"ff{'0' * 62}.json").write_text("{broken", encoding="utf-8")
+    with caplog.at_level("WARNING", logger="rpeval.judges"):
+        cache = ReplyCache(root)
+    assert "discarding unreadable cache entry" in caplog.text
+    client = JudgeClient(backend, cache=cache)
+    assert client.ask("erc", "p") == "from before"
+    assert backend.calls == 0
+    cache.close()
 
 
 def test_distinct_pass_index_bypasses_cache(tmp_path):
@@ -351,6 +436,24 @@ def test_extract_json_object_variants():
     assert extract_json_object(f"text {tricky} text") == tricky
     assert extract_json_object("no object here") is None
     assert extract_json_object("{unclosed") is None
+
+
+def test_extract_json_object_fast_path_matches_the_scan():
+    obj = '{"a": "brace } and { in a string", "b": {"c": "say \\"hi\\" \\\\"}}'
+    assert json.loads(obj)["b"]["c"] == 'say "hi" \\'
+    cases = [
+        obj, f"  \n{obj}\n ", f"Here you go: {obj} Hope it helps.",
+        f"```json\n{obj}\n```", f"```\n {obj} \n```\ntrailing",
+        f"```json\n{obj}\n```\n```json\n{{\"x\": 1}}\n```",
+        f"```\nnot json\n```\n{obj}", f"```json\n{{\"x\": 1}} {obj}\n```",
+        '{"note": "``` {} ```"}', f"{obj}{obj}", f"{obj} {{\"x\": 1}}",
+        '{"a": 1,}', "{'a': 1}", '{"a": NaN}', '{"a": "\u0001"}', '{"a": "unterminated}', "{}", "{ }",
+        '[{"a": 1}]', '"{}"', "42", "null", "", "no object here",
+        "{" * 5000 + "}" * 5000, '{"a":' * 3000 + "1" + "}" * 3000,
+    ]
+    for text in cases:
+        candidates = [m.group(1) for m in _FENCE_RE.finditer(text)] + [text]
+        assert extract_json_object(text) == _scan_json_object(candidates), text[:60]
 
 
 def test_parse_rc_verdict_basic():

@@ -87,6 +87,10 @@ def test_config_rejects_unknown_keys_and_bad_values():
     ):
         with pytest.raises(ConfigError):
             RunConfig.from_dict(bad)
+    # built in Python, not parsed: a fractional count would never block
+    for concurrency in (2.5, True, 0):
+        with pytest.raises(ConfigError, match="concurrency"):
+            RunConfig(concurrency=concurrency)
     # a float field takes a JSON integer, an Optional one takes null
     config = RunConfig.from_dict({"tau": 1, "sample_limit": None,
                                   "experts": [{"name": "e", "kind": "mock",
@@ -546,3 +550,12 @@ def test_cli_exit_codes(tmp_path):
     assert main(["evaluate", "--config", str(dead_config), "--corpus", corpus,
                  "--predictions", predictions,
                  "--out", str(tmp_path / "o2")]) == 4
+    # 2: a reply cache file that is not a database, before any judge runs
+    (tmp_path / "cache").mkdir()
+    (tmp_path / "cache" / "replies.sqlite3").write_bytes(b"not a database " * 100)
+    dead_config.write_text(json.dumps({
+        **json.loads(dead_config.read_text(encoding="utf-8")),
+        "cache_dir": str(tmp_path / "cache")}), encoding="utf-8")
+    assert main(["evaluate", "--config", str(dead_config), "--corpus", corpus,
+                 "--predictions", predictions,
+                 "--out", str(tmp_path / "o2")]) == 2

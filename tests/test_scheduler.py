@@ -143,6 +143,12 @@ def test_paced_waiter_takes_the_next_permit_first():
     assert len(order) == 4
 
 
+def test_permits_need_a_positive_integer_count():
+    for count in (2.5, True, 0, "2"):
+        with pytest.raises(ValueError):
+            Permits(count)
+
+
 def test_closed_permits_refuse_waiting_and_new_acquires():
     permits = Permits(1)
     permits.acquire()
@@ -273,6 +279,14 @@ def test_rejected_request_costs_one_request_not_the_run(judge_server, tmp_path):
 
 def test_import_leaves_requests_unloaded():
     probe = "import sys, rpeval; print('requests' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True, env={"PYTHONPATH": str(SRC)})
+    assert out.stdout.strip() == "False"
+
+
+def test_import_leaves_sqlite3_unloaded():
+    # Only a run with a reply cache loads it.
+    probe = "import sys, rpeval; print('sqlite3' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, check=True, env={"PYTHONPATH": str(SRC)})
     assert out.stdout.strip() == "False"
