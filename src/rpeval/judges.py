@@ -21,7 +21,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Protocol, Sequence, runtime_checkable
+from typing import Callable, Mapping, Optional, Sequence
 from urllib.parse import unquote, urlsplit
 
 logger = logging.getLogger(__name__)
@@ -101,20 +101,6 @@ class JudgeRequest:
 
 
 @dataclass(frozen=True)
-class JudgeReply:
-    text: str
-    provenance: str  # remote | cache | mock
-    latency: float = 0.0
-    attempt: int = 1
-
-    def __post_init__(self) -> None:
-        if self.provenance not in ("remote", "cache", "mock"):
-            raise ValueError(f"bad provenance: {self.provenance!r}")
-        if self.attempt < 1:
-            raise ValueError("attempt counts from 1")
-
-
-@dataclass(frozen=True)
 class RetryPolicy:
     max_attempts: int = 3
     base_delay: float = 0.5
@@ -127,14 +113,6 @@ class RetryPolicy:
     def delay(self, attempt: int) -> float:
         """Backoff before retry number ``attempt`` (attempt counts from 1)."""
         return min(self.max_delay, self.base_delay * (2 ** (attempt - 1)))
-
-
-@runtime_checkable
-class JudgeBackend(Protocol):
-    name: str
-    provenance: str
-
-    def complete(self, prompt: str, sampling: Sampling) -> str: ...
 
 
 def prompt_digest(prompt: str) -> str:
@@ -151,8 +129,6 @@ class MockBackend:
     (requests per second) is honoured by the ``JudgeClient`` that drives
     it, as for HTTP backends.
     """
-
-    provenance = "mock"
 
     def __init__(
         self,
@@ -243,8 +219,6 @@ class HttpBackend:
     Proxies come from the environment, and TLS verifies against the
     system trust store (``SSL_CERT_FILE``).
     """
-
-    provenance = "remote"
 
     def __init__(
         self,
@@ -490,7 +464,7 @@ class Permits:
         self._waiting = [0, 0]
         self.closed = False
 
-    def acquire(self, ahead: bool = False) -> bool:
+    def acquire(self, ahead: bool = False) -> None:
         with self._lock:
             self._waiting[ahead] += 1
             try:
@@ -504,7 +478,6 @@ class Permits:
             self._free -= 1
             if self._free:
                 self._wake()
-        return True
 
     def release(self) -> None:
         with self._lock:
@@ -527,23 +500,24 @@ class Permits:
 class JudgeClient:
     """Backend wrapper adding rate limiting, cache lookup, retries and counters.
 
-    ``sleep`` is injectable so retry schedules are testable without wall
-    clock time; ``limiter`` (``Permits`` or any semaphore-like object)
-    bounds in-flight backend calls when the pipeline fans out across
-    threads.  The backend's ``rate_limit`` (requests per second, if it
-    has one) is waited out *before* taking a permit from ``limiter``, so
-    a throttled judge never holds a permit while it waits; consecutive
-    sends of this client are at least ``1 / rate_limit`` seconds apart,
-    and from ``Permits`` the client then takes the next permit first.
+    ``backend`` is anything with a ``name`` and ``complete(prompt,
+    sampling)``.  ``sleep`` is injectable so retry schedules are testable
+    without wall clock time; ``limiter`` bounds in-flight backend calls
+    when the pipeline fans out across threads.  The backend's
+    ``rate_limit`` (requests per second, if it has one) is waited out
+    *before* taking a permit from ``limiter``, so a throttled judge never
+    holds a permit while it waits; consecutive sends of this client are
+    at least ``1 / rate_limit`` seconds apart, and the client then takes
+    the next permit ahead of the other waiters.
     """
 
     def __init__(
         self,
-        backend: JudgeBackend,
+        backend,
         policy: RetryPolicy = RetryPolicy(),
         cache: Optional[ReplyCache] = None,
         sampling: Sampling = Sampling(),
-        limiter: Optional[threading.Semaphore] = None,
+        limiter: Optional[Permits] = None,
         sleep: Callable[[float], None] = time.sleep,
     ):
         self.backend = backend
@@ -589,10 +563,8 @@ class JudgeClient:
                 wait = self._last_send + self.interval - time.monotonic()
                 if wait > 0:
                     time.sleep(wait)
-                if isinstance(self.limiter, Permits):
+                if self.limiter is not None:
                     self.limiter.acquire(ahead=True)
-                elif self.limiter is not None:
-                    self.limiter.acquire()
                 self._last_send = time.monotonic()
         elif self.limiter is not None:
             self.limiter.acquire()
@@ -603,14 +575,20 @@ class JudgeClient:
         except BaseException:
             # Any other failure ends the run: close the permits before
             # this one is handed on, so no request starts after it.
-            if isinstance(self.limiter, Permits):
+            if self.limiter is not None:
                 self.limiter.close()
             raise
         finally:
             if self.limiter is not None:
                 self.limiter.release()
 
-    def call(self, request: JudgeRequest) -> JudgeReply:
+    def close(self) -> None:
+        """Close the backend's idle connections, if it keeps any."""
+        if hasattr(self.backend, "close"):
+            self.backend.close()
+
+    def call(self, request: JudgeRequest) -> str:
+        """The reply text, from the cache or the backend."""
         if not request.backend:
             request = dataclasses.replace(request, backend=self.identity)
         key = request.idempotency_key
@@ -620,12 +598,11 @@ class JudgeClient:
                 with self._lock:
                     self.cache_hits += 1
                     self.replies += 1
-                return JudgeReply(text=cached, provenance="cache")
+                return cached
             with self._lock:
                 self.cache_misses += 1
         last_error: Optional[TransportError] = None
         for attempt in range(1, self.policy.max_attempts + 1):
-            started = time.monotonic()
             try:
                 text = self._send(request)
             except RequestRejected:
@@ -647,17 +624,11 @@ class JudgeClient:
             finally:
                 with self._lock:
                     self.backend_calls += 1
-            latency = time.monotonic() - started
             if self.cache is not None:
                 self.cache.put(key, request.kind, text)
             with self._lock:
                 self.replies += 1
-            return JudgeReply(
-                text=text,
-                provenance=getattr(self.backend, "provenance", "remote"),
-                latency=latency,
-                attempt=attempt,
-            )
+            return text
         with self._lock:
             self.transport_failures += 1
         raise TransportError(
@@ -676,7 +647,7 @@ class JudgeClient:
             judge=self.name,
             backend=self.identity,
         )
-        return self.call(request).text
+        return self.call(request)
 
 
 _FENCE_RE = re.compile(r"```(?:json)?\s*(.*?)```", re.DOTALL)

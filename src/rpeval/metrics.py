@@ -311,13 +311,6 @@ class MecReport:
     value: float
     per_class: dict[str, ClassStats]
 
-    def to_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "value": self.value,
-            "per_class": {x: s.to_dict() for x, s in self.per_class.items()},
-        }
-
 
 def mec(
     samples: Sequence[tuple[Sequence[str], Sequence[str]]],

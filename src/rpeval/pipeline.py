@@ -337,61 +337,41 @@ def _dump_json(obj) -> str:
 
 
 def _judge_client(obj, config: RunConfig, sampling: Sampling,
-                  cache: Optional[ReplyCache], built: list,
+                  cache: Optional[ReplyCache],
                   limiter: Optional[Permits] = None) -> JudgeClient:
-    """A client over a spec, backend or client; backends built here go to ``built``."""
-    if isinstance(obj, JudgeClient):
-        return obj
+    """A client over a backend spec or a backend object."""
     if isinstance(obj, BackendSpec):
         obj = obj.build_backend()
-        built.append(obj)
     elif not hasattr(obj, "complete"):
-        raise ConfigError(f"cannot build a judge from {type(obj).__name__}")
+        raise ConfigError(f"cannot build a judge from {type(obj).__name__}: "
+                          "pass a BackendSpec or a backend")
     return JudgeClient(backend=obj, policy=config.retry, cache=cache,
                        sampling=sampling, limiter=limiter)
 
 
-def _close(backends: Sequence) -> None:
-    """Close backends that hold connections (their idle keep-alives)."""
-    for backend in backends:
-        if hasattr(backend, "close"):
-            backend.close()
+def _judge_clients(config: RunConfig, cache: Optional[ReplyCache],
+                   limiter: Permits, experts=None, rc_evaluators=None,
+                   repair=None) -> tuple[list, list, Optional[JudgeClient]]:
+    """(experts, rc_evaluators, repair) clients of a run.
 
+    Injected backends override the config-declared ones.
+    """
+    client = partial(_judge_client, config=config, sampling=config.judge_sampling,
+                     cache=cache, limiter=limiter)
 
-class _Clients:
-    """Judge clients for one run, built from config or injected objects."""
-
-    def __init__(self, config: RunConfig, cache: Optional[ReplyCache],
-                 limiter: Permits, experts=None, rc_evaluators=None,
-                 repair_judge=None):
-        self._built: list = []
-        self._client = partial(_judge_client, config=config,
-                               sampling=config.judge_sampling, cache=cache,
-                               built=self._built, limiter=limiter)
-        self.experts = self._many(experts, config.experts, "experts")
-        self.rc_evaluators = self._many(
-            rc_evaluators, config.rc_evaluators, "rc_evaluators")
-        repair = repair_judge if repair_judge is not None else config.repair
-        self.repair = self._client(repair) if repair is not None else None
-        names = [c.name for c in self.experts + self.rc_evaluators]
-        if len(names) != len(set(names)):
-            raise ConfigError("judge names must be unique within a run")
-
-    def _many(self, injected, specs, what) -> list[JudgeClient]:
+    def panel(injected, specs, what) -> list[JudgeClient]:
         source = injected if injected is not None else specs
         if not source:
             raise ConfigError(f"run config declares no {what}")
-        return [self._client(item) for item in source]
+        return [client(item) for item in source]
 
-    def close(self) -> None:
-        """Close the backends built here from specs."""
-        _close(self._built)
-
-    def all_named(self) -> list[JudgeClient]:
-        out = list(self.experts) + list(self.rc_evaluators)
-        if self.repair is not None:
-            out.append(self.repair)
-        return out
+    experts = panel(experts, config.experts, "experts")
+    rc_evaluators = panel(rc_evaluators, config.rc_evaluators, "rc_evaluators")
+    names = [c.name for c in experts + rc_evaluators]
+    if len(names) != len(set(names)):
+        raise ConfigError("judge names must be unique within a run")
+    repair = repair if repair is not None else config.repair
+    return experts, rc_evaluators, client(repair) if repair is not None else None
 
 
 def _gt_label_sequences(
@@ -484,7 +464,7 @@ def _rc_materials(sample: DialogueSample, fields: Sequence[str]) -> str:
     return "\n".join(parts)
 
 
-def _rc_judge_sample(sample, response, clients, config, fan_out):
+def _rc_judge_sample(sample, response, rc_evaluators, config, fan_out):
     """All three role-consistency questions for one sample.
 
     The (question, evaluator) queries are independent and go out through
@@ -502,7 +482,7 @@ def _rc_judge_sample(sample, response, clients, config, fan_out):
                             retry=retry)
             for retry in (False, True)
         ]
-        for evaluator in clients.rc_evaluators:
+        for evaluator in rc_evaluators:
             keys.append((metric, evaluator.name))
             calls.append(partial(_rc_verdict, evaluator, prompts, sources,
                                  metric, sample.sample_id))
@@ -538,8 +518,10 @@ def evaluate(
     """Run the full pipeline and assemble the report and manifest.
 
     ``experts``, ``rc_evaluators`` and ``repair_judge`` accept backend
-    or client objects and override the config-declared backends, which
-    keeps the whole pipeline drivable from tests without HTTP.
+    objects (anything with ``name`` and ``complete``) or ``BackendSpec``s
+    and override the config-declared backends, which keeps the whole
+    pipeline drivable from tests without HTTP.  Each gets a client of
+    this run: its permits, retry policy and reply cache.
     """
     t0 = time.monotonic()
     taxonomy = config.taxonomy()
@@ -562,31 +544,33 @@ def evaluate(
 
     cache = ReplyCache(config.cache_dir) if config.cache_dir else None
     permits = Permits(config.concurrency)
-    clients = _Clients(config, cache, permits, experts=experts,
-                       rc_evaluators=rc_evaluators, repair_judge=repair_judge)
+    judges: list[JudgeClient] = []
 
     # Each prediction flows format gate -> emotion panel -> role
     # consistency on its own; only the metric assembly waits for all.
     def _judge(pred: PredictionRecord):
-        outcome = format_response(pred.raw_output, clients.repair,
+        outcome = format_response(pred.raw_output, repair,
                                   max_attempts=config.max_repair_attempts)
         if outcome.response is None:
             return outcome, None, None
         seg = segment_utterances(outcome.response.content, config.delimiters)
-        results = run_panel(outcome.response, seg, clients.experts, taxonomy,
+        results = run_panel(outcome.response, seg, experts, taxonomy,
                             passes=config.passes, fan_out=scheduler.fan_out)
         votes = aggregate(results, tau=config.tau, n_utterances=seg.count)
         return outcome, votes, _rc_judge_sample(
-            by_id[pred.sample_id], outcome.response, clients, config,
+            by_id[pred.sample_id], outcome.response, rc_evaluators, config,
             scheduler.fan_out)
 
     try:
-        with Scheduler(permits, config.concurrency,
-                       clients.all_named()) as scheduler:
+        experts, rc_evaluators, repair = _judge_clients(
+            config, cache, permits, experts, rc_evaluators, repair_judge)
+        judges = experts + rc_evaluators + ([repair] if repair is not None else [])
+        with Scheduler(permits, config.concurrency, judges) as scheduler:
             judged = dict(zip((p.sample_id for p in predictions),
                               scheduler.map(_judge, predictions)))
     finally:
-        clients.close()
+        for client in judges:
+            client.close()
         if cache is not None:
             cache.close()
 
@@ -613,11 +597,11 @@ def evaluate(
 
     # Deterministic metric assembly, once every sample is judged.
     ec_report = _assemble_ec(config, taxonomy, samples, by_id, voted, ec_ids)
-    rc_report, rc_tally = _assemble_rc(config, clients, outcomes, rc_raw,
+    rc_report, rc_tally = _assemble_rc(config, rc_evaluators, outcomes, rc_raw,
                                        formatted_ids)
     tally.update(rc_tally)
 
-    judge_stats = {c.name: c.stats() for c in clients.all_named()}
+    judge_stats = {c.name: c.stats() for c in judges}
     if (sum(s["replies"] for s in judge_stats.values()) == 0
             and sum(s["transport_failures"] for s in judge_stats.values()) > 0):
         raise TransportError(
@@ -722,8 +706,8 @@ def _assemble_ec(config, taxonomy, samples, by_id, voted, ec_ids) -> Optional[Ec
     )
 
 
-def _assemble_rc(config, clients, outcomes, rc_raw, formatted_ids):
-    evaluator_names = [c.name for c in clients.rc_evaluators]
+def _assemble_rc(config, rc_evaluators, outcomes, rc_raw, formatted_ids):
+    evaluator_names = [c.name for c in rc_evaluators]
     floored = [
         sid for sid, out in sorted(outcomes.items())
         if out.status == UNREPAIRABLE and config.rc_floor_unrepairable
@@ -825,12 +809,11 @@ def generate(
             (s for s in config.generators if s.name == backend_name), None)
         if generator is None:
             raise ConfigError(f"no generator backend named {backend_name!r}")
-    built: list = []
     cache = ReplyCache(config.cache_dir) if config.cache_dir else None
-    client = _judge_client(generator, config, config.generation_sampling,
-                           cache, built)
+    client = None
     records = []
     try:
+        client = _judge_client(generator, config, config.generation_sampling, cache)
         for sample in samples:
             materials = _rc_materials(sample, ["profile", "previous_info"])
             prompt = build_generate_prompt(
@@ -841,7 +824,8 @@ def generate(
             records.append(PredictionRecord(sample_id=sample.sample_id,
                                             raw_output=text))
     finally:
-        _close(built)
+        if client is not None:
+            client.close()
         if cache is not None:
             cache.close()
     save_jsonl(out_path, [r.to_record() for r in records])

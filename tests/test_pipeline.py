@@ -429,6 +429,11 @@ def test_generate_writes_loadable_predictions(small_world, tmp_path):
     assert seen["top_p"] == 0.95
     with pytest.raises(ConfigError, match="no generator backend"):
         generate(fast_config(), "gen", small_world["corpus"], out)
+    cache = tmp_path / "cache"
+    with pytest.raises(ConfigError, match="cannot build a judge"):
+        generate(fast_config(cache_dir=str(cache)), "gen", small_world["corpus"],
+                 out, generator=object())
+    assert [p.name for p in cache.iterdir()] == ["replies.sqlite3"]  # closed
 
 
 # -------------------------------------------------------------------- cli

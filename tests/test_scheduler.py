@@ -1,6 +1,7 @@
 """Judge scheduling: permits, per-judge rate limits, fan-out, aborts."""
 
 import json
+import os
 import subprocess
 import sys
 import threading
@@ -21,7 +22,7 @@ from conftest import (
 
 from rpeval.cli import main
 from rpeval.judges import JudgeClient, MockBackend, Permits, RunAborted
-from rpeval.pipeline import evaluate
+from rpeval.pipeline import ConfigError, evaluate
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -34,7 +35,7 @@ def _run_all(targets):
 
 
 def test_rate_limited_judge_does_not_starve_the_others():
-    permits = threading.Semaphore(2)
+    permits = Permits(2)
     # A's ten sends take 0.225 s; a B queued behind A's waits would too.
     limited = JudgeClient(MockBackend("A", handler=lambda p, s: "a", rate_limit=40.0),
                           limiter=permits)
@@ -58,14 +59,22 @@ def test_rate_limited_judge_does_not_starve_the_others():
 
 def test_rate_limited_sends_are_spaced_under_contention():
     rate = 200.0
-    sends = []
+    sends, handled = [], []
+
+    class StampedPermits(Permits):
+        # A rate-limited client takes its permit ahead, under its pace
+        # lock, as it decides a send: that is when the send is stamped.
+        def acquire(self, ahead=False):
+            super().acquire(ahead)
+            if ahead:
+                sends.append(time.monotonic())
 
     def record(prompt, sampling):
-        sends.append(time.monotonic())
+        handled.append(prompt)
         return "ok"
 
     client = JudgeClient(MockBackend("A", handler=record, rate_limit=rate),
-                         limiter=threading.Semaphore(3))
+                         limiter=StampedPermits(3))
 
     def burst(worker):
         for i in range(4):
@@ -73,8 +82,7 @@ def test_rate_limited_sends_are_spaced_under_contention():
 
     for t in _run_all([(burst, (w,)) for w in range(5)]):
         t.join()
-    sends.sort()
-    assert len(sends) == 20
+    assert len(handled) == len(sends) == 20
     assert min(b - a for a, b in zip(sends, sends[1:])) >= 1.0 / rate
 
 
@@ -195,6 +203,45 @@ def test_single_permit_run_over_many_samples_completes(tmp_path):
     assert outcome["run"].report["summary"]["mec.lower"] == 1.0
 
 
+def test_evaluate_runs_injected_backends_under_its_permits(tmp_path):
+    samples = [make_sample(f"p{i}", role_id=f"r{i % 2}") for i in range(6)]
+    corpus = write_corpus(tmp_path / "corpus.jsonl", samples)
+    predictions = write_predictions(
+        tmp_path / "preds.jsonl", [echo_prediction(s) for s in samples])
+    active = {"now": 0, "peak": 0}
+    gate = threading.Lock()
+
+    def counted(backend):
+        handler = backend.handler
+
+        def counting(prompt, sampling):
+            with gate:
+                active["now"] += 1
+                active["peak"] = max(active["peak"], active["now"])
+            time.sleep(0.002)
+            with gate:
+                active["now"] -= 1
+            return handler(prompt, sampling)
+
+        backend.handler = counting
+        return backend
+
+    experts = [counted(b) for b in make_experts(3)]
+    critics = [counted(b) for b in make_rc_evaluators()]
+    run = evaluate(fast_config(concurrency=2), corpus, predictions,
+                   experts=experts, rc_evaluators=critics)
+    assert run.report["counts"]["ec_samples"] == 6
+    assert sum(b.calls for b in experts + critics) == 6 * (3 * 2 + 3 * 2)
+    assert active["peak"] <= 2
+    # A ready-made client would bypass the run's permits, retries and cache.
+    cache = tmp_path / "cache"
+    with pytest.raises(ConfigError, match="JudgeClient"):
+        evaluate(fast_config(concurrency=2, cache_dir=str(cache)), corpus,
+                 predictions, experts=[JudgeClient(b) for b in make_experts(3)],
+                 rc_evaluators=make_rc_evaluators())
+    assert [p.name for p in cache.iterdir()] == ["replies.sqlite3"]  # closed
+
+
 def test_auth_failure_in_a_worker_aborts_the_run(judge_server, tmp_path):
     samples = [make_sample(f"a{i:02d}", gt=("happy", "grateful")) for i in range(10)]
     corpus = write_corpus(tmp_path / "corpus.jsonl", samples)
@@ -277,10 +324,15 @@ def test_rejected_request_costs_one_request_not_the_run(judge_server, tmp_path):
     assert report == clean
 
 
+def _child_env():
+    # A copy of this environment, so PYTHONDONTWRITEBYTECODE carries over.
+    return {**os.environ, "PYTHONPATH": str(SRC)}
+
+
 def test_import_leaves_requests_unloaded():
     probe = "import sys, rpeval; print('requests' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                         text=True, check=True, env={"PYTHONPATH": str(SRC)})
+                         text=True, check=True, env=_child_env())
     assert out.stdout.strip() == "False"
 
 
@@ -288,5 +340,5 @@ def test_import_leaves_sqlite3_unloaded():
     # Only a run with a reply cache loads it.
     probe = "import sys, rpeval; print('sqlite3' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                         text=True, check=True, env={"PYTHONPATH": str(SRC)})
+                         text=True, check=True, env=_child_env())
     assert out.stdout.strip() == "False"
