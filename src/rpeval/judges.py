@@ -109,6 +109,10 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
+        # ``not >=`` so that NaN is refused too.
+        for name in ("base_delay", "max_delay"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must not be negative")
 
     def delay(self, attempt: int) -> float:
         """Backoff before retry number ``attempt`` (attempt counts from 1)."""
@@ -539,6 +543,7 @@ class JudgeClient:
         self.backend_calls = 0
         self.replies = 0
         self.transport_failures = 0
+        self.rejected = 0
 
     @property
     def name(self) -> str:
@@ -552,6 +557,7 @@ class JudgeClient:
                 "backend_calls": self.backend_calls,
                 "replies": self.replies,
                 "transport_failures": self.transport_failures,
+                "rejected": self.rejected,
             }
 
     def _send(self, request: JudgeRequest) -> str:
@@ -607,7 +613,7 @@ class JudgeClient:
                 text = self._send(request)
             except RequestRejected:
                 with self._lock:
-                    self.transport_failures += 1
+                    self.rejected += 1
                 raise
             except TransportError as exc:
                 last_error = exc

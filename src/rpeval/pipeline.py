@@ -124,6 +124,13 @@ class BackendSpec:
             raise ConfigError("backend needs a non-empty name")
         if self.kind not in ("http", "mock"):
             raise ConfigError(f"backend {self.name!r}: unknown kind {self.kind!r}")
+        # ``not >`` so that NaN is refused too; a negative rate limit
+        # would silently mean no limit.
+        if not self.timeout > 0:
+            raise ConfigError(f"backend {self.name!r}: timeout must be positive")
+        if not self.rate_limit >= 0:
+            raise ConfigError(
+                f"backend {self.name!r}: rate_limit must not be negative")
 
     def build_backend(self):
         if self.kind == "mock":
@@ -603,7 +610,8 @@ def evaluate(
 
     judge_stats = {c.name: c.stats() for c in judges}
     if (sum(s["replies"] for s in judge_stats.values()) == 0
-            and sum(s["transport_failures"] for s in judge_stats.values()) > 0):
+            and sum(s["transport_failures"] + s["rejected"]
+                    for s in judge_stats.values()) > 0):
         raise TransportError(
             "no judge request succeeded in this run; backends unreachable")
 

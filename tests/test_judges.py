@@ -129,7 +129,7 @@ def test_cache_second_call_is_served_locally(tmp_path):
     assert backend.calls == 1
     assert client.stats() == {
         "cache_hits": 1, "cache_misses": 1, "backend_calls": 1,
-        "replies": 2, "transport_failures": 0}
+        "replies": 2, "transport_failures": 0, "rejected": 0}
 
 
 def test_cache_layout_is_one_sqlite_file(tmp_path):

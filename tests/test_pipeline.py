@@ -87,6 +87,18 @@ def test_config_rejects_unknown_keys_and_bad_values():
     ):
         with pytest.raises(ConfigError):
             RunConfig.from_dict(bad)
+    # out-of-range judge settings: a negative delay would crash the run at
+    # its first retry, a negative rate limit would mean no limit
+    for bad, match in (
+        ({"retry": {"base_delay": -1}}, "base_delay"),
+        ({"retry": {"max_delay": -2}}, "max_delay"),
+        ({"experts": [{"name": "e", "kind": "http", "timeout": -1}]}, "timeout"),
+        ({"experts": [{"name": "e", "kind": "http", "timeout": 0}]}, "timeout"),
+        ({"experts": [{"name": "e", "kind": "mock", "rate_limit": -5}]},
+         "rate_limit"),
+    ):
+        with pytest.raises(ConfigError, match=match):
+            RunConfig.from_dict(bad)
     # built in Python, not parsed: a fractional count would never block
     for concurrency in (2.5, True, 0):
         with pytest.raises(ConfigError, match="concurrency"):
@@ -534,6 +546,16 @@ def test_cli_exit_codes(tmp_path):
         "rc_evaluators": [{"name": "r", "kind": "mock"}],
     }), encoding="utf-8")
     assert main(["evaluate", "--config", str(mistyped), "--corpus", corpus,
+                 "--predictions", predictions,
+                 "--out", str(tmp_path / "o1")]) == 2
+    # 2: a negative retry delay, refused before the first retry sleeps
+    negative = tmp_path / "negative.json"
+    negative.write_text(json.dumps({
+        "retry": {"base_delay": -1},
+        "experts": [{"name": "e", "kind": "mock"}],
+        "rc_evaluators": [{"name": "r", "kind": "mock"}],
+    }), encoding="utf-8")
+    assert main(["evaluate", "--config", str(negative), "--corpus", corpus,
                  "--predictions", predictions,
                  "--out", str(tmp_path / "o1")]) == 2
 

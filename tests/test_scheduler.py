@@ -15,12 +15,14 @@ from conftest import (
     fast_config,
     make_experts,
     make_rc_evaluators,
+    make_repair_judge,
     make_sample,
     write_corpus,
     write_predictions,
 )
 
 from rpeval.cli import main
+from rpeval.corpus import PredictionRecord
 from rpeval.judges import JudgeClient, MockBackend, Permits, RunAborted
 from rpeval.pipeline import ConfigError, evaluate
 
@@ -242,6 +244,72 @@ def test_evaluate_runs_injected_backends_under_its_permits(tmp_path):
     assert [p.name for p in cache.iterdir()] == ["replies.sqlite3"]  # closed
 
 
+def _pool_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("rpeval")]
+
+
+def _slowed(backend, seconds, on_call=lambda: None):
+    handler = backend.handler
+
+    def slow(prompt, sampling):
+        on_call()
+        time.sleep(seconds)
+        return handler(prompt, sampling)
+
+    backend.handler = slow
+    return backend
+
+
+def test_pool_has_two_threads_per_permit_and_one_per_paced_judge(tmp_path):
+    samples = [make_sample(f"t{i}", role_id=f"r{i % 2}") for i in range(8)]
+    corpus = write_corpus(tmp_path / "corpus.jsonl", samples)
+    records = [echo_prediction(s) for s in samples]
+    broken = "face: calm / body: still / speech: soft / says happy"
+    records[0] = PredictionRecord(sample_id="t0", raw_output=broken)
+    predictions = write_predictions(tmp_path / "preds.jsonl", records)
+    seen, gate = {"peak": 0}, threading.Lock()
+
+    def count_threads():
+        with gate:
+            seen["peak"] = max(seen["peak"], len(_pool_threads()))
+
+    experts = make_experts(5)
+    experts[0].rate_limit = 500.0
+    repair = make_repair_judge({broken: samples[0].ground_truth.to_json()})
+    judges = experts + make_rc_evaluators() + [repair]
+    for backend in judges:
+        _slowed(backend, 0.002, count_threads)
+    run = evaluate(fast_config(concurrency=2), corpus, predictions,
+                   experts=judges[:5], rc_evaluators=judges[5:7],
+                   repair_judge=repair)
+    assert run.report["counts"]["repaired"] == 1
+    assert run.report["counts"]["ec_samples"] == 8
+    # 2 x concurrency + 1 paced judge, not concurrency x (judges + 1) = 18
+    assert 1 <= seen["peak"] <= 2 * 2 + 1
+    assert _pool_threads() == []
+
+
+def test_paced_judge_leaves_the_others_their_concurrency(tmp_path):
+    samples = [make_sample(f"w{i}", role_id=f"r{i % 2}") for i in range(8)]
+    corpus = write_corpus(tmp_path / "corpus.jsonl", samples)
+    predictions = write_predictions(
+        tmp_path / "preds.jsonl", [echo_prediction(s) for s in samples])
+    latency, rate, concurrency = 0.01, 40.0, 2
+    experts = [_slowed(b, latency) for b in make_experts(5)]
+    experts[0].rate_limit = rate
+    critics = [_slowed(b, latency) for b in make_rc_evaluators()]
+    started = time.monotonic()
+    evaluate(fast_config(concurrency=concurrency), corpus, predictions,
+             experts=experts, rc_evaluators=critics)
+    elapsed = time.monotonic() - started
+    calls = sum(b.calls for b in experts + critics)
+    assert calls == 8 * (5 * 2 + 2 * 3)
+    # Every call holds one of the permits for its latency; the paced
+    # judge's sends are also 1 / rate apart.
+    bound = calls * latency / concurrency + (experts[0].calls - 1) / rate
+    assert elapsed < bound, (elapsed, bound)
+
+
 def test_auth_failure_in_a_worker_aborts_the_run(judge_server, tmp_path):
     samples = [make_sample(f"a{i:02d}", gt=("happy", "grateful")) for i in range(10)]
     corpus = write_corpus(tmp_path / "corpus.jsonl", samples)
@@ -266,6 +334,7 @@ def test_auth_failure_in_a_worker_aborts_the_run(judge_server, tmp_path):
     code = main(["evaluate", "--config", str(config), "--corpus", corpus,
                  "--predictions", predictions, "--out", str(tmp_path / "out")])
     assert code == 2
+    assert _pool_threads() == []  # the pool is shut down on the way out
     # The 401 was the fifth request; at most one other was then in flight.
     assert 5 <= len(judge_server.seen) <= 6
     time.sleep(0.05)
@@ -319,7 +388,8 @@ def test_rejected_request_costs_one_request_not_the_run(judge_server, tmp_path):
     sent = [seen["json"]["messages"][0]["content"] for seen in judge_server.seen
             if seen["json"]["model"] == "critic0"]
     assert sent.count(rejected[0]) == 1  # not retried
-    assert manifest["judges"]["critic0"]["transport_failures"] == 1
+    assert manifest["judges"]["critic0"]["rejected"] == 1
+    assert manifest["judges"]["critic0"]["transport_failures"] == 0
     # The corrective re-prompt recovered the verdict: no score moved.
     assert report == clean
 
