@@ -138,6 +138,10 @@ def _cmd_report(args) -> int:
         raise CorpusError(f"cannot read report: {exc}") from None
     except json.JSONDecodeError as exc:
         raise CorpusError(f"report is not valid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"report is not UTF-8 text: {exc}") from None
+    if not isinstance(report, dict):
+        raise CorpusError("report is not a JSON object")
     path = write_report_files(report, args.out, args.format)
     print(path)
     return EXIT_OK

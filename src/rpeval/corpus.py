@@ -399,17 +399,23 @@ class PredictionRecord:
 
 
 def _iter_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}:{lineno}: invalid JSON: {exc}") from None
-            if not isinstance(obj, dict):
-                raise CorpusError(f"{path}:{lineno}: expected a JSON object")
-            yield lineno, obj
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise CorpusError(
+                        f"{path}:{lineno}: invalid JSON: {exc}") from None
+                if not isinstance(obj, dict):
+                    raise CorpusError(f"{path}:{lineno}: expected a JSON object")
+                yield lineno, obj
+    except OSError as exc:
+        raise CorpusError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def load_corpus(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -548,48 +548,3 @@ def rc_score(verdicts: Mapping[str, Optional[RcVerdict]]) -> RcSampleScore:
         per_evaluator=per_evaluator,
         score=float(np.mean(scores)) if scores else None,
     )
-
-
-@dataclass
-class RcMetricSummary:
-    """Corpus roll-up of one role-consistency metric."""
-
-    score: Optional[float]
-    per_evaluator: dict[str, Optional[float]]
-    scored: int
-    dropped: int
-
-
-@dataclass
-class EcReport:
-    """All emotional-consistency numbers for one run."""
-
-    mec_lower: MecReport
-    mec_upper: MecReport
-    cec_lower: Optional[float]
-    cec_upper: Optional[float]
-    edd_intra: Optional[float]
-    edd_inter: Optional[float]
-    rcd_intra: RcdResult
-    rcd_inter: RcdResult
-    ed: dict[str, Optional[float]]  # keys: all, spe, fac, bod
-
-    def to_dict(self) -> dict:
-        return {
-            "mec": {"lower": self.mec_lower.value, "upper": self.mec_upper.value},
-            "cec": {"lower": self.cec_lower, "upper": self.cec_upper},
-            "edd": {"intra": self.edd_intra, "inter": self.edd_inter},
-            "rcd": {"intra": self.rcd_intra.to_dict(),
-                    "inter": self.rcd_inter.to_dict()},
-            "ed": dict(self.ed),
-        }
-
-
-@dataclass
-class RcReport:
-    """All role-consistency numbers for one run; keys exp, cha, rel."""
-
-    metrics: dict[str, RcMetricSummary]
-
-    def to_dict(self) -> dict:
-        return {name: asdict(summary) for name, summary in self.metrics.items()}

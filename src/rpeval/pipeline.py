@@ -17,6 +17,7 @@ import json
 import logging
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import partial
@@ -55,10 +56,7 @@ from .judges import (
 )
 from .metrics import (
     DEFAULT_SMOOTHING,
-    EcReport,
     RcdResult,
-    RcMetricSummary,
-    RcReport,
     TransitionMatrix,
     build_transition_matrices,
     cec,
@@ -279,6 +277,8 @@ class RunConfig:
             raise ConfigError(f"cannot read config {path}: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from None
         return cls.from_dict(obj)
 
     def to_dict(self) -> dict:
@@ -381,23 +381,15 @@ def _judge_clients(config: RunConfig, cache: Optional[ReplyCache],
     return experts, rc_evaluators, client(repair) if repair is not None else None
 
 
-def _gt_label_sequences(
-    samples: Sequence[DialogueSample],
-) -> list[tuple[str, list[list[str]]]]:
-    return [
-        (role_id, [s.gt_emotions for s in thread])
-        for role_id, thread in group_role_dialogues(samples)
-    ]
-
-
 def _role_matrices(
-    threads: Sequence[tuple[str, list[list[str]]]],
+    threads: Sequence[tuple[str, list[DialogueSample]]],
+    labels_of,
     taxonomy: EmotionTaxonomy,
 ) -> tuple[dict[str, TransitionMatrix], dict[str, TransitionMatrix]]:
-    """Per-role intra/inter matrices from per-thread label sequences."""
+    """Per-role intra/inter matrices, each sample labelled by ``labels_of``."""
     per_role: dict[str, list[list[list[str]]]] = {}
-    for role_id, sequences in threads:
-        per_role.setdefault(role_id, []).append(sequences)
+    for role_id, thread in threads:
+        per_role.setdefault(role_id, []).append([labels_of(s) for s in thread])
     intra: dict[str, TransitionMatrix] = {}
     inter: dict[str, TransitionMatrix] = {}
     for role_id in sorted(per_role):
@@ -415,7 +407,8 @@ def gt_statistics(config: RunConfig, corpus_path: str | Path) -> dict:
     """
     taxonomy = config.taxonomy()
     samples = load_corpus(corpus_path, taxonomy, config.delimiters)
-    intra, inter = _role_matrices(_gt_label_sequences(samples), taxonomy)
+    intra, inter = _role_matrices(group_role_dialogues(samples),
+                                  lambda s: s.gt_emotions, taxonomy)
     roles = sorted(intra)
     cd_intra = cd_inter = None
     if len(roles) >= 2:
@@ -581,32 +574,30 @@ def evaluate(
         if cache is not None:
             cache.close()
 
-    outcomes = {sid: outcome for sid, (outcome, _, _) in judged.items()}
-    formatted_ids = sorted(
-        sid for sid, out in outcomes.items() if out.response is not None
-    )
+    # ``judged`` is in sample-id order, and so is every mapping built
+    # from it; the metric sums below rely on that order.
+    statuses = Counter(outcome.status for outcome, _, _ in judged.values())
+    rc_raw = {sid: rc for sid, (outcome, _, rc) in judged.items()
+              if outcome.response is not None}
+    voted = {sid: votes for sid, (_, votes, _) in judged.items()
+             if sid in rc_raw and votes.has_votes}
+    floored = statuses[UNREPAIRABLE] if config.rc_floor_unrepairable else 0
+
+    # Deterministic metric assembly, once every sample is judged.
+    metrics, per_class = _assemble_ec(config, taxonomy, samples, by_id, voted)
+    metrics["rc"] = _assemble_rc(rc_evaluators, rc_raw, floored)
     tally = {
         "corpus_samples": len(samples),
         "predictions": len(predictions),
         "missing_predictions": len(missing),
-        "valid_direct": sum(
-            1 for o in outcomes.values() if o.status == VALID_DIRECT),
-        "repaired": sum(1 for o in outcomes.values() if o.status == REPAIRED),
-        "dropped_format": sum(
-            1 for o in outcomes.values() if o.status == UNREPAIRABLE),
+        "valid_direct": statuses[VALID_DIRECT],
+        "repaired": statuses[REPAIRED],
+        "dropped_format": statuses[UNREPAIRABLE],
+        "dropped_erc": len(rc_raw) - len(voted),
+        "ec_samples": len(voted),
+        "rc_floored": floored,
+        "rc_dropped": {m: metrics["rc"][m]["dropped"] for m in RC_METRICS},
     }
-    voted = {sid: judged[sid][1] for sid in formatted_ids
-             if judged[sid][1].has_votes}
-    tally["dropped_erc"] = len(formatted_ids) - len(voted)
-    ec_ids = sorted(voted)
-    tally["ec_samples"] = len(ec_ids)
-    rc_raw = {sid: judged[sid][2] for sid in formatted_ids}
-
-    # Deterministic metric assembly, once every sample is judged.
-    ec_report = _assemble_ec(config, taxonomy, samples, by_id, voted, ec_ids)
-    rc_report, rc_tally = _assemble_rc(config, rc_evaluators, outcomes, rc_raw,
-                                       formatted_ids)
-    tally.update(rc_tally)
 
     judge_stats = {c.name: c.stats() for c in judges}
     if (sum(s["replies"] for s in judge_stats.values()) == 0
@@ -615,7 +606,17 @@ def evaluate(
         raise TransportError(
             "no judge request succeeded in this run; backends unreachable")
 
-    report = _assemble_report(ec_report, rc_report, tally)
+    summary = {}
+    for key in SUMMARY_KEYS:
+        section, name = key.split(".")
+        value = metrics[section][name]
+        if section == "rcd":
+            value = value["value"]
+        elif section == "rc":
+            value = value["score"]
+        summary[key] = value
+    report = {"summary": summary, "metrics": metrics, "per_class": per_class,
+              "counts": dict(tally)}
     lookups = sum(s["cache_hits"] + s["cache_misses"]
                   for s in judge_stats.values())
     hits = sum(s["cache_hits"] for s in judge_stats.values())
@@ -649,84 +650,84 @@ def evaluate(
     return EvaluationRun(report=report, manifest=manifest, written=written)
 
 
-def _assemble_ec(config, taxonomy, samples, by_id, voted, ec_ids) -> Optional[EcReport]:
-    if not ec_ids:
-        logger.warning("no samples survived to emotion scoring")
-        return None
-    mec_samples = [
-        (by_id[sid].gt_emotions, voted[sid].fusion_labels) for sid in ec_ids
-    ]
-    mec_lower = mec(mec_samples, taxonomy, level="lower")
-    mec_upper = mec(mec_samples, taxonomy, level="upper")
+def _assemble_ec(config, taxonomy, samples, by_id, voted) -> tuple[dict, dict]:
+    """The report's emotion ``metrics`` sections and its ``per_class``.
 
-    rows = {m: [] for m in MODALITIES}
-    for sid in ec_ids:
-        for m in MODALITIES:
-            rows[m].extend(voted[sid].labels(m))
-    table = [rows[m] for m in MODALITIES]
+    ``voted`` maps the sample ids that reached the emotion panel, in
+    sample-id order, to their votes.
+    """
+    if not voted:
+        logger.warning("no samples survived to emotion scoring")
+        return {
+            "mec": {"lower": None, "upper": None},
+            "cec": {"lower": None, "upper": None},
+            "edd": {"intra": None, "inter": None},
+            "rcd": {v: RcdResult(None, None).to_dict() for v in ("intra", "inter")},
+            "ed": {column: None for column in _ED_COLUMNS},
+        }, {"lower": {}, "upper": {}}
+    mec_samples = [(by_id[sid].gt_emotions, votes.fusion_labels)
+                   for sid, votes in voted.items()]
+    mecs = {level: mec(mec_samples, taxonomy, level=level)
+            for level in ("lower", "upper")}
+
+    table = [[lab for votes in voted.values() for lab in votes.labels(m)]
+             for m in MODALITIES]
     try:
-        cec_lower = cec(table, taxonomy, level="lower")
-        cec_upper = cec(table, taxonomy, level="upper")
+        cecs = {level: cec(table, taxonomy, level=level)
+                for level in ("lower", "upper")}
     except ValueError as exc:
         logger.warning("cross-modal agreement undefined: %s", exc)
-        cec_lower = cec_upper = None
+        cecs = {"lower": None, "upper": None}
 
     ed_values: dict[str, Optional[float]] = {}
     for column, modality in _ED_COLUMNS.items():
-        dists = []
-        for sid in ec_ids:
-            dists.extend(voted[sid].distributions(modality))
+        dists = [d for votes in voted.values()
+                 for d in votes.distributions(modality)]
         ed_values[column] = ed(dists, taxonomy) if dists else None
 
-    gt_threads = _gt_label_sequences(samples)
-    gt_intra, gt_inter = _role_matrices(gt_threads, taxonomy)
-    rpa_threads = []
-    for role_id, thread in group_role_dialogues(samples):
-        sequences = []
-        for sample in thread:
-            agg = voted.get(sample.sample_id)
-            if agg is None:
-                # absent or dropped prediction: breaks transition chains
-                sequences.append([AMBIGUOUS])
-            else:
-                sequences.append(agg.fusion_labels)
-        rpa_threads.append((role_id, sequences))
-    rpa_intra, rpa_inter = _role_matrices(rpa_threads, taxonomy)
-
-    edd_intra = edd(gt_intra, rpa_intra, config.smoothing, config.divergence_mode)
-    edd_inter = edd(gt_inter, rpa_inter, config.smoothing, config.divergence_mode)
+    threads = group_role_dialogues(samples)
+    gt_intra, gt_inter = _role_matrices(threads, lambda s: s.gt_emotions,
+                                        taxonomy)
+    # An absent or dropped prediction breaks the transition chains.
+    rpa_intra, rpa_inter = _role_matrices(
+        threads,
+        lambda s: (voted[s.sample_id].fusion_labels if s.sample_id in voted
+                   else [AMBIGUOUS]),
+        taxonomy)
+    divergence = (config.smoothing, config.divergence_mode)
+    edds = {"intra": edd(gt_intra, rpa_intra, *divergence),
+            "inter": edd(gt_inter, rpa_inter, *divergence)}
     if len(gt_intra) >= 2:
-        rcd_intra = rcd(gt_intra, rpa_intra, config.smoothing,
-                        config.divergence_mode)
-        rcd_inter = rcd(gt_inter, rpa_inter, config.smoothing,
-                        config.divergence_mode)
+        rcds = {"intra": rcd(gt_intra, rpa_intra, *divergence).to_dict(),
+                "inter": rcd(gt_inter, rpa_inter, *divergence).to_dict()}
     else:
         logger.warning("distinctiveness needs at least two roles; reporting null")
-        rcd_intra = RcdResult(cd_gt=None, cd_rpa=None)
-        rcd_inter = RcdResult(cd_gt=None, cd_rpa=None)
+        rcds = {v: RcdResult(None, None).to_dict() for v in ("intra", "inter")}
+    metrics = {
+        "mec": {level: result.value for level, result in mecs.items()},
+        "cec": cecs,
+        "edd": edds,
+        "rcd": rcds,
+        "ed": ed_values,
+    }
+    per_class = {level: {x: stats.to_dict() for x, stats in result.per_class.items()}
+                 for level, result in mecs.items()}
+    return metrics, per_class
 
-    return EcReport(
-        mec_lower=mec_lower, mec_upper=mec_upper,
-        cec_lower=cec_lower, cec_upper=cec_upper,
-        edd_intra=edd_intra, edd_inter=edd_inter,
-        rcd_intra=rcd_intra, rcd_inter=rcd_inter,
-        ed=ed_values,
-    )
 
+def _assemble_rc(rc_evaluators, rc_raw, floored: int) -> dict:
+    """The report's ``rc`` section, one entry per role-consistency metric.
 
-def _assemble_rc(config, rc_evaluators, outcomes, rc_raw, formatted_ids):
-    evaluator_names = [c.name for c in rc_evaluators]
-    floored = [
-        sid for sid, out in sorted(outcomes.items())
-        if out.status == UNREPAIRABLE and config.rc_floor_unrepairable
-    ]
-    summaries: dict[str, RcMetricSummary] = {}
+    ``rc_raw`` maps each formatted sample id, in sample-id order, to its
+    verdicts; each of the ``floored`` unrepairable samples adds a 1.0.
+    """
+    section = {}
     for metric in RC_METRICS:
         sample_scores: list[float] = []
         dropped = 0
-        per_eval_scores: dict[str, list[int]] = {n: [] for n in evaluator_names}
-        for sid in formatted_ids:
-            result = rc_score(rc_raw[sid][metric])
+        per_eval_scores: dict[str, list[int]] = {c.name: [] for c in rc_evaluators}
+        for verdicts in rc_raw.values():
+            result = rc_score(verdicts[metric])
             for name, value in result.per_evaluator.items():
                 if value is not None:
                     per_eval_scores[name].append(value)
@@ -734,68 +735,16 @@ def _assemble_rc(config, rc_evaluators, outcomes, rc_raw, formatted_ids):
                 dropped += 1
             else:
                 sample_scores.append(result.score)
-        sample_scores.extend(1.0 for _ in floored)
-        summaries[metric] = RcMetricSummary(
-            score=(sum(sample_scores) / len(sample_scores)
-                   if sample_scores else None),
-            per_evaluator={
-                name: (sum(v) / len(v) if v else None)
-                for name, v in per_eval_scores.items()
-            },
-            scored=len(sample_scores),
-            dropped=dropped,
-        )
-    tally = {"rc_floored": len(floored),
-             "rc_dropped": {m: summaries[m].dropped for m in RC_METRICS}}
-    return RcReport(metrics=summaries), tally
-
-
-def _assemble_report(ec_report: Optional[EcReport], rc_report: RcReport,
-                     tally: Mapping) -> dict:
-    if ec_report is not None:
-        ec_dict = ec_report.to_dict()
-        per_class = {
-            "lower": {x: s.to_dict()
-                      for x, s in ec_report.mec_lower.per_class.items()},
-            "upper": {x: s.to_dict()
-                      for x, s in ec_report.mec_upper.per_class.items()},
+        sample_scores.extend(1.0 for _ in range(floored))
+        section[metric] = {
+            "score": (sum(sample_scores) / len(sample_scores)
+                      if sample_scores else None),
+            "per_evaluator": {name: (sum(v) / len(v) if v else None)
+                              for name, v in per_eval_scores.items()},
+            "scored": len(sample_scores),
+            "dropped": dropped,
         }
-    else:
-        ec_dict = {
-            "mec": {"lower": None, "upper": None},
-            "cec": {"lower": None, "upper": None},
-            "edd": {"intra": None, "inter": None},
-            "rcd": {"intra": RcdResult(None, None).to_dict(),
-                    "inter": RcdResult(None, None).to_dict()},
-            "ed": {k: None for k in _ED_COLUMNS},
-        }
-        per_class = {"lower": {}, "upper": {}}
-    metrics_dict = dict(ec_dict)
-    metrics_dict["rc"] = rc_report.to_dict()
-    summary = {
-        "mec.lower": metrics_dict["mec"]["lower"],
-        "mec.upper": metrics_dict["mec"]["upper"],
-        "cec.lower": metrics_dict["cec"]["lower"],
-        "cec.upper": metrics_dict["cec"]["upper"],
-        "edd.intra": metrics_dict["edd"]["intra"],
-        "edd.inter": metrics_dict["edd"]["inter"],
-        "rcd.intra": metrics_dict["rcd"]["intra"]["value"],
-        "rcd.inter": metrics_dict["rcd"]["inter"]["value"],
-        "ed.all": metrics_dict["ed"]["all"],
-        "ed.spe": metrics_dict["ed"]["spe"],
-        "ed.fac": metrics_dict["ed"]["fac"],
-        "ed.bod": metrics_dict["ed"]["bod"],
-        "rc.exp": metrics_dict["rc"]["exp"]["score"],
-        "rc.cha": metrics_dict["rc"]["cha"]["score"],
-        "rc.rel": metrics_dict["rc"]["rel"]["score"],
-    }
-    assert tuple(summary) == SUMMARY_KEYS
-    return {
-        "summary": summary,
-        "metrics": metrics_dict,
-        "per_class": per_class,
-        "counts": dict(tally),
-    }
+    return section
 
 
 def generate(
@@ -857,30 +806,36 @@ def load_agreement_table(path: str | Path) -> list[list]:
     ratings; numeric-looking CSV cells are parsed as numbers.
     """
     path = Path(path)
-    if path.suffix.lower() == ".json":
-        try:
-            with open(path, encoding="utf-8") as fh:
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            if path.suffix.lower() == ".json":
                 obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CorpusError(f"{path}: invalid JSON: {exc}") from None
+            else:
+                records = list(csv.reader(fh))
+    except OSError as exc:
+        raise CorpusError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{path}: not UTF-8 text: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise CorpusError(f"{path}: invalid JSON: {exc}") from None
+    if path.suffix.lower() == ".json":
         if (not isinstance(obj, list)
                 or not all(isinstance(r, list) for r in obj)):
             raise CorpusError(f"{path}: expected a list of rater rows")
         return obj
     rows: list[list] = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        for record in csv.reader(fh):
-            row: list = []
-            for cell in record:
-                cell = cell.strip()
-                if not cell:
-                    row.append(None)
-                    continue
-                try:
-                    row.append(float(cell))
-                except ValueError:
-                    row.append(cell)
-            rows.append(row)
+    for record in records:
+        row: list = []
+        for cell in record:
+            cell = cell.strip()
+            if not cell:
+                row.append(None)
+                continue
+            try:
+                row.append(float(cell))
+            except ValueError:
+                row.append(cell)
+        rows.append(row)
     if not rows:
         raise CorpusError(f"{path}: table is empty")
     return rows

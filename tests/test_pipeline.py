@@ -558,6 +558,10 @@ def test_cli_exit_codes(tmp_path):
     assert main(["evaluate", "--config", str(negative), "--corpus", corpus,
                  "--predictions", predictions,
                  "--out", str(tmp_path / "o1")]) == 2
+    # 2: a config file that is not UTF-8
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"delimiters": "é"}'.encode("latin-1"))
+    assert main(["gt-stats", "--config", str(latin1), "--corpus", corpus]) == 2
 
     # 3: corrupt corpus
     ok_config = tmp_path / "ok.json"
@@ -566,6 +570,35 @@ def test_cli_exit_codes(tmp_path):
     broken_corpus.write_text("{oops\n", encoding="utf-8")
     assert main(["gt-stats", "--config", str(ok_config),
                  "--corpus", str(broken_corpus)]) == 3
+    # 3: missing or non-UTF-8 input files, which used to end in a traceback
+    missing = str(tmp_path / "missing.jsonl")
+    not_utf8 = tmp_path / "latin1.jsonl"
+    with open(corpus, "rb") as fh:
+        not_utf8.write_bytes(fh.read() + b'{"sample_id": "\xff"}\n')
+    for bad_corpus in (missing, str(not_utf8)):
+        assert main(["gt-stats", "--config", str(ok_config),
+                     "--corpus", bad_corpus]) == 3
+        assert main(["evaluate", "--config", str(ok_config),
+                     "--corpus", bad_corpus, "--predictions", predictions,
+                     "--out", str(tmp_path / "o3")]) == 3
+    assert main(["evaluate", "--config", str(ok_config), "--corpus", corpus,
+                 "--predictions", missing, "--out", str(tmp_path / "o3")]) == 3
+    latin1_table = tmp_path / "table.csv"
+    latin1_table.write_bytes("a,b\né,b\n".encode("latin-1"))
+    for table in (tmp_path / "missing.csv", tmp_path / "missing.json",
+                  latin1_table):
+        assert main(["agreement", "--kind", "nominal",
+                     "--table", str(table)]) == 3
+    # 3: a report that is not a JSON object, or not UTF-8; nothing is written
+    not_object = tmp_path / "list.json"
+    not_object.write_text("[1, 2]", encoding="utf-8")
+    latin1_report = tmp_path / "latin1_report.json"
+    latin1_report.write_bytes('{"summary": "é"}'.encode("latin-1"))
+    for report in (not_object, latin1_report):
+        for fmt in ("md", "json", "csv"):
+            assert main(["report", "--report", str(report), "--format", fmt,
+                         "--out", str(tmp_path / "r")]) == 3
+    assert not (tmp_path / "r").exists()
 
     # 4: judges configured but never reachable
     dead_config = tmp_path / "dead.json"
