@@ -12,7 +12,7 @@ import logging
 import sys
 from pathlib import Path
 
-from .corpus import CorpusError
+from .corpus import CorpusError, parse_json, read_lines
 from .judges import BackendConfigError, TransportError
 from .pipeline import (
     ConfigError,
@@ -131,15 +131,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    try:
-        with open(args.report, encoding="utf-8") as fh:
-            report = json.load(fh)
-    except OSError as exc:
-        raise CorpusError(f"cannot read report: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise CorpusError(f"report is not valid JSON: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise CorpusError(f"report is not UTF-8 text: {exc}") from None
+    report = parse_json("".join(read_lines(args.report)), args.report)
     if not isinstance(report, dict):
         raise CorpusError("report is not a JSON object")
     path = write_report_files(report, args.out, args.format)

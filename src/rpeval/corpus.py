@@ -64,6 +64,30 @@ class CorpusError(ValueError):
     """Raised when corpus or prediction data violates the schema."""
 
 
+def read_lines(path: str | Path, error: type[Exception] = CorpusError) -> Iterator[str]:
+    """Stream a UTF-8 file's lines as written; an unreadable file raises ``error``."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            yield from fh
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def parse_json(text: str, where: str, error: type[Exception] = CorpusError):
+    """The value ``text`` holds; invalid or too deeply nested JSON raises ``error``."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{where}: invalid JSON: {exc}") from None
+
+
+def _check_object(obj, what: str) -> None:
+    if not isinstance(obj, Mapping):
+        raise CorpusError(f"{what} must be an object")
+
+
 @dataclass(frozen=True)
 class EmotionTaxonomy:
     """Closed label set plus a label -> tendency collapse map.
@@ -148,6 +172,7 @@ class RoleCard:
 
     @classmethod
     def from_dict(cls, obj: Mapping) -> "RoleCard":
+        _check_object(obj, "role card")
         if "role_id" not in obj:
             raise CorpusError("role card is missing 'role_id'")
         role_id = str(obj["role_id"])
@@ -179,6 +204,7 @@ class UserTurn:
 
     @classmethod
     def from_dict(cls, obj: Mapping) -> "UserTurn":
+        _check_object(obj, "user turn")
         if "content" not in obj:
             raise CorpusError("user turn is missing 'content'")
         return cls(
@@ -216,6 +242,7 @@ class MultimodalResponse:
 
     @classmethod
     def from_dict(cls, obj: Mapping) -> "MultimodalResponse":
+        _check_object(obj, "response")
         missing = [k for k in RESPONSE_FIELDS if k not in obj]
         if missing:
             raise CorpusError(f"response is missing fields: {missing}")
@@ -232,6 +259,7 @@ class MultimodalResponse:
     @classmethod
     def from_short_dict(cls, obj: Mapping) -> "MultimodalResponse":
         """Parse the corpus file form (face / body / speech / content keys)."""
+        _check_object(obj, "response")
         missing = [k for k in _SHORT_KEYS if k not in obj]
         if missing:
             raise CorpusError(f"response is missing fields: {missing}")
@@ -323,14 +351,19 @@ class DialogueSample:
 
     @classmethod
     def from_record(cls, record: Mapping) -> "DialogueSample":
+        _check_object(record, "sample")
         for key in ("sample_id", "role", "user_input", "ground_truth", "gt_emotions"):
             if key not in record:
                 raise CorpusError(f"sample is missing field {key!r}")
         sample_id = str(record["sample_id"])
         if not sample_id:
             raise CorpusError("sample_id must be non-empty")
+        turns = record.get("history", [])
+        if not isinstance(turns, list):
+            raise CorpusError("history must be a list")
         history = []
-        for i, turn in enumerate(record.get("history", [])):
+        for i, turn in enumerate(turns):
+            _check_object(turn, f"history turn {i}")
             if "user" not in turn or "agent" not in turn:
                 raise CorpusError(
                     f"history turn {i} needs both 'user' and 'agent' sides"
@@ -387,6 +420,7 @@ class PredictionRecord:
 
     @classmethod
     def from_record(cls, record: Mapping) -> "PredictionRecord":
+        _check_object(record, "prediction")
         for key in ("sample_id", "raw_output"):
             if key not in record:
                 raise CorpusError(f"prediction is missing field {key!r}")
@@ -399,23 +433,13 @@ class PredictionRecord:
 
 
 def _iter_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise CorpusError(
-                        f"{path}:{lineno}: invalid JSON: {exc}") from None
-                if not isinstance(obj, dict):
-                    raise CorpusError(f"{path}:{lineno}: expected a JSON object")
-                yield lineno, obj
-    except OSError as exc:
-        raise CorpusError(f"cannot read {path}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise CorpusError(f"{path}: not UTF-8 text: {exc}") from None
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if not line.strip():
+            continue
+        obj = parse_json(line, f"{path}:{lineno}")
+        if not isinstance(obj, dict):
+            raise CorpusError(f"{path}:{lineno}: expected a JSON object")
+        yield lineno, obj
 
 
 def load_corpus(

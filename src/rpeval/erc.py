@@ -24,8 +24,6 @@ from .corpus import (
 from .judges import TransportError, extract_json_object
 from .prompts import build_erc_prompt
 
-import json
-
 logger = logging.getLogger(__name__)
 
 # Modality order is fixed; it is also the rater order fed to agreement.
@@ -99,14 +97,8 @@ def parse_erc_reply(
     ``None``.
     """
     out: dict[str, Optional[list[str]]] = {m: None for m in MODALITIES}
-    blob = extract_json_object(text)
-    if blob is None:
-        return out
-    try:
-        obj = json.loads(blob)
-    except json.JSONDecodeError:
-        return out
-    if not isinstance(obj, dict):
+    obj = extract_json_object(text)
+    if obj is None:
         return out
     for modality in MODALITIES:
         value = obj.get(_REPLY_KEYS[modality])

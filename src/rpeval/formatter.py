@@ -10,13 +10,12 @@ tallied, never silently guessed at.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .corpus import RESPONSE_FIELDS, MultimodalResponse
-from .judges import TransportError, extract_json_object
+from .judges import TransportError, extract_json_object, json_object
 from .prompts import build_repair_prompt
 
 logger = logging.getLogger(__name__)
@@ -85,16 +84,10 @@ def validate(
     """
     if not raw or not raw.strip():
         return None
-    candidates = [raw]
-    extracted = extract_json_object(raw)
-    if extracted is not None and extracted != raw:
-        candidates.append(extracted)
-    for candidate in candidates:
-        try:
-            obj = json.loads(candidate)
-        except json.JSONDecodeError:
-            continue
-        if not isinstance(obj, dict):
+    # The bare object first; the extractor only when that fails.
+    for parse in (json_object, extract_json_object):
+        obj = parse(raw)
+        if obj is None:
             continue
         normalized = _normalize_keys(obj, aliases)
         if normalized is None:

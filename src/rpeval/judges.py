@@ -360,12 +360,12 @@ class HttpBackend:
                 f"{data.decode('utf-8', 'replace')[:200]}"
             )
         try:
-            payload = json.loads(data)
-            return payload["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
-            raise TransportError(
-                f"backend {self.name!r}: malformed completion payload: {exc}"
-            ) from exc
+            content = json_object(data)["choices"][0]["message"]["content"]
+        except (KeyError, IndexError, TypeError):
+            content = None
+        if not isinstance(content, str):  # a refusal can have null content
+            raise TransportError(f"backend {self.name!r}: malformed completion payload")
+        return content
 
 
 class ReplyCache:
@@ -377,8 +377,7 @@ class ReplyCache:
     WAL mode; each ``put`` is its own transaction, so readers never see a
     partial record, and runs sharing a root wait out each other's writes
     instead of failing.  ``close`` checkpoints the WAL into the database
-    file.  When the database is created, entries of the older
-    ``<root>/<xx>/<key>.json`` layout are imported once.
+    file.
     """
 
     FILE = "replies.sqlite3"
@@ -389,7 +388,6 @@ class ReplyCache:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         path = self.root / self.FILE
-        fresh = not path.exists()
         self._lock = threading.Lock()
         self._db = None
         try:
@@ -399,26 +397,10 @@ class ReplyCache:
             self._db.execute("PRAGMA synchronous=NORMAL")
             self._db.execute("CREATE TABLE IF NOT EXISTS replies (key TEXT PRIMARY KEY,"
                              " kind TEXT NOT NULL, text TEXT NOT NULL)")
-            if fresh:
-                self._import_directory_layout()
         except sqlite3.DatabaseError as exc:
             if self._db is not None:
                 self._db.close()
             raise BackendConfigError(f"reply cache {path}: {exc}") from exc
-
-    def _import_directory_layout(self) -> None:
-        rows = []
-        for path in self.root.glob("??/*.json"):
-            try:
-                record = json.loads(path.read_text(encoding="utf-8"))
-            except (ValueError, OSError):
-                record = None
-            if isinstance(record, dict) and isinstance(record.get("text"), str):
-                rows.append((path.stem, str(record.get("kind", "")), record["text"]))
-            else:
-                logger.warning("discarding unreadable cache entry %s", path)
-        with self._db:
-            self._db.executemany("INSERT OR IGNORE INTO replies VALUES (?, ?, ?)", rows)
 
     def get(self, key: str) -> Optional[str]:
         with self._lock:
@@ -659,25 +641,36 @@ class JudgeClient:
 _FENCE_RE = re.compile(r"```(?:json)?\s*(.*?)```", re.DOTALL)
 
 
-def extract_json_object(text: str) -> Optional[str]:
-    """Pull the first complete JSON object out of free-form judge text.
+def json_object(text: str | bytes) -> Optional[dict]:
+    """The JSON object ``text`` holds; ``None`` if it holds none or nests too deep.
+
+    Judge output goes through here, so a bad reply costs that reply, never the run.
+    """
+    try:
+        obj = json.loads(text)
+    except (ValueError, RecursionError):
+        return None
+    return obj if isinstance(obj, dict) else None
+
+
+def extract_json_object(text: str) -> Optional[dict]:
+    """Parse the first complete JSON object out of free-form judge text.
 
     Handles code fences and leading/trailing prose by scanning for a
     balanced top-level ``{...}`` while respecting string literals.
+    ``None`` when there is no such ``{...}`` or it does not parse.
     """
     candidates = [m.group(1) for m in _FENCE_RE.finditer(text)]
     candidates.append(text)
     # Fast path: when the first candidate is, stripped, a JSON object, the
-    # scan below would return exactly that string.
+    # scan below would find exactly that string.
     first = candidates[0].strip()
     if first.startswith("{") and first.endswith("}"):
-        try:
-            json.loads(first)
-        except (ValueError, RecursionError):
-            pass
-        else:
-            return first
-    return _scan_json_object(candidates)
+        obj = json_object(first)
+        if obj is not None:
+            return obj
+    blob = _scan_json_object(candidates)
+    return None if blob is None else json_object(blob)
 
 
 def _scan_json_object(candidates: Sequence[str]) -> Optional[str]:
@@ -753,14 +746,8 @@ def parse_rc_verdict(
     at least one source string; spans that do not are dropped, which can
     flip a side's flag to 0.
     """
-    blob = extract_json_object(text)
-    if blob is None:
-        return None
-    try:
-        obj = json.loads(blob)
-    except json.JSONDecodeError:
-        return None
-    if not isinstance(obj, dict):
+    obj = extract_json_object(text)
+    if obj is None:
         return None
     agree = _coerce_spans(obj.get("agree_evidence"))
     disagree = _coerce_spans(obj.get("disagree_evidence"))

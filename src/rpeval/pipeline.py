@@ -37,6 +37,8 @@ from .corpus import (
     PredictionRecord,
     load_corpus,
     load_predictions,
+    parse_json,
+    read_lines,
     save_jsonl,
     segment_utterances,
 )
@@ -270,16 +272,8 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                obj = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from None
-        return cls.from_dict(obj)
+        text = "".join(read_lines(path, ConfigError))
+        return cls.from_dict(parse_json(text, f"config {path}", ConfigError))
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -806,25 +800,15 @@ def load_agreement_table(path: str | Path) -> list[list]:
     ratings; numeric-looking CSV cells are parsed as numbers.
     """
     path = Path(path)
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            if path.suffix.lower() == ".json":
-                obj = json.load(fh)
-            else:
-                records = list(csv.reader(fh))
-    except OSError as exc:
-        raise CorpusError(f"cannot read {path}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise CorpusError(f"{path}: not UTF-8 text: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise CorpusError(f"{path}: invalid JSON: {exc}") from None
+    lines = read_lines(path)
     if path.suffix.lower() == ".json":
+        obj = parse_json("".join(lines), str(path))
         if (not isinstance(obj, list)
                 or not all(isinstance(r, list) for r in obj)):
             raise CorpusError(f"{path}: expected a list of rater rows")
         return obj
     rows: list[list] = []
-    for record in records:
+    for record in csv.reader(lines):
         row: list = []
         for cell in record:
             cell = cell.strip()
@@ -854,8 +838,34 @@ def flatten_report(report: Mapping) -> dict:
     return flat
 
 
+_CLASS_STATS = ("n", "precision", "recall", "f1")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_report(report: Mapping) -> None:
+    """Refuse a report whose rendered parts lack the layout ``evaluate`` writes."""
+    summary = report.get("summary", {})
+    ok = isinstance(summary, Mapping) and all(
+        summary.get(key) is None or _is_number(summary[key]) for key in SUMMARY_KEYS)
+    ok = ok and isinstance(report.get("counts", {}), Mapping)
+    per_class = report.get("per_class", {})
+    ok = ok and isinstance(per_class, Mapping) and all(
+        isinstance(table, Mapping) and all(
+            isinstance(row, Mapping)
+            and all(_is_number(row.get(k)) for k in _CLASS_STATS)
+            for row in table.values())
+        for table in per_class.values())
+    if not ok:
+        raise CorpusError("report summary, counts or per_class do not have the "
+                          "layout of a finished run")
+
+
 def render_report(report: Mapping, fmt: str) -> str:
     """Serialize a report document as json, csv, or markdown."""
+    _check_report(report)
     if fmt == "json":
         return _dump_json(dict(report))
     if fmt == "csv":
@@ -901,29 +911,28 @@ def render_report(report: Mapping, fmt: str) -> str:
 def reimport_csv_report(path: str | Path) -> dict:
     """Read back a csv report into a flat dotted-key mapping."""
     out: dict = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["key", "value"]:
-            raise CorpusError(f"{path}: not a report csv")
-        for key, cell in reader:
-            if cell == "":
-                out[key] = None
-                continue
+    reader = csv.reader(read_lines(path))
+    if next(reader, None) != ["key", "value"]:
+        raise CorpusError(f"{path}: not a report csv")
+    for key, cell in reader:
+        if cell == "":
+            out[key] = None
+            continue
+        try:
+            out[key] = int(cell)
+        except ValueError:
             try:
-                out[key] = int(cell)
+                out[key] = float(cell)
             except ValueError:
-                try:
-                    out[key] = float(cell)
-                except ValueError:
-                    out[key] = cell
+                out[key] = cell
     return out
 
 
 def write_report_files(report: Mapping, out_dir: str | Path,
                        fmt: str) -> Path:
+    text = render_report(report, fmt)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"report.{fmt}"
-    path.write_text(render_report(report, fmt), encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
     return path

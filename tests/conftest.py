@@ -199,6 +199,7 @@ class _Judge(BaseHTTPRequestHandler):
 
     Once the script is empty, ``server.answer(request_json)`` gives the
     reply.  A ``None`` status hangs up after reading the request, unanswered.
+    A ``bytes`` payload is sent as it is, for bodies ``json`` cannot write.
     """
 
     protocol_version = "HTTP/1.1"
@@ -219,7 +220,10 @@ class _Judge(BaseHTTPRequestHandler):
         if status is None:
             self.close_connection = True
             return
-        data = b"" if payload is None else json.dumps(payload).encode("utf-8")
+        if payload is None or isinstance(payload, bytes):
+            data = payload or b""
+        else:
+            data = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))

@@ -62,6 +62,9 @@ def test_parse_erc_reply_per_modality_failures():
 def test_parse_erc_reply_unparseable_is_all_none():
     votes = parse_erc_reply("total garbage", 2, TAX)
     assert all(votes[m] is None for m in MODALITIES)
+    deep = '{"emos_f":' * 5000 + '["happy"]' + "}" * 5000
+    votes = parse_erc_reply(f"Labels: {deep} Done.", 1, TAX)
+    assert all(votes[m] is None for m in MODALITIES)
 
 
 def test_run_panel_full_vote_matrix():

@@ -82,6 +82,8 @@ def test_validate_strips_whitespace():
                 "speech_prompt": "z", "content": "hi"}),
     json.dumps({"face": "x", "facial_expression": "y", "body_movement": "b",
                 "speech_prompt": "s", "content": "hi"}),  # alias collision
+    pytest.param("Here is my answer: " + '{"content":' * 5000 + '"hi"'
+                 + "}" * 5000 + " Thanks.", id="nested-too-deep"),
 ])
 def test_validate_rejects(raw):
     assert validate(raw) is None

@@ -25,6 +25,7 @@ from rpeval.judges import (
     TransportError,
     _scan_json_object,
     extract_json_object,
+    json_object,
     parse_rc_verdict,
     prompt_digest,
 )
@@ -212,27 +213,6 @@ def test_cache_is_shared_by_threads_and_a_second_cache(tmp_path):
     second.close()
 
 
-def test_cache_in_the_directory_layout_is_imported(tmp_path, caplog):
-    # ``<root>/<xx>/<key>.json`` holding {"kind", "text"}: the layout
-    # reply caches had before the single database file.
-    root = tmp_path / "cache"
-    backend = MockBackend("m", handler=lambda p, s: "fresh")
-    key = JudgeRequest(kind="erc", prompt="p", judge="m",
-                       backend=backend.identity).idempotency_key
-    (root / key[:2]).mkdir(parents=True)
-    (root / key[:2] / f"{key}.json").write_text(
-        json.dumps({"kind": "erc", "text": "from before"}), encoding="utf-8")
-    (root / "ff").mkdir()
-    (root / "ff" / f"ff{'0' * 62}.json").write_text("{broken", encoding="utf-8")
-    with caplog.at_level("WARNING", logger="rpeval.judges"):
-        cache = ReplyCache(root)
-    assert "discarding unreadable cache entry" in caplog.text
-    client = JudgeClient(backend, cache=cache)
-    assert client.ask("erc", "p") == "from before"
-    assert backend.calls == 0
-    cache.close()
-
-
 def test_distinct_pass_index_bypasses_cache(tmp_path):
     backend = MockBackend("m", handler=lambda p, s: "r")
     client = JudgeClient(backend, cache=ReplyCache(tmp_path / "cache"))
@@ -319,6 +299,16 @@ def test_http_backend_statuses(judge_server):
 
     script.append((200, {"choices": []}))
     with pytest.raises(TransportError):
+        backend.complete("p", Sampling())
+
+    # a null content, as OpenAI-compatible servers send for a refusal
+    script.append((200, {"choices": [{"message": {"content": None}}]}))
+    with pytest.raises(TransportError, match="malformed completion payload"):
+        backend.complete("p", Sampling())
+
+    # a body nested too deep to parse is malformed too, not a crash
+    script.append((200, b'{"a":' * 100_000 + b"1" + b"}" * 100_000))
+    with pytest.raises(TransportError, match="malformed completion payload"):
         backend.complete("p", Sampling())
 
     script.append((200, {"choices": [{"message": {"content": "verdict"}}]}))
@@ -427,11 +417,11 @@ def test_http_backend_validates_construction():
 
 
 def test_extract_json_object_variants():
-    assert extract_json_object('{"a": 1}') == '{"a": 1}'
-    assert extract_json_object('prefix {"a": {"b": 2}} suffix') == '{"a": {"b": 2}}'
-    assert extract_json_object('```json\n{"a": 1}\n```') == '{"a": 1}'
+    assert extract_json_object('{"a": 1}') == {"a": 1}
+    assert extract_json_object('prefix {"a": {"b": 2}} suffix') == {"a": {"b": 2}}
+    assert extract_json_object('```json\n{"a": 1}\n```') == {"a": 1}
     tricky = '{"a": "brace } in string"}'
-    assert extract_json_object(f"text {tricky} text") == tricky
+    assert extract_json_object(f"text {tricky} text") == {"a": "brace } in string"}
     assert extract_json_object("no object here") is None
     assert extract_json_object("{unclosed") is None
 
@@ -451,7 +441,9 @@ def test_extract_json_object_fast_path_matches_the_scan():
     ]
     for text in cases:
         candidates = [m.group(1) for m in _FENCE_RE.finditer(text)] + [text]
-        assert extract_json_object(text) == _scan_json_object(candidates), text[:60]
+        blob = _scan_json_object(candidates)
+        expected = None if blob is None else json_object(blob)
+        assert extract_json_object(text) == expected, text[:60]
 
 
 def test_parse_rc_verdict_basic():
@@ -478,6 +470,8 @@ def test_parse_rc_verdict_rejects_junk():
     assert parse_rc_verdict(json.dumps({"agree_evidence": ["x"]})) is None
     assert parse_rc_verdict(json.dumps(
         {"agree_evidence": [1], "disagree_evidence": []})) is None
+    deep = '{"agree_evidence":' * 5000 + "[]" + "}" * 5000
+    assert parse_rc_verdict(f"My verdict: {deep} That is all.") is None
 
 
 def test_parse_rc_verdict_drops_nonverbatim_spans():

@@ -1,6 +1,7 @@
 """Pipeline orchestration: config, staging, reports, CLI."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -233,6 +234,9 @@ def test_evaluate_echo_run_is_perfect(small_world):
     # 5 experts x 2 passes x 6 samples of erc, plus rc: all misses, no hits yet
     assert manifest["cache"]["hits"] == 0
     assert manifest["cache"]["lookups"] > 0
+    # The WAL is folded back only once the last connection closes.
+    cache = Path(small_world["config"].cache_dir)
+    assert [p.name for p in cache.iterdir()] == ["replies.sqlite3"]
 
 
 def test_evaluate_repairs_near_miss_output(small_world, tmp_path):
@@ -280,6 +284,21 @@ def test_evaluate_drops_unrepairable_and_can_floor_rc(small_world, tmp_path):
     assert floored.report["metrics"]["rc"]["exp"]["scored"] == 6
     expected = (5 * 5.0 + 1.0) / 6
     assert floored.report["summary"]["rc.exp"] == pytest.approx(expected)
+
+
+def test_evaluate_drops_a_prediction_nested_too_deep_to_parse(small_world,
+                                                              tmp_path):
+    samples = small_world["samples"]
+    records = [echo_prediction(s) for s in samples]
+    deep = "Here: " + '{"a":' * 5000 + "1" + "}" * 5000 + " done."
+    records[0] = PredictionRecord(sample_id="s01", raw_output=deep)
+    predictions = write_predictions(tmp_path / "deep.jsonl", records)
+    run = evaluate(
+        small_world["config"], small_world["corpus"], predictions,
+        experts=small_world["experts"], rc_evaluators=small_world["rc"],
+    )
+    assert run.report["counts"]["dropped_format"] == 1
+    assert run.report["counts"]["ec_samples"] == 5
 
 
 def test_evaluate_drops_sample_when_panel_never_answers(small_world, tmp_path):
@@ -397,6 +416,10 @@ def test_render_report_formats(small_world, tmp_path):
             assert back[key] == value
     with pytest.raises(ConfigError):
         render_report(run.report, "pdf")
+    golden = json.loads((Path(__file__).parent / "data" / "golden_report.json")
+                        .read_text(encoding="utf-8"))
+    for fmt in ("json", "csv", "md"):  # passes the layout check
+        render_report(golden, fmt)
 
 
 # ---------------------------------------------------- agreement + table io
@@ -439,9 +462,12 @@ def test_generate_writes_loadable_predictions(small_world, tmp_path):
     # generation uses the creative sampling profile, not the greedy judge one
     assert seen["temperature"] == 0.7
     assert seen["top_p"] == 0.95
+    cache = tmp_path / "cache"
+    generate(fast_config(cache_dir=str(cache)), "gen", small_world["corpus"],
+             out, generator=MockBackend("gen", handler=handler))
+    assert [p.name for p in cache.iterdir()] == ["replies.sqlite3"]  # closed
     with pytest.raises(ConfigError, match="no generator backend"):
         generate(fast_config(), "gen", small_world["corpus"], out)
-    cache = tmp_path / "cache"
     with pytest.raises(ConfigError, match="cannot build a judge"):
         generate(fast_config(cache_dir=str(cache)), "gen", small_world["corpus"],
                  out, generator=object())
@@ -527,6 +553,23 @@ def test_cli_gt_stats_and_agreement(tmp_path, capsys):
     assert "alpha\t1.0" in capsys.readouterr().out
 
 
+def test_cli_corpus_parts_that_are_not_objects_are_data_errors(tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text("{}", encoding="utf-8")
+    good = make_sample("a", history=1).to_record()
+    for i, (key, value) in enumerate([
+            ("role", 5), ("history", 5), ("history", [5]),
+            ("history", [{"user": {"content": "hi"}, "agent": 5}]),
+            ("user_input", "content"), ("ground_truth", "face body speech content")]):
+        path = tmp_path / f"c{i}.jsonl"
+        path.write_text(json.dumps({**good, key: value}) + "\n", encoding="utf-8")
+        assert main(["gt-stats", "--config", str(config),
+                     "--corpus", str(path)]) == 3, (key, value)
+    path = tmp_path / "list.jsonl"
+    path.write_text(json.dumps(good) + "\n[1]\n", encoding="utf-8")
+    assert main(["gt-stats", "--config", str(config), "--corpus", str(path)]) == 3
+
+
 def test_cli_exit_codes(tmp_path):
     # 2: broken config
     bad_config = tmp_path / "bad.json"
@@ -562,6 +605,11 @@ def test_cli_exit_codes(tmp_path):
     latin1 = tmp_path / "latin1.json"
     latin1.write_bytes('{"delimiters": "é"}'.encode("latin-1"))
     assert main(["gt-stats", "--config", str(latin1), "--corpus", corpus]) == 2
+    # 2: a config nested too deep to parse, which used to end in a traceback
+    deep = '{"a":' * 100_000 + "1" + "}" * 100_000
+    deep_config = tmp_path / "deep.json"
+    deep_config.write_text(deep, encoding="utf-8")
+    assert main(["gt-stats", "--config", str(deep_config), "--corpus", corpus]) == 2
 
     # 3: corrupt corpus
     ok_config = tmp_path / "ok.json"
@@ -583,18 +631,43 @@ def test_cli_exit_codes(tmp_path):
                      "--out", str(tmp_path / "o3")]) == 3
     assert main(["evaluate", "--config", str(ok_config), "--corpus", corpus,
                  "--predictions", missing, "--out", str(tmp_path / "o3")]) == 3
+    # 3: a corpus or predictions line nested too deep to parse
+    deep_lines = tmp_path / "deep.jsonl"
+    deep_lines.write_text(deep + "\n", encoding="utf-8")
+    assert main(["gt-stats", "--config", str(ok_config),
+                 "--corpus", str(deep_lines)]) == 3
+    assert main(["evaluate", "--config", str(ok_config), "--corpus", corpus,
+                 "--predictions", str(deep_lines),
+                 "--out", str(tmp_path / "o3")]) == 3
     latin1_table = tmp_path / "table.csv"
     latin1_table.write_bytes("a,b\né,b\n".encode("latin-1"))
+    deep_table = tmp_path / "deep_table.json"
+    deep_table.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
     for table in (tmp_path / "missing.csv", tmp_path / "missing.json",
-                  latin1_table):
+                  latin1_table, deep_table):
         assert main(["agreement", "--kind", "nominal",
                      "--table", str(table)]) == 3
-    # 3: a report that is not a JSON object, or not UTF-8; nothing is written
+    # 3: a report that is not a JSON object, not UTF-8, nested too deep to
+    # parse, or not of the layout it is rendered from; nothing is written
     not_object = tmp_path / "list.json"
     not_object.write_text("[1, 2]", encoding="utf-8")
     latin1_report = tmp_path / "latin1_report.json"
     latin1_report.write_bytes('{"summary": "é"}'.encode("latin-1"))
-    for report in (not_object, latin1_report):
+    deep_report = tmp_path / "deep_report.json"
+    deep_report.write_text(deep, encoding="utf-8")
+    reports = [not_object, latin1_report, deep_report]
+    for i, layout in enumerate([
+            {"summary": [1]},
+            {"summary": {"mec.lower": "x"}},
+            {"summary": {"rc.exp": True}},
+            {"counts": [1]},
+            {"per_class": {"lower": {"happy": 3}}},
+            {"per_class": {"lower": {"happy": {"n": 1, "precision": 1.0,
+                                               "recall": None, "f1": 1.0}}}},
+            {"per_class": [1]}]):
+        reports.append(tmp_path / f"layout{i}.json")
+        reports[-1].write_text(json.dumps(layout), encoding="utf-8")
+    for report in reports:
         for fmt in ("md", "json", "csv"):
             assert main(["report", "--report", str(report), "--format", fmt,
                          "--out", str(tmp_path / "r")]) == 3

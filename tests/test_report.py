@@ -25,7 +25,7 @@ from conftest import (
 
 from rpeval.corpus import DEFAULT_EMOTION_LABELS, PredictionRecord, default_taxonomy
 from rpeval.judges import MockBackend
-from rpeval.pipeline import SUMMARY_KEYS, evaluate
+from rpeval.pipeline import SUMMARY_KEYS, evaluate, render_report
 
 GOLDEN = Path(__file__).parent / "data" / "golden_report.json"
 
@@ -160,6 +160,8 @@ def test_report_null_shape_when_every_prediction_is_unrepairable(small_world,
         assert run.report["per_class"] == {"lower": {}, "upper": {}}
         assert run.report["counts"]["dropped_format"] == 6
         assert run.report["counts"]["rc_floored"] == (6 if floor else 0)
+        for fmt in ("json", "csv", "md"):  # passes the layout check
+            render_report(run.report, fmt)
 
 
 def _perfect_per_class(gold_sets, classes):
@@ -205,3 +207,5 @@ def test_report_one_role_corpus_has_null_distinctiveness(tmp_path):
             [{taxonomy.tendency_of(lab) for lab in g} for g in gold],
             taxonomy.tendencies()),
     }
+    for fmt in ("json", "csv", "md"):  # passes the layout check
+        render_report(run.report, fmt)
