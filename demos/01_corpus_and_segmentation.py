@@ -32,13 +32,14 @@ print("taxonomy fingerprint:", taxonomy.fingerprint)
 
 # ------------------------------------------------------------ segmentation
 # Spoken content is split into utterances on CJK and ASCII sentence
-# punctuation.  Every utterance carries exactly one gold emotion label,
-# so the split size must match the annotation length.
+# punctuation.  The result is a plain list of strings, never empty.
+# Every utterance carries exactly one gold emotion label, so the list's
+# length must match the annotation length.
 
 content = "你来了！我等了你好久。Come in, sit down."
-seg = segment_utterances(content)
-print(f"\n{content!r} splits into {seg.count} utterances:")
-for i, utterance in enumerate(seg.utterances, 1):
+utterances = segment_utterances(content)
+print(f"\n{content!r} splits into {len(utterances)} utterances:")
+for i, utterance in enumerate(utterances, 1):
     print(f"  {i}. {utterance}")
 
 # ------------------------------------------------------------- one sample
@@ -62,7 +63,7 @@ sample = DialogueSample(
     gt_emotions=["astonished", "happy"],
 )
 sample.validate_against(taxonomy)
-n_utterances = segment_utterances(response.content).count
+n_utterances = len(segment_utterances(response.content))
 print("\nsample", sample.sample_id, "validates: gold labels",
       sample.gt_emotions, "match", n_utterances, "utterances")
 

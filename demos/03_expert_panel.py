@@ -41,8 +41,8 @@ response = MultimodalResponse(
     speech_prompt="clipped, rising",
     content="你骗了我。给我一个解释。",
 )
-seg = segment_utterances(response.content)
-print("\nutterances:", seg.utterances)
+utterances = segment_utterances(response.content)
+print("\nutterances:", utterances)
 
 majority_view = {f"emos_{m}": ["anger", "anger"]
                  for m in ("f", "b", "s", "fusion")}
@@ -57,15 +57,18 @@ def expert(name, view):
 experts = [expert(f"expert{i}", majority_view) for i in range(4)]
 experts.append(expert("expert4", minority_view))
 
-results = run_panel(response, seg, experts, taxonomy, passes=2)
+results = run_panel(response, utterances, experts, taxonomy, passes=2)
 print("panel returned", len(results), "expert-pass result(s)")
 
-voted = aggregate(results, tau=0.7, n_utterances=seg.count)
+# aggregate returns plain data: per channel, one final label and one
+# vote histogram (label -> count, keys sorted) per utterance.
+voted = aggregate(results, tau=0.7, n_utterances=len(utterances))
 print("fusion labels:", voted.fusion_labels)
-for i, cell in enumerate(voted.cells["fusion"], 1):
-    dist = cell.distribution
-    shares = {lab: f"{dist.probability(lab):.1f}" for lab in dist.counts}
-    print(f"  utterance {i}: {cell.label!r} from {dist.total_votes} votes {shares}")
+for i, (label, votes) in enumerate(
+        zip(voted.labels["fusion"], voted.counts["fusion"]), 1):
+    total = sum(votes.values())
+    shares = {lab: f"{count / total:.1f}" for lab, count in votes.items()}
+    print(f"  utterance {i}: {label!r} from {total} votes {shares}")
 
 # The second utterance went 8 anger vs 2 worried: 0.8 clears tau.  Had
 # three experts dissented (6 vs 4) the cell would come out ambiguous,

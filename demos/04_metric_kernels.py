@@ -23,7 +23,6 @@ from rpeval import (
     rc_score_from_verdict,
     rcd,
 )
-from rpeval.erc import EmotionDistribution
 
 taxonomy = default_taxonomy()
 
@@ -99,11 +98,12 @@ print("ordinal alpha rewards near misses:",
       round(krippendorff_alpha(ordinal, "nominal"), 4))
 
 # ------------------------------------------------------------------ indecision
-# A unanimous vote cell has zero normalized entropy; an even split over
-# two labels lands partway up the scale set by the taxonomy size.
+# A vote cell is a plain histogram, label -> count.  A unanimous cell
+# has zero normalized entropy; an even split over two labels lands
+# partway up the scale set by the taxonomy size.
 
-unanimous = EmotionDistribution(counts={"happy": 10}, total_votes=10)
-split = EmotionDistribution(counts={"happy": 5, "anger": 5}, total_votes=10)
+unanimous = {"happy": 10}
+split = {"anger": 5, "happy": 5}
 print("\nentropy unanimous:", normalized_entropy(unanimous, taxonomy.size))
 print("entropy 5/5 split:", round(normalized_entropy(split, taxonomy.size), 4))
 

@@ -230,9 +230,6 @@ class MultimodalResponse:
     speech_prompt: str
     content: str
 
-    def field(self, name: str) -> str:
-        return getattr(self, name)
-
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in RESPONSE_FIELDS}
 
@@ -274,24 +271,9 @@ class MultimodalResponse:
         }
 
 
-@dataclass
-class UtteranceSegmentation:
-    """Delimiter-split view of a response's text content."""
-
-    utterances: list[str]
-
-    def __post_init__(self) -> None:
-        if not self.utterances:
-            raise CorpusError("segmentation must contain at least one utterance")
-
-    @property
-    def count(self) -> int:
-        return len(self.utterances)
-
-
 def segment_utterances(
     content: str, delimiters: str = DEFAULT_DELIMITERS
-) -> UtteranceSegmentation:
+) -> list[str]:
     """Split text into utterances on sentence punctuation.
 
     Fragments are stripped of surrounding whitespace and empty fragments
@@ -316,7 +298,7 @@ def segment_utterances(
     if not parts:
         # content was made of delimiters/whitespace only
         parts = [content.strip()]
-    return UtteranceSegmentation(utterances=parts)
+    return parts
 
 
 @dataclass
@@ -395,11 +377,11 @@ class DialogueSample:
         self, taxonomy: EmotionTaxonomy, delimiters: str = DEFAULT_DELIMITERS
     ) -> None:
         """Check gold labels line up with the segmented ground-truth content."""
-        seg = segment_utterances(self.ground_truth.content, delimiters)
-        if len(self.gt_emotions) != seg.count:
+        n_utterances = len(segment_utterances(self.ground_truth.content, delimiters))
+        if len(self.gt_emotions) != n_utterances:
             raise CorpusError(
                 f"sample {self.sample_id!r}: {len(self.gt_emotions)} gold labels "
-                f"for {seg.count} utterances"
+                f"for {n_utterances} utterances"
             )
         for label in self.gt_emotions:
             if label not in taxonomy:

@@ -11,16 +11,11 @@ ambiguous sentinel.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Mapping, Optional, Sequence
 
-from .corpus import (
-    AMBIGUOUS,
-    EmotionTaxonomy,
-    MultimodalResponse,
-    UtteranceSegmentation,
-)
+from .corpus import AMBIGUOUS, EmotionTaxonomy, MultimodalResponse
 from .judges import TransportError, extract_json_object
 from .prompts import build_erc_prompt
 
@@ -37,28 +32,6 @@ DEFAULT_PASSES = 2
 # Guards the vote-share comparison against float artifacts such as
 # 7/10 < 0.7 * 10 / 10 evaluating the wrong way after division.
 _TAU_EPSILON = 1e-9
-
-
-@dataclass
-class EmotionDistribution:
-    """Vote histogram for one (modality, utterance) cell."""
-
-    counts: dict[str, int] = field(default_factory=dict)
-    total_votes: int = 0
-
-    def __post_init__(self) -> None:
-        if any(c <= 0 for c in self.counts.values()):
-            raise ValueError("vote counts must be positive")
-        if sum(self.counts.values()) != self.total_votes:
-            raise ValueError("total_votes must equal the summed counts")
-
-    def probability(self, label: str) -> float:
-        if self.total_votes == 0:
-            return 0.0
-        return self.counts.get(label, 0) / self.total_votes
-
-    def probabilities(self) -> dict[str, float]:
-        return {lab: c / self.total_votes for lab, c in sorted(self.counts.items())}
 
 
 @dataclass
@@ -80,10 +53,6 @@ class ErcResult:
             raise ValueError(f"unknown modalities: {sorted(extra)}")
         for m in MODALITIES:
             self.votes.setdefault(m, None)
-
-    @property
-    def all_missing(self) -> bool:
-        return all(self.votes[m] is None for m in MODALITIES)
 
 
 def parse_erc_reply(
@@ -119,7 +88,7 @@ def parse_erc_reply(
 
 def run_panel(
     response: MultimodalResponse,
-    segmentation: UtteranceSegmentation,
+    utterances: Sequence[str],
     experts: Sequence,
     taxonomy: EmotionTaxonomy,
     passes: int = DEFAULT_PASSES,
@@ -144,13 +113,11 @@ def run_panel(
         raise ValueError("passes must be at least 1")
     response_json = response.to_json()
     prompts = (
-        build_erc_prompt(response_json, segmentation.utterances, taxonomy.labels),
-        build_erc_prompt(
-            response_json, segmentation.utterances, taxonomy.labels, retry=True
-        ),
+        build_erc_prompt(response_json, utterances, taxonomy.labels),
+        build_erc_prompt(response_json, utterances, taxonomy.labels, retry=True),
     )
     calls = [
-        partial(_expert_pass, expert, prompts, pass_index, segmentation.count,
+        partial(_expert_pass, expert, prompts, pass_index, len(utterances),
                 taxonomy)
         for expert in experts
         for pass_index in range(1, passes + 1)
@@ -207,88 +174,55 @@ def select_label(counts: Mapping[str, int], total: int, tau: float = DEFAULT_TAU
 
 
 @dataclass
-class VoteCell:
-    """Final label plus the vote histogram behind it, for one cell."""
-
-    label: str
-    distribution: EmotionDistribution
-
-
-@dataclass
 class AggregatedEmotions:
-    """Voting outcome for one response: per-modality cell lists."""
+    """Voting outcome for one response, per modality and utterance.
 
-    cells: dict[str, list[VoteCell]]
-    n_utterances: int
+    ``labels[m][u]`` is the final label of a cell and ``counts[m][u]``
+    its vote histogram, keys sorted; a cell nobody voted on has an
+    empty histogram and the ambiguous label.
+    """
 
-    def labels(self, modality: str) -> list[str]:
-        return [cell.label for cell in self.cells[modality]]
-
-    def distributions(self, modality: str) -> list[EmotionDistribution]:
-        return [cell.distribution for cell in self.cells[modality]]
+    labels: dict[str, list[str]]
+    counts: dict[str, list[dict[str, int]]]
 
     @property
     def fusion_labels(self) -> list[str]:
-        return self.labels("fusion")
+        return self.labels["fusion"]
 
     @property
     def has_votes(self) -> bool:
-        return any(
-            cell.distribution.total_votes > 0
-            for cells in self.cells.values()
-            for cell in cells
-        )
+        return any(hist for row in self.counts.values() for hist in row)
 
 
 def aggregate(
     results: Sequence[ErcResult],
     tau: float = DEFAULT_TAU,
-    n_utterances: Optional[int] = None,
+    *,
+    n_utterances: int,
 ) -> AggregatedEmotions:
-    """Fold panel results into per-cell distributions and final labels.
+    """Fold panel results into per-cell vote histograms and final labels.
 
-    Vote lists must agree on length; ``n_utterances`` is inferred when
-    any vote list is present and must be supplied otherwise.  Cells with
-    zero votes come out ambiguous with an empty distribution.
+    Every vote list present must hold ``n_utterances`` labels.
     """
     if not 0.0 < tau <= 1.0:
         raise ValueError("tau must be in (0, 1]")
-    inferred = None
     for result in results:
         for m in MODALITIES:
             votes = result.votes[m]
-            if votes is None:
-                continue
-            if inferred is None:
-                inferred = len(votes)
-            elif len(votes) != inferred:
+            if votes is not None and len(votes) != n_utterances:
                 raise ValueError(
-                    f"vote list length {len(votes)} conflicts with {inferred}"
+                    f"vote list length {len(votes)}, expected {n_utterances}"
                 )
-    if inferred is None:
-        if n_utterances is None:
-            raise ValueError("no votes present and n_utterances not given")
-        inferred = n_utterances
-    elif n_utterances is not None and n_utterances != inferred:
-        raise ValueError(
-            f"votes cover {inferred} utterances, expected {n_utterances}"
-        )
-    cells: dict[str, list[VoteCell]] = {}
+    labels: dict[str, list[str]] = {}
+    counts: dict[str, list[dict[str, int]]] = {}
     for modality in MODALITIES:
-        row: list[VoteCell] = []
-        for u in range(inferred):
-            counts: dict[str, int] = {}
+        row = counts[modality] = []
+        for u in range(n_utterances):
+            hist: dict[str, int] = {}
             for result in results:
                 votes = result.votes[modality]
                 if votes is not None:
-                    counts[votes[u]] = counts.get(votes[u], 0) + 1
-            counts = dict(sorted(counts.items()))
-            total = sum(counts.values())
-            row.append(
-                VoteCell(
-                    label=select_label(counts, total, tau),
-                    distribution=EmotionDistribution(counts=counts, total_votes=total),
-                )
-            )
-        cells[modality] = row
-    return AggregatedEmotions(cells=cells, n_utterances=inferred)
+                    hist[votes[u]] = hist.get(votes[u], 0) + 1
+            row.append(dict(sorted(hist.items())))
+        labels[modality] = [select_label(h, sum(h.values()), tau) for h in row]
+    return AggregatedEmotions(labels=labels, counts=counts)

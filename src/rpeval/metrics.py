@@ -18,7 +18,6 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .corpus import AMBIGUOUS, CorpusError, EmotionTaxonomy
-from .erc import EmotionDistribution
 from .judges import RcVerdict
 
 logger = logging.getLogger(__name__)
@@ -465,9 +464,7 @@ def cec(
     return krippendorff_alpha(table, level="nominal")
 
 
-def normalized_entropy(
-    distribution: EmotionDistribution, num_categories: int
-) -> float:
+def normalized_entropy(counts: Mapping[str, int], num_categories: int) -> float:
     """Shannon entropy of the vote histogram, scaled to [0, 1].
 
     Normalization is by log(num_categories), so 1.0 means votes spread
@@ -476,26 +473,24 @@ def normalized_entropy(
     """
     if num_categories < 2:
         raise ValueError("need at least two categories")
-    total = distribution.total_votes
+    total = sum(counts.values())
     if total == 0:
         return 0.0
     entropy = 0.0
-    for count in distribution.counts.values():
+    for count in counts.values():
         p = count / total
         entropy -= p * math.log(p)
     return entropy / math.log(num_categories)
 
 
 def ed(
-    distributions: Iterable[EmotionDistribution], taxonomy: EmotionTaxonomy
+    histograms: Iterable[Mapping[str, int]], taxonomy: EmotionTaxonomy
 ) -> float:
     """Mean normalized vote-entropy over cells: expert indecision, 0 is crisp."""
-    dists = list(distributions)
-    if not dists:
-        raise ValueError("no distributions")
-    return float(
-        np.mean([normalized_entropy(d, taxonomy.size) for d in dists])
-    )
+    entropies = [normalized_entropy(h, taxonomy.size) for h in histograms]
+    if not entropies:
+        raise ValueError("no vote histograms")
+    return float(np.mean(entropies))
 
 
 def rc_score_from_verdict(verdict: RcVerdict) -> Optional[int]:

@@ -15,6 +15,7 @@ import hashlib
 import io
 import json
 import logging
+import math
 import random
 import time
 from collections import Counter
@@ -178,6 +179,8 @@ def _from_value(tp, value, where: str):
     if not isinstance(value, allowed) or (isinstance(value, bool) and tp is not bool):
         raise ConfigError(
             f"{where} must be {tp.__name__}, got {type(value).__name__}")
+    if tp is float and not math.isfinite(value):
+        raise ConfigError(f"{where} must be a finite number, got {value}")
     return value
 
 
@@ -547,10 +550,11 @@ def evaluate(
                                   max_attempts=config.max_repair_attempts)
         if outcome.response is None:
             return outcome, None, None
-        seg = segment_utterances(outcome.response.content, config.delimiters)
-        results = run_panel(outcome.response, seg, experts, taxonomy,
+        utterances = segment_utterances(outcome.response.content,
+                                        config.delimiters)
+        results = run_panel(outcome.response, utterances, experts, taxonomy,
                             passes=config.passes, fan_out=scheduler.fan_out)
-        votes = aggregate(results, tau=config.tau, n_utterances=seg.count)
+        votes = aggregate(results, tau=config.tau, n_utterances=len(utterances))
         return outcome, votes, _rc_judge_sample(
             by_id[pred.sample_id], outcome.response, rc_evaluators, config,
             scheduler.fan_out)
@@ -664,7 +668,7 @@ def _assemble_ec(config, taxonomy, samples, by_id, voted) -> tuple[dict, dict]:
     mecs = {level: mec(mec_samples, taxonomy, level=level)
             for level in ("lower", "upper")}
 
-    table = [[lab for votes in voted.values() for lab in votes.labels(m)]
+    table = [[lab for votes in voted.values() for lab in votes.labels[m]]
              for m in MODALITIES]
     try:
         cecs = {level: cec(table, taxonomy, level=level)
@@ -675,9 +679,8 @@ def _assemble_ec(config, taxonomy, samples, by_id, voted) -> tuple[dict, dict]:
 
     ed_values: dict[str, Optional[float]] = {}
     for column, modality in _ED_COLUMNS.items():
-        dists = [d for votes in voted.values()
-                 for d in votes.distributions(modality)]
-        ed_values[column] = ed(dists, taxonomy) if dists else None
+        hists = [h for votes in voted.values() for h in votes.counts[modality]]
+        ed_values[column] = ed(hists, taxonomy) if hists else None
 
     threads = group_role_dialogues(samples)
     gt_intra, gt_inter = _role_matrices(threads, lambda s: s.gt_emotions,
@@ -806,6 +809,11 @@ def load_agreement_table(path: str | Path) -> list[list]:
         if (not isinstance(obj, list)
                 or not all(isinstance(r, list) for r in obj)):
             raise CorpusError(f"{path}: expected a list of rater rows")
+        for i, row in enumerate(obj):
+            for j, cell in enumerate(row):
+                if isinstance(cell, (list, dict, bool)):
+                    raise CorpusError(f"{path}: row {i} cell {j} must be a "
+                                      "number, a string or null")
         return obj
     rows: list[list] = []
     for record in csv.reader(lines):
@@ -906,26 +914,6 @@ def render_report(report: Mapping, fmt: str) -> str:
                 )
         return "\n".join(lines) + "\n"
     raise ConfigError(f"unknown report format: {fmt!r}")
-
-
-def reimport_csv_report(path: str | Path) -> dict:
-    """Read back a csv report into a flat dotted-key mapping."""
-    out: dict = {}
-    reader = csv.reader(read_lines(path))
-    if next(reader, None) != ["key", "value"]:
-        raise CorpusError(f"{path}: not a report csv")
-    for key, cell in reader:
-        if cell == "":
-            out[key] = None
-            continue
-        try:
-            out[key] = int(cell)
-        except ValueError:
-            try:
-                out[key] = float(cell)
-            except ValueError:
-                out[key] = cell
-    return out
 
 
 def write_report_files(report: Mapping, out_dir: str | Path,

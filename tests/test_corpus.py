@@ -89,25 +89,21 @@ def test_fingerprint_tracks_label_order():
 
 
 def test_segmentation_mixed_punctuation():
-    seg = segment_utterances("你好。今天呢？ fine, thanks!")
-    assert seg.utterances == ["你好", "今天呢", "fine", "thanks"]
-    assert seg.count == 4
+    assert segment_utterances("你好。今天呢？ fine, thanks!") == [
+        "你好", "今天呢", "fine", "thanks"]
 
 
 def test_segmentation_discards_empty_fragments():
-    seg = segment_utterances("。。a。。 b 。")
-    assert seg.utterances == ["a", "b"]
+    assert segment_utterances("。。a。。 b 。") == ["a", "b"]
 
 
 def test_segmentation_without_delimiters_is_one_utterance():
-    seg = segment_utterances("just one thought with no stops")
-    assert seg.count == 1
-    assert seg.utterances == ["just one thought with no stops"]
+    assert segment_utterances("just one thought with no stops") == [
+        "just one thought with no stops"]
 
 
 def test_segmentation_all_delimiters_collapses_to_original():
-    seg = segment_utterances("。！。")
-    assert seg.count == 1
+    assert segment_utterances(" 。！。 ") == ["。！。"]
 
 
 def test_segmentation_rejects_empty_content():
@@ -118,8 +114,7 @@ def test_segmentation_rejects_empty_content():
 
 
 def test_segmentation_custom_delimiters():
-    seg = segment_utterances("a|b|c", delimiters="|")
-    assert seg.utterances == ["a", "b", "c"]
+    assert segment_utterances("a|b|c", delimiters="|") == ["a", "b", "c"]
 
 
 def test_response_roundtrip_and_canonical_json():

@@ -16,9 +16,14 @@ def demo_runs(tmp_path_factory):
     """Start every demo at once (each is mostly interpreter start-up)."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     cwd = tmp_path_factory.mktemp("demos")
+    # The suite's interpreter flags (``-X dev``, ``-W error``) reach the
+    # demos too.
+    flags = [f"-W{option}" for option in sys.warnoptions]
+    if sys.flags.dev_mode:
+        flags += ["-X", "dev"]
     procs = {
         demo.name: subprocess.Popen(
-            [sys.executable, str(demo)], cwd=cwd, env=env,
+            [sys.executable, *flags, str(demo)], cwd=cwd, env=env,
             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
         for demo in DEMOS
     }

@@ -9,7 +9,6 @@ from conftest import label_echo_expert, make_experts, make_response
 from rpeval.corpus import AMBIGUOUS, default_taxonomy, segment_utterances
 from rpeval.erc import (
     MODALITIES,
-    EmotionDistribution,
     ErcResult,
     aggregate,
     parse_erc_reply,
@@ -69,9 +68,9 @@ def test_parse_erc_reply_unparseable_is_all_none():
 
 def test_run_panel_full_vote_matrix():
     response = make_response("happy。sadness。")
-    seg = segment_utterances(response.content)
+    utterances = segment_utterances(response.content)
     experts = [_client(b) for b in make_experts(5)]
-    results = run_panel(response, seg, experts, TAX, passes=2)
+    results = run_panel(response, utterances, experts, TAX, passes=2)
     assert len(results) == 10
     assert {(r.expert_id, r.pass_index) for r in results} == {
         (f"expert{i}", p) for i in range(5) for p in (1, 2)
@@ -82,21 +81,21 @@ def test_run_panel_full_vote_matrix():
 
 def test_run_panel_retry_corrects_bad_reply():
     response = make_response("anger。")
-    seg = segment_utterances(response.content)
+    utterances = segment_utterances(response.content)
 
     def handler(prompt, sampling):
         if "Reminder:" in prompt:
             return _reply(["anger"])
         return "not json"
 
-    results = run_panel(response, seg, [_client(MockBackend("e", handler=handler))],
-                        TAX, passes=1)
+    results = run_panel(response, utterances,
+                        [_client(MockBackend("e", handler=handler))], TAX, passes=1)
     assert results[0].votes["fusion"] == ["anger"]
 
 
 def test_run_panel_drops_modalities_that_stay_invalid():
     response = make_response("anger。")
-    seg = segment_utterances(response.content)
+    utterances = segment_utterances(response.content)
 
     def handler(prompt, sampling):
         return json.dumps({
@@ -104,32 +103,32 @@ def test_run_panel_drops_modalities_that_stay_invalid():
             "emos_s": ["anger"], "emos_fusion": ["anger", "anger"],
         })
 
-    results = run_panel(response, seg, [_client(MockBackend("e", handler=handler))],
-                        TAX, passes=1)
+    results = run_panel(response, utterances,
+                        [_client(MockBackend("e", handler=handler))], TAX, passes=1)
     assert results[0].votes["f"] == ["anger"]
     assert results[0].votes["fusion"] is None
 
 
 def test_run_panel_transport_failure_records_empty_result():
     response = make_response("anger。")
-    seg = segment_utterances(response.content)
+    utterances = segment_utterances(response.content)
 
     def handler(prompt, sampling):
         raise TransportError("offline")
 
-    results = run_panel(response, seg, [_client(MockBackend("e", handler=handler))],
-                        TAX, passes=2)
-    assert len(results) == 2
-    assert all(r.all_missing for r in results)
+    results = run_panel(response, utterances,
+                        [_client(MockBackend("e", handler=handler))], TAX, passes=2)
+    assert [r.votes for r in results] == [{m: None for m in MODALITIES}] * 2
 
 
 def test_run_panel_requires_experts_and_passes():
     response = make_response("anger。")
-    seg = segment_utterances(response.content)
+    utterances = segment_utterances(response.content)
     with pytest.raises(ValueError):
-        run_panel(response, seg, [], TAX)
+        run_panel(response, utterances, [], TAX)
     with pytest.raises(ValueError):
-        run_panel(response, seg, [_client(label_echo_expert("e"))], TAX, passes=0)
+        run_panel(response, utterances, [_client(label_echo_expert("e"))], TAX,
+                  passes=0)
 
 
 def test_select_label_threshold_boundary():
@@ -147,20 +146,30 @@ def test_select_label_multiple_winners_is_ambiguous():
 def test_aggregate_worked_example():
     results = [_result(f"e{i}", ["happy"]) for i in range(8)]
     results += [_result("e8", ["sadness"]), _result("e9", ["worried"])]
-    agg = aggregate(results, tau=0.7)
-    cell = agg.cells["fusion"][0]
-    assert cell.label == "happy"
-    assert cell.distribution.total_votes == 10
-    assert cell.distribution.probability("happy") == pytest.approx(0.8)
+    agg = aggregate(results, tau=0.7, n_utterances=1)
+    assert agg.counts["fusion"] == [{"happy": 8, "sadness": 1, "worried": 1}]
+    assert agg.labels["fusion"] == ["happy"]
     assert agg.fusion_labels == ["happy"]
+    assert agg.has_votes
+
+
+def test_aggregate_histograms_have_sorted_keys():
+    results = [_result("a", ["worried", "happy"]), _result("b", ["anger", "happy"]),
+               _result("c", ["worried", "sadness"])]
+    agg = aggregate(results, n_utterances=2)
+    assert agg.counts["f"] == [{"anger": 1, "worried": 2},
+                               {"happy": 2, "sadness": 1}]
+    assert [list(h) for h in agg.counts["f"]] == [["anger", "worried"],
+                                                  ["happy", "sadness"]]
+    assert agg.labels == {m: [AMBIGUOUS, AMBIGUOUS] for m in MODALITIES}
 
 
 def test_aggregate_below_threshold_is_ambiguous():
     results = [_result(f"e{i}", ["happy"]) for i in range(6)]
     results += [_result(f"e{i+6}", ["sadness"]) for i in range(4)]
-    agg = aggregate(results, tau=0.7)
+    agg = aggregate(results, tau=0.7, n_utterances=1)
     assert agg.fusion_labels == [AMBIGUOUS]
-    assert agg.cells["fusion"][0].distribution.total_votes == 10
+    assert agg.counts["fusion"] == [{"happy": 6, "sadness": 4}]
 
 
 def test_aggregate_counts_only_present_modalities():
@@ -170,50 +179,36 @@ def test_aggregate_counts_only_present_modalities():
                   votes={"f": ["anger"], "b": None, "s": None, "fusion": None})
         for i in range(2)
     ]
-    agg = aggregate(full + partial, tau=0.7)
-    assert agg.cells["f"][0].distribution.total_votes == 10
-    assert agg.cells["fusion"][0].distribution.total_votes == 8
+    agg = aggregate(full + partial, tau=0.7, n_utterances=1)
+    assert agg.counts["f"] == [{"anger": 10}]
+    assert agg.counts["fusion"] == [{"anger": 8}]
 
 
 def test_aggregate_zero_votes_cell_is_ambiguous_and_empty():
     results = [ErcResult(expert_id="e", pass_index=1,
                          votes={m: None for m in MODALITIES})]
     agg = aggregate(results, n_utterances=2)
-    assert agg.n_utterances == 2
-    assert agg.fusion_labels == [AMBIGUOUS, AMBIGUOUS]
+    assert agg.labels == {m: [AMBIGUOUS, AMBIGUOUS] for m in MODALITIES}
+    assert agg.counts == {m: [{}, {}] for m in MODALITIES}
     assert not agg.has_votes
-    assert agg.cells["f"][0].distribution.total_votes == 0
+    assert aggregate([], n_utterances=1).counts == {m: [{}] for m in MODALITIES}
 
 
 def test_aggregate_rejects_conflicting_lengths():
-    results = [_result("a", ["happy"]), _result("b", ["happy", "sadness"])]
-    with pytest.raises(ValueError, match="conflicts"):
-        aggregate(results)
-    with pytest.raises(ValueError, match="expected"):
+    with pytest.raises(ValueError, match="expected 1"):
+        aggregate([_result("a", ["happy"]), _result("b", ["happy", "sadness"])],
+                  n_utterances=1)
+    with pytest.raises(ValueError, match="expected 3"):
         aggregate([_result("a", ["happy"])], n_utterances=3)
-
-
-def test_aggregate_needs_length_when_no_votes():
-    with pytest.raises(ValueError, match="n_utterances"):
-        aggregate([ErcResult(expert_id="e", pass_index=1,
-                             votes={m: None for m in MODALITIES})])
+    with pytest.raises(TypeError):
+        aggregate([_result("a", ["happy"])])  # the length is never inferred
 
 
 def test_aggregate_validates_tau():
     with pytest.raises(ValueError):
-        aggregate([_result("a", ["happy"])], tau=0.0)
+        aggregate([_result("a", ["happy"])], tau=0.0, n_utterances=1)
     with pytest.raises(ValueError):
-        aggregate([_result("a", ["happy"])], tau=1.5)
-
-
-def test_distribution_invariants():
-    with pytest.raises(ValueError):
-        EmotionDistribution(counts={"happy": 3}, total_votes=4)
-    with pytest.raises(ValueError):
-        EmotionDistribution(counts={"happy": 0}, total_votes=0)
-    dist = EmotionDistribution(counts={"happy": 3, "anger": 1}, total_votes=4)
-    assert dist.probabilities() == {"anger": 0.25, "happy": 0.75}
-    assert dist.probability("worried") == 0.0
+        aggregate([_result("a", ["happy"])], tau=1.5, n_utterances=1)
 
 
 def test_tau_one_requires_unanimity():

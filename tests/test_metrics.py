@@ -9,7 +9,6 @@ import pytest
 from oracles import alpha_pairwise, hellinger_via_bhattacharyya, transition_pairs
 
 from rpeval.corpus import AMBIGUOUS, CorpusError, EmotionTaxonomy, default_taxonomy
-from rpeval.erc import EmotionDistribution
 from rpeval.judges import RcVerdict
 from rpeval.metrics import (
     RcdResult,
@@ -484,26 +483,21 @@ def test_cec_rejects_unknown_labels():
 # --------------------------------------------------------------------- ed
 
 def test_normalized_entropy_extremes():
-    point = EmotionDistribution(counts={"happy": 10}, total_votes=10)
+    point = {"happy": 10}
     assert normalized_entropy(point, 13) == 0.0
-    uniform = EmotionDistribution(
-        counts={lab: 1 for lab in TAX.labels}, total_votes=13)
+    uniform = {lab: 1 for lab in TAX.labels}
     assert normalized_entropy(uniform, 13) == pytest.approx(1.0, abs=1e-12)
-    empty = EmotionDistribution()
-    assert normalized_entropy(empty, 13) == 0.0
+    assert normalized_entropy({}, 13) == 0.0
     with pytest.raises(ValueError):
         normalized_entropy(point, 1)
 
 
 def test_normalized_entropy_known_value():
-    half = EmotionDistribution(counts={"a": 5, "b": 5}, total_votes=10)
-    assert normalized_entropy(half, 4) == pytest.approx(0.5, abs=1e-12)
+    assert normalized_entropy({"a": 5, "b": 5}, 4) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_ed_averages_cells():
-    crisp = EmotionDistribution(counts={"happy": 10}, total_votes=10)
-    half = EmotionDistribution(counts={"happy": 5, "anger": 5}, total_votes=10)
-    value = ed([crisp, half], TAX)
+    value = ed([{"happy": 10}, {"anger": 5, "happy": 5}], TAX)
     expected = (0.0 + math.log(2) / math.log(13)) / 2.0
     assert value == pytest.approx(expected, abs=1e-12)
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Pipeline orchestration: config, staging, reports, CLI."""
 
+import csv
 import json
 from pathlib import Path
 
@@ -34,7 +35,6 @@ from rpeval.pipeline import (
     group_role_dialogues,
     gt_statistics,
     load_agreement_table,
-    reimport_csv_report,
     render_report,
     write_report_files,
 )
@@ -96,6 +96,22 @@ def test_config_rejects_unknown_keys_and_bad_values():
         ({"experts": [{"name": "e", "kind": "http", "timeout": -1}]}, "timeout"),
         ({"experts": [{"name": "e", "kind": "http", "timeout": 0}]}, "timeout"),
         ({"experts": [{"name": "e", "kind": "mock", "rate_limit": -5}]},
+         "rate_limit"),
+    ):
+        with pytest.raises(ConfigError, match=match):
+            RunConfig.from_dict(bad)
+    # non-finite numbers, which JSON parsing accepts: infinite smoothing
+    # flattens every transition distance to 0, an infinite timeout or delay
+    # overflows the socket or the sleep
+    for bad, match in (
+        ({"smoothing": float("inf")}, "smoothing"),
+        ({"smoothing": float("nan")}, "smoothing"),
+        ({"tau": float("nan")}, "tau"),
+        ({"retry": {"base_delay": float("inf")}}, "base_delay"),
+        ({"judge_sampling": {"temperature": float("-inf")}}, "temperature"),
+        ({"experts": [{"name": "e", "kind": "http", "timeout": float("inf")}]},
+         "timeout"),
+        ({"experts": [{"name": "e", "kind": "mock", "rate_limit": float("inf")}]},
          "rate_limit"),
     ):
         with pytest.raises(ConfigError, match=match):
@@ -406,14 +422,12 @@ def test_render_report_formats(small_world, tmp_path):
     assert "| mec.lower | 1.000000 |" in as_md
     assert "Per-class emotion F1" in as_md
     path = write_report_files(run.report, tmp_path / "render", "csv")
-    flat = flatten_report(run.report)
-    back = reimport_csv_report(path)
-    assert set(back) == set(flat)
-    for key, value in flat.items():
-        if isinstance(value, float):
-            assert abs(back[key] - value) <= 1e-12
-        else:
-            assert back[key] == value
+    expected = [["key", "value"]] + [
+        [key, "" if value is None
+         else repr(value) if isinstance(value, float) else str(value)]
+        for key, value in flatten_report(run.report).items()]
+    with open(path, encoding="utf-8", newline="") as fh:
+        assert list(csv.reader(fh)) == expected
     with pytest.raises(ConfigError):
         render_report(run.report, "pdf")
     golden = json.loads((Path(__file__).parent / "data" / "golden_report.json")
@@ -482,8 +496,8 @@ def _write_cli_fixtures(fixture_dir, sample, config_labels):
 
     fixture_dir.mkdir(parents=True, exist_ok=True)
     response = sample.ground_truth
-    seg = segment_utterances(response.content)
-    erc_prompt = build_erc_prompt(response.to_json(), seg.utterances,
+    erc_prompt = build_erc_prompt(response.to_json(),
+                                  segment_utterances(response.content),
                                   config_labels)
     erc_reply = json.dumps(
         {f"emos_{m}": list(sample.gt_emotions)
@@ -601,6 +615,15 @@ def test_cli_exit_codes(tmp_path):
     assert main(["evaluate", "--config", str(negative), "--corpus", corpus,
                  "--predictions", predictions,
                  "--out", str(tmp_path / "o1")]) == 2
+    # 2: an infinite timeout, which used to overflow the socket mid-run
+    infinite = tmp_path / "infinite.json"
+    infinite.write_text(
+        '{"experts": [{"name": "e", "kind": "http", "model": "m", '
+        '"endpoint": "http://127.0.0.1:9/v1", "timeout": Infinity}], '
+        '"rc_evaluators": [{"name": "r", "kind": "mock"}]}', encoding="utf-8")
+    assert main(["evaluate", "--config", str(infinite), "--corpus", corpus,
+                 "--predictions", predictions,
+                 "--out", str(tmp_path / "o1")]) == 2
     # 2: a config file that is not UTF-8
     latin1 = tmp_path / "latin1.json"
     latin1.write_bytes('{"delimiters": "é"}'.encode("latin-1"))
@@ -643,8 +666,16 @@ def test_cli_exit_codes(tmp_path):
     latin1_table.write_bytes("a,b\né,b\n".encode("latin-1"))
     deep_table = tmp_path / "deep_table.json"
     deep_table.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    # 3: JSON table cells that are not numbers, strings or null; a bool
+    # used to be read as the rating 1, an object to end in a traceback
+    cell_tables = []
+    for i, table in enumerate([[[{"a": 1}, {"a": 1}], [{"a": 1}, {"a": 1}]],
+                               [[[1], [1]], [[1], [1]]],
+                               [[True, 1], [1, 1]]]):
+        cell_tables.append(tmp_path / f"cells{i}.json")
+        cell_tables[-1].write_text(json.dumps(table), encoding="utf-8")
     for table in (tmp_path / "missing.csv", tmp_path / "missing.json",
-                  latin1_table, deep_table):
+                  latin1_table, deep_table, *cell_tables):
         assert main(["agreement", "--kind", "nominal",
                      "--table", str(table)]) == 3
     # 3: a report that is not a JSON object, not UTF-8, nested too deep to
