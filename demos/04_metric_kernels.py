@@ -9,7 +9,6 @@ import math
 
 from rpeval import (
     AMBIGUOUS,
-    RcVerdict,
     build_transition_matrices,
     cec,
     character_distinctiveness,
@@ -60,7 +59,7 @@ print("distance between the two intra matrices:",
 gt = {"hero": intra, "witch": other_intra}
 print("edd (gt vs itself):", edd(gt, gt))
 print("cd across roles:", round(character_distinctiveness(gt), 4))
-print("rcd (gt vs itself):", rcd(gt, gt).value)
+print("rcd (gt vs itself):", rcd(gt, gt)["value"])
 
 # ---------------------------------------------------------------- correctness
 # Emotion correctness compares per-sample label sets and weights each
@@ -73,10 +72,10 @@ samples = [
     (["anger"], ["anger", AMBIGUOUS]),               # sentinel dropped
     (["sadness"], ["fear"]),                         # miss
 ]
-lower = mec(samples, taxonomy, level="lower")
-upper = mec(samples, taxonomy, level="upper")
-print("\nmec lower:", round(lower.value, 4), "| upper:", round(upper.value, 4))
-print("per-class f1 (sadness):", lower.per_class["sadness"].f1)
+lower, per_class = mec(samples, taxonomy, level="lower")
+upper, _ = mec(samples, taxonomy, level="upper")
+print("\nmec lower:", round(lower, 4), "| upper:", round(upper, 4))
+print("per-class row (sadness):", per_class["sadness"])
 
 # ------------------------------------------------------------------ agreement
 # Cross-channel agreement treats the four channels as raters over all
@@ -108,11 +107,12 @@ print("\nentropy unanimous:", normalized_entropy(unanimous, taxonomy.size))
 print("entropy 5/5 split:", round(normalized_entropy(split, taxonomy.size), 4))
 
 # ------------------------------------------------------------------ role score
-# Each role-consistency verdict carries verbatim evidence for and
-# against; flags plus evidence counts map to a 1..5 score, and a
-# verdict with no evidence at all abstains.
+# Each role-consistency verdict is two lists of verbatim evidence, for
+# and against.  One-sided evidence pins the extremes (5 or 1), mixed
+# evidence compares the counts (4, 3 or 2), and a verdict with no
+# evidence at all abstains.  The pipeline scores each verdict as soon
+# as it is parsed and keeps only the score.
 
 for agree, disagree in [(2, 0), (3, 1), (2, 2), (1, 2), (0, 1), (0, 0)]:
-    verdict = RcVerdict(agree_evidence=["a"] * agree,
-                        disagree_evidence=["d"] * disagree)
-    print(f"agree={agree} disagree={disagree} -> {rc_score_from_verdict(verdict)}")
+    score = rc_score_from_verdict(["a"] * agree, ["d"] * disagree)
+    print(f"agree={agree} disagree={disagree} -> {score}")

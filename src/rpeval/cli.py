@@ -10,7 +10,6 @@ import argparse
 import json
 import logging
 import sys
-from pathlib import Path
 
 from .corpus import CorpusError, parse_json, read_lines
 from .judges import BackendConfigError, TransportError
@@ -22,6 +21,7 @@ from .pipeline import (
     generate,
     gt_statistics,
     load_agreement_table,
+    write_out_file,
     write_report_files,
 )
 
@@ -106,11 +106,7 @@ def _cmd_gt_stats(args) -> int:
     stats = gt_statistics(config, args.corpus)
     text = json.dumps(stats, ensure_ascii=False, sort_keys=True, indent=2)
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        path = out / "gt_stats.json"
-        path.write_text(text + "\n", encoding="utf-8")
-        print(path)
+        print(write_out_file(args.out, "gt_stats.json", text + "\n"))
     else:
         print(text)
     return EXIT_OK

@@ -19,7 +19,7 @@ import re
 import select
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence
 from urllib.parse import unquote, urlsplit
@@ -702,26 +702,6 @@ def _scan_json_object(candidates: Sequence[str]) -> Optional[str]:
     return None
 
 
-@dataclass
-class RcVerdict:
-    """Parsed role-consistency judgement: evidence lists plus flags.
-
-    Flags are derived, never taken from the reply: a side agrees or
-    disagrees exactly when it has at least one surviving evidence span.
-    """
-
-    agree_evidence: list[str] = field(default_factory=list)
-    disagree_evidence: list[str] = field(default_factory=list)
-
-    @property
-    def agree_flag(self) -> int:
-        return 1 if self.agree_evidence else 0
-
-    @property
-    def disagree_flag(self) -> int:
-        return 1 if self.disagree_evidence else 0
-
-
 def _coerce_spans(value: object) -> Optional[list[str]]:
     if isinstance(value, str):
         value = [value]
@@ -739,12 +719,12 @@ def _coerce_spans(value: object) -> Optional[list[str]]:
 
 def parse_rc_verdict(
     text: str, sources: Optional[Sequence[str]] = None
-) -> Optional[RcVerdict]:
-    """Parse a role-consistency reply; ``None`` when it is unusable.
+) -> Optional[tuple[list[str], list[str]]]:
+    """Parse a role-consistency reply into ``(agree_spans, disagree_spans)``.
 
-    When ``sources`` is given, every evidence span must occur verbatim in
-    at least one source string; spans that do not are dropped, which can
-    flip a side's flag to 0.
+    ``None`` means the reply is unusable.  When ``sources`` is given,
+    every evidence span must occur verbatim in at least one source
+    string; spans that do not are dropped, which can empty a side.
     """
     obj = extract_json_object(text)
     if obj is None:
@@ -756,4 +736,4 @@ def parse_rc_verdict(
     if sources is not None:
         agree = [s for s in agree if any(s in src for src in sources)]
         disagree = [s for s in disagree if any(s in src for src in sources)]
-    return RcVerdict(agree_evidence=agree, disagree_evidence=disagree)
+    return agree, disagree

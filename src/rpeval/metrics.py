@@ -18,7 +18,6 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .corpus import AMBIGUOUS, CorpusError, EmotionTaxonomy
-from .judges import RcVerdict
 
 logger = logging.getLogger(__name__)
 
@@ -240,82 +239,34 @@ def character_distinctiveness(
     return float(np.mean(distances))
 
 
-@dataclass
-class RcdResult:
-    """Distinctiveness gap: predicted minus gold cross-role distance."""
-
-    cd_gt: Optional[float]
-    cd_rpa: Optional[float]
-
-    @property
-    def value(self) -> Optional[float]:
-        if self.cd_gt is None or self.cd_rpa is None:
-            return None
-        return self.cd_rpa - self.cd_gt
-
-    def to_dict(self) -> dict:
-        return {"value": self.value, "cd_gt": self.cd_gt, "cd_rpa": self.cd_rpa}
-
-
 def rcd(
     gt: Mapping[str, TransitionMatrix],
     rpa: Mapping[str, TransitionMatrix],
     smooth: float = DEFAULT_SMOOTHING,
     mode: str = "flatten",
-) -> RcdResult:
-    """Relative distinctiveness: does the model keep roles as distinct as gold?"""
+) -> dict:
+    """Relative distinctiveness: does the model keep roles as distinct as gold?
+
+    Returns ``{"value", "cd_gt", "cd_rpa"}``; ``value`` is predicted
+    minus gold cross-role distance, ``None`` when either side is.
+    """
     if len(gt) < 2 or len(rpa) < 2:
         raise ValueError("need at least two roles on both sides")
-    return RcdResult(
-        cd_gt=character_distinctiveness(gt, smooth, mode),
-        cd_rpa=character_distinctiveness(rpa, smooth, mode),
-    )
+    cd_gt = character_distinctiveness(gt, smooth, mode)
+    cd_rpa = character_distinctiveness(rpa, smooth, mode)
+    value = None if cd_gt is None or cd_rpa is None else cd_rpa - cd_gt
+    return {"value": value, "cd_gt": cd_gt, "cd_rpa": cd_rpa}
 
 
-@dataclass
-class ClassStats:
-    """Corpus-level confusion counts for one class under set comparison."""
-
-    n: int = 0  # samples whose ground-truth set contains the class
-    tp: int = 0
-    fp: int = 0
-    fn: int = 0
-    tn: int = 0
-
-    @property
-    def precision(self) -> float:
-        return self.tp / (self.tp + self.fp) if (self.tp + self.fp) else 0.0
-
-    @property
-    def recall(self) -> float:
-        return self.tp / (self.tp + self.fn) if (self.tp + self.fn) else 0.0
-
-    @property
-    def f1(self) -> float:
-        denom = 2 * self.tp + self.fp + self.fn
-        return 2 * self.tp / denom if denom else 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n, "tp": self.tp, "fp": self.fp, "fn": self.fn, "tn": self.tn,
-            "precision": self.precision, "recall": self.recall, "f1": self.f1,
-        }
-
-
-@dataclass
-class MecReport:
-    """Support-weighted multi-label emotion F1 plus its per-class breakdown."""
-
-    level: str
-    value: float
-    per_class: dict[str, ClassStats]
+def _ratio(num: int, denom: int) -> float:
+    return num / denom if denom else 0.0
 
 
 def mec(
     samples: Sequence[tuple[Sequence[str], Sequence[str]]],
     taxonomy: EmotionTaxonomy,
     level: str = "lower",
-) -> MecReport:
+) -> tuple[float, dict[str, dict]]:
     """Emotion correctness over (gold labels, predicted labels) pairs.
 
     Per sample both sides are reduced to label *sets*; ambiguous
@@ -324,6 +275,9 @@ def mec(
     computed from corpus-aggregated confusion counts (0/0 taken as 0)
     and weighted by class support n_x, the number of samples whose gold
     set contains the class.
+
+    Returns ``(value, per_class)``; ``per_class[x]`` is the report row
+    ``{n, tp, fp, fn, tn, precision, recall, f1}``.
     """
     if level not in ("lower", "upper"):
         raise ValueError(f"bad level: {level!r}")
@@ -331,7 +285,7 @@ def mec(
         raise ValueError("no samples")
     upper = level == "upper"
     classes = taxonomy.tendencies() if upper else taxonomy.labels
-    stats = {x: ClassStats() for x in classes}
+    counts = {x: {"n": 0, "tp": 0, "fp": 0, "fn": 0, "tn": 0} for x in classes}
     for gt_labels, pred_labels in samples:
         if not gt_labels:
             raise ValueError("sample with empty ground-truth labels")
@@ -348,24 +302,28 @@ def mec(
                 raise CorpusError(f"unknown predicted label: {lab!r}")
             pd_set.add(taxonomy.tendency_of(lab) if upper else lab)
         for x in classes:
-            s = stats[x]
-            in_gt = x in gt_set
-            in_pd = x in pd_set
-            if in_gt:
-                s.n += 1
-            if in_gt and in_pd:
-                s.tp += 1
-            elif in_gt and not in_pd:
-                s.fn += 1
-            elif not in_gt and in_pd:
-                s.fp += 1
+            c = counts[x]
+            if x in gt_set:
+                c["n"] += 1
+                if x in pd_set:
+                    c["tp"] += 1
+                else:
+                    c["fn"] += 1
+            elif x in pd_set:
+                c["fp"] += 1
             else:
-                s.tn += 1
-    total_support = sum(s.n for s in stats.values())
+                c["tn"] += 1
+    per_class = {}
+    for x, c in counts.items():
+        tp, fp, fn = c["tp"], c["fp"], c["fn"]
+        per_class[x] = {**c, "precision": _ratio(tp, tp + fp),
+                        "recall": _ratio(tp, tp + fn),
+                        "f1": _ratio(2 * tp, 2 * tp + fp + fn)}
+    total_support = sum(row["n"] for row in per_class.values())
     if total_support == 0:
         raise ValueError("no class has any ground-truth support")
-    value = sum(s.n * s.f1 for s in stats.values()) / total_support
-    return MecReport(level=level, value=value, per_class=stats)
+    value = sum(row["n"] * row["f1"] for row in per_class.values()) / total_support
+    return value, per_class
 
 
 def _is_missing(value: object) -> bool:
@@ -493,7 +451,9 @@ def ed(
     return float(np.mean(entropies))
 
 
-def rc_score_from_verdict(verdict: RcVerdict) -> Optional[int]:
+def rc_score_from_verdict(
+    agree: Sequence[str], disagree: Sequence[str]
+) -> Optional[int]:
     """Map an evidence verdict onto the 1..5 scale; ``None`` means dropped.
 
     No evidence either way is an abstention (dropped).  One-sided
@@ -501,45 +461,14 @@ def rc_score_from_verdict(verdict: RcVerdict) -> Optional[int]:
     Mixed evidence compares span counts: more agreement 4, balanced 3,
     more disagreement 2.
     """
-    agree, disagree = verdict.agree_flag, verdict.disagree_flag
-    if agree == 0 and disagree == 0:
+    if not agree and not disagree:
         return None
-    if agree == 1 and disagree == 0:
+    if not disagree:
         return 5
-    if agree == 0 and disagree == 1:
+    if not agree:
         return 1
-    n_agree = len(verdict.agree_evidence)
-    n_disagree = len(verdict.disagree_evidence)
-    if n_agree > n_disagree:
+    if len(agree) > len(disagree):
         return 4
-    if n_agree == n_disagree:
+    if len(agree) == len(disagree):
         return 3
     return 2
-
-
-@dataclass
-class RcSampleScore:
-    """Per-evaluator mapped scores for one sample, plus their mean.
-
-    Evaluators whose verdict was unavailable (transport failure or an
-    unparseable reply after re-prompt) are absent from
-    ``per_evaluator``; evaluators that abstained are present with
-    ``None``.  ``score`` is ``None`` when nobody produced a score.
-    """
-
-    per_evaluator: dict[str, Optional[int]]
-    score: Optional[float]
-
-
-def rc_score(verdicts: Mapping[str, Optional[RcVerdict]]) -> RcSampleScore:
-    """Combine evaluator verdicts for one sample into its score."""
-    per_evaluator: dict[str, Optional[int]] = {}
-    for evaluator, verdict in verdicts.items():
-        if verdict is None:
-            continue
-        per_evaluator[evaluator] = rc_score_from_verdict(verdict)
-    scores = [s for s in per_evaluator.values() if s is not None]
-    return RcSampleScore(
-        per_evaluator=per_evaluator,
-        score=float(np.mean(scores)) if scores else None,
-    )

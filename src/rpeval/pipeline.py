@@ -26,6 +26,8 @@ from pathlib import Path
 from typing import (Mapping, Optional, Sequence, Union, get_args, get_origin,
                     get_type_hints)
 
+import numpy as np
+
 from . import __version__
 from .corpus import (
     AMBIGUOUS,
@@ -59,7 +61,6 @@ from .judges import (
 )
 from .metrics import (
     DEFAULT_SMOOTHING,
-    RcdResult,
     TransitionMatrix,
     build_transition_matrices,
     cec,
@@ -68,7 +69,7 @@ from .metrics import (
     edd,
     krippendorff_alpha,
     mec,
-    rc_score,
+    rc_score_from_verdict,
     rcd,
 )
 from .prompts import (
@@ -93,6 +94,9 @@ DEFAULT_RC_ROUTING = {
 # Report column -> panel modality, for the indecision metric.
 _ED_COLUMNS = {"all": "fusion", "spe": "s", "fac": "f", "bod": "b"}
 
+# An ``rcd`` entry when distinctiveness is undefined.
+_NULL_RCD = {"value": None, "cd_gt": None, "cd_rpa": None}
+
 SUMMARY_KEYS = (
     "mec.lower", "mec.upper",
     "cec.lower", "cec.upper",
@@ -105,6 +109,13 @@ SUMMARY_KEYS = (
 
 class ConfigError(ValueError):
     """Bad run configuration (file, schema, or values)."""
+
+
+def _require_unique_names(names: Sequence[str]) -> None:
+    """Refuse judges that share a name: the manifest keys their counters by it."""
+    dupes = sorted({name for name in names if names.count(name) > 1})
+    if dupes:
+        raise ConfigError(f"judge names must be unique within a run: {dupes}")
 
 
 @dataclass
@@ -256,9 +267,8 @@ class RunConfig:
                 raise ConfigError(
                     f"rc_routing[{metric!r}] has unknown fields: {sorted(bad)}"
                 )
-        names = [s.name for s in self.experts + self.rc_evaluators]
-        if len(names) != len(set(names)):
-            raise ConfigError("judge backend names must be unique")
+        _require_unique_names([s.name for s in self.experts + self.rc_evaluators
+                               + [self.repair] if s is not None])
 
     def taxonomy(self) -> EmotionTaxonomy:
         try:
@@ -340,6 +350,27 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
 
 
+def _make_out_dir(out_dir: str | Path) -> Path:
+    """Create the output directory; an unusable one is a ``ConfigError``."""
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot use output directory {out}: {exc.strerror or exc}") from None
+    return out
+
+
+def write_out_file(out_dir: str | Path, name: str, text: str) -> Path:
+    """Write ``text`` to ``out_dir/name``; an ``OSError`` is a ``ConfigError``."""
+    path = _make_out_dir(out_dir) / name
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+    return path
+
+
 def _judge_client(obj, config: RunConfig, sampling: Sampling,
                   cache: Optional[ReplyCache],
                   limiter: Optional[Permits] = None) -> JudgeClient:
@@ -371,11 +402,11 @@ def _judge_clients(config: RunConfig, cache: Optional[ReplyCache],
 
     experts = panel(experts, config.experts, "experts")
     rc_evaluators = panel(rc_evaluators, config.rc_evaluators, "rc_evaluators")
-    names = [c.name for c in experts + rc_evaluators]
-    if len(names) != len(set(names)):
-        raise ConfigError("judge names must be unique within a run")
     repair = repair if repair is not None else config.repair
-    return experts, rc_evaluators, client(repair) if repair is not None else None
+    repair = client(repair) if repair is not None else None
+    _require_unique_names([c.name for c in experts + rc_evaluators + [repair]
+                           if c is not None])
+    return experts, rc_evaluators, repair
 
 
 def _role_matrices(
@@ -464,8 +495,11 @@ def _rc_materials(sample: DialogueSample, fields: Sequence[str]) -> str:
 def _rc_judge_sample(sample, response, rc_evaluators, config, fan_out):
     """All three role-consistency questions for one sample.
 
-    The (question, evaluator) queries are independent and go out through
-    ``fan_out``; each corrective re-prompt follows its own first reply.
+    Returns ``{metric: {evaluator: score or None}}``.  An evaluator with
+    no usable verdict is absent; one that abstained is present with
+    ``None``.  The (question, evaluator) queries are independent and go
+    out through ``fan_out``; each corrective re-prompt follows its own
+    first reply.
     """
     history_text = render_history(sample.history)
     keys, calls = [], []
@@ -483,10 +517,11 @@ def _rc_judge_sample(sample, response, rc_evaluators, config, fan_out):
             keys.append((metric, evaluator.name))
             calls.append(partial(_rc_verdict, evaluator, prompts, sources,
                                  metric, sample.sample_id))
-    verdicts: dict[str, dict] = {metric: {} for metric in RC_METRICS}
+    scores: dict[str, dict] = {metric: {} for metric in RC_METRICS}
     for (metric, name), verdict in zip(keys, fan_out(calls)):
-        verdicts[metric][name] = verdict
-    return verdicts
+        if verdict is not None:
+            scores[metric][name] = rc_score_from_verdict(*verdict)
+    return scores
 
 
 def _rc_verdict(evaluator, prompts, sources, metric, sample_id):
@@ -538,6 +573,8 @@ def evaluate(
         predictions = [p for p in predictions if p.sample_id in keep]
     predictions = sorted(predictions, key=lambda p: p.sample_id)
     missing = sorted(set(by_id) - {p.sample_id for p in predictions})
+    if out_dir is not None:
+        _make_out_dir(out_dir)  # before the first judge request
 
     cache = ReplyCache(config.cache_dir) if config.cache_dir else None
     permits = Permits(config.concurrency)
@@ -583,7 +620,7 @@ def evaluate(
 
     # Deterministic metric assembly, once every sample is judged.
     metrics, per_class = _assemble_ec(config, taxonomy, samples, by_id, voted)
-    metrics["rc"] = _assemble_rc(rc_evaluators, rc_raw, floored)
+    metrics["rc"] = _assemble_rc([c.name for c in rc_evaluators], rc_raw, floored)
     tally = {
         "corpus_samples": len(samples),
         "predictions": len(predictions),
@@ -638,13 +675,8 @@ def evaluate(
     }
     written: list[Path] = []
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        report_path = out / "report.json"
-        report_path.write_text(_dump_json(report), encoding="utf-8")
-        manifest_path = out / "manifest.json"
-        manifest_path.write_text(_dump_json(manifest), encoding="utf-8")
-        written = [report_path, manifest_path]
+        written = [write_out_file(out_dir, "report.json", _dump_json(report)),
+                   write_out_file(out_dir, "manifest.json", _dump_json(manifest))]
     return EvaluationRun(report=report, manifest=manifest, written=written)
 
 
@@ -660,7 +692,7 @@ def _assemble_ec(config, taxonomy, samples, by_id, voted) -> tuple[dict, dict]:
             "mec": {"lower": None, "upper": None},
             "cec": {"lower": None, "upper": None},
             "edd": {"intra": None, "inter": None},
-            "rcd": {v: RcdResult(None, None).to_dict() for v in ("intra", "inter")},
+            "rcd": {v: dict(_NULL_RCD) for v in ("intra", "inter")},
             "ed": {column: None for column in _ED_COLUMNS},
         }, {"lower": {}, "upper": {}}
     mec_samples = [(by_id[sid].gt_emotions, votes.fusion_labels)
@@ -695,43 +727,45 @@ def _assemble_ec(config, taxonomy, samples, by_id, voted) -> tuple[dict, dict]:
     edds = {"intra": edd(gt_intra, rpa_intra, *divergence),
             "inter": edd(gt_inter, rpa_inter, *divergence)}
     if len(gt_intra) >= 2:
-        rcds = {"intra": rcd(gt_intra, rpa_intra, *divergence).to_dict(),
-                "inter": rcd(gt_inter, rpa_inter, *divergence).to_dict()}
+        rcds = {"intra": rcd(gt_intra, rpa_intra, *divergence),
+                "inter": rcd(gt_inter, rpa_inter, *divergence)}
     else:
         logger.warning("distinctiveness needs at least two roles; reporting null")
-        rcds = {v: RcdResult(None, None).to_dict() for v in ("intra", "inter")}
+        rcds = {v: dict(_NULL_RCD) for v in ("intra", "inter")}
     metrics = {
-        "mec": {level: result.value for level, result in mecs.items()},
+        "mec": {level: value for level, (value, _) in mecs.items()},
         "cec": cecs,
         "edd": edds,
         "rcd": rcds,
         "ed": ed_values,
     }
-    per_class = {level: {x: stats.to_dict() for x, stats in result.per_class.items()}
-                 for level, result in mecs.items()}
+    per_class = {level: table for level, (_, table) in mecs.items()}
     return metrics, per_class
 
 
-def _assemble_rc(rc_evaluators, rc_raw, floored: int) -> dict:
+def _assemble_rc(evaluators: Sequence[str], rc_raw, floored: int) -> dict:
     """The report's ``rc`` section, one entry per role-consistency metric.
 
-    ``rc_raw`` maps each formatted sample id, in sample-id order, to its
-    verdicts; each of the ``floored`` unrepairable samples adds a 1.0.
+    ``rc_raw`` maps each formatted sample id, in sample-id order, to the
+    per-evaluator scores of ``_rc_judge_sample``; a sample where no
+    evaluator scored is dropped, and each of the ``floored``
+    unrepairable samples adds a 1.0.
     """
     section = {}
     for metric in RC_METRICS:
         sample_scores: list[float] = []
         dropped = 0
-        per_eval_scores: dict[str, list[int]] = {c.name: [] for c in rc_evaluators}
-        for verdicts in rc_raw.values():
-            result = rc_score(verdicts[metric])
-            for name, value in result.per_evaluator.items():
+        per_eval_scores: dict[str, list[int]] = {name: [] for name in evaluators}
+        for per_evaluator in rc_raw.values():
+            scores = []
+            for name, value in per_evaluator[metric].items():
                 if value is not None:
                     per_eval_scores[name].append(value)
-            if result.score is None:
-                dropped += 1
+                    scores.append(value)
+            if scores:
+                sample_scores.append(float(np.mean(scores)))
             else:
-                sample_scores.append(result.score)
+                dropped += 1
         sample_scores.extend(1.0 for _ in range(floored))
         section[metric] = {
             "score": (sum(sample_scores) / len(sample_scores)
@@ -918,9 +952,4 @@ def render_report(report: Mapping, fmt: str) -> str:
 
 def write_report_files(report: Mapping, out_dir: str | Path,
                        fmt: str) -> Path:
-    text = render_report(report, fmt)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / f"report.{fmt}"
-    path.write_text(text, encoding="utf-8")
-    return path
+    return write_out_file(out_dir, f"report.{fmt}", render_report(report, fmt))

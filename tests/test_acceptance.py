@@ -34,7 +34,7 @@ from oracles import (
 
 from rpeval.corpus import AMBIGUOUS, PredictionRecord, default_taxonomy
 from rpeval.erc import MODALITIES, select_label
-from rpeval.judges import MockBackend, RcVerdict, TransportError
+from rpeval.judges import MockBackend, TransportError
 from rpeval.metrics import (
     build_transition_matrices,
     hellinger,
@@ -52,15 +52,13 @@ def _passed(criterion: int, detail: str) -> None:
 
 
 def test_criterion_01_rc_mapping_table_exact():
-    """Flag/evidence combinations map onto {dropped, 5, 4, 3, 2, 1}."""
+    """Evidence-count combinations map onto {dropped, 5, 4, 3, 2, 1}."""
     t0 = time.perf_counter()
     seen = set()
     for n_agree in range(6):
         for n_disagree in range(6):
-            verdict = RcVerdict(
-                agree_evidence=[f"a{i}" for i in range(n_agree)],
-                disagree_evidence=[f"d{i}" for i in range(n_disagree)],
-            )
+            agree = [f"a{i}" for i in range(n_agree)]
+            disagree = [f"d{i}" for i in range(n_disagree)]
             if n_agree == 0 and n_disagree == 0:
                 expected = None
             elif n_disagree == 0:
@@ -73,7 +71,7 @@ def test_criterion_01_rc_mapping_table_exact():
                 expected = 3
             else:
                 expected = 2
-            got = rc_score_from_verdict(verdict)
+            got = rc_score_from_verdict(agree, disagree)
             assert got == expected, (n_agree, n_disagree, got, expected)
             seen.add(expected)
     assert seen == {None, 5, 4, 3, 2, 1}
@@ -185,7 +183,7 @@ def test_criterion_05_mec_confusion_cells():
     for _ in range(10):
         gold = rng.sample(labels, rng.randint(1, 4))
         perfect.append((list(gold), list(gold)))
-    assert mec(perfect, TAXONOMY, level="lower").value == 1.0
+    assert mec(perfect, TAXONOMY, level="lower")[0] == 1.0
 
     for _ in range(500):
         samples = []
@@ -198,10 +196,10 @@ def test_criterion_05_mec_confusion_cells():
                 pred = pred[:-1]
             samples.append((gold, pred))
         for level in ("lower", "upper"):
-            report = mec(samples, TAXONOMY, level=level)
-            assert 0.0 <= report.value <= 1.0
+            value, per_class = mec(samples, TAXONOMY, level=level)
+            assert 0.0 <= value <= 1.0
             oracle = mec_via_precision_recall(samples, TAXONOMY, level)
-            assert abs(report.value - oracle) <= 1e-12
+            assert abs(value - oracle) <= 1e-12
             upper = level == "upper"
             pairs = []
             for gold, pred in samples:
@@ -211,13 +209,15 @@ def test_criterion_05_mec_confusion_cells():
                 pairs.append((g, p))
             classes = TAXONOMY.tendencies() if upper else labels
             for x in classes:
-                cell = report.per_class[x]
-                assert cell.tp == sum(1 for g, p in pairs if x in g and x in p)
-                assert cell.fn == sum(1 for g, p in pairs if x in g and x not in p)
-                assert cell.fp == sum(1 for g, p in pairs if x not in g and x in p)
-                assert cell.tn == sum(
+                cell = per_class[x]
+                assert cell["tp"] == sum(1 for g, p in pairs if x in g and x in p)
+                assert cell["fn"] == sum(
+                    1 for g, p in pairs if x in g and x not in p)
+                assert cell["fp"] == sum(
+                    1 for g, p in pairs if x not in g and x in p)
+                assert cell["tn"] == sum(
                     1 for g, p in pairs if x not in g and x not in p)
-                assert cell.n == cell.tp + cell.fn
+                assert cell["n"] == cell["tp"] + cell["fn"]
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
     _passed(5, f"500 corpora x 2 levels, cells exact, {elapsed:.2f}s")

@@ -17,7 +17,6 @@ from rpeval.judges import (
     JudgeRequest,
     MockBackend,
     Permits,
-    RcVerdict,
     ReplyCache,
     RequestRejected,
     RetryPolicy,
@@ -449,19 +448,13 @@ def test_extract_json_object_fast_path_matches_the_scan():
 def test_parse_rc_verdict_basic():
     reply = json.dumps({"agree_evidence": ["he bows politely"],
                         "disagree_evidence": []})
-    verdict = parse_rc_verdict(reply)
-    assert verdict == RcVerdict(agree_evidence=["he bows politely"],
-                                disagree_evidence=[])
-    assert verdict.agree_flag == 1
-    assert verdict.disagree_flag == 0
+    assert parse_rc_verdict(reply) == (["he bows politely"], [])
 
 
 def test_parse_rc_verdict_coerces_single_string_and_strips():
     reply = json.dumps({"agree_evidence": "  a span  ",
                         "disagree_evidence": ["", "  "]})
-    verdict = parse_rc_verdict(reply)
-    assert verdict.agree_evidence == ["a span"]
-    assert verdict.disagree_evidence == []
+    assert parse_rc_verdict(reply) == (["a span"], [])
 
 
 def test_parse_rc_verdict_rejects_junk():
@@ -480,12 +473,4 @@ def test_parse_rc_verdict_drops_nonverbatim_spans():
         "disagree_evidence": ["another invention"],
     })
     verdict = parse_rc_verdict(reply, sources=["then he bows politely and leaves"])
-    assert verdict.agree_evidence == ["he bows politely"]
-    assert verdict.disagree_evidence == []
-    assert verdict.disagree_flag == 0
-
-
-def test_verdict_flags_follow_evidence():
-    assert RcVerdict([], []).agree_flag == 0
-    assert RcVerdict(["x"], []).agree_flag == 1
-    assert RcVerdict([], ["y"]).disagree_flag == 1
+    assert verdict == (["he bows politely"], [])

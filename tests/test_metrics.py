@@ -1,17 +1,19 @@
 """Metric kernels against worked examples and independent oracles."""
 
+import ast
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracles import alpha_pairwise, hellinger_via_bhattacharyya, transition_pairs
 
+import rpeval
+import rpeval.metrics
 from rpeval.corpus import AMBIGUOUS, CorpusError, EmotionTaxonomy, default_taxonomy
-from rpeval.judges import RcVerdict
 from rpeval.metrics import (
-    RcdResult,
     TransitionMatrix,
     build_transition_matrices,
     cec,
@@ -23,7 +25,6 @@ from rpeval.metrics import (
     matrix_distance,
     mec,
     normalized_entropy,
-    rc_score,
     rc_score_from_verdict,
     rcd,
 )
@@ -279,32 +280,34 @@ def test_rcd_is_difference_of_distinctiveness():
     rpa = {"a": _one_hot_matrix("intra", "up", "up"),
            "b": _one_hot_matrix("intra", "up", "up")}
     result = rcd(gt, rpa, smooth=0.0)
-    assert result.cd_gt == pytest.approx(1.0)
-    assert result.cd_rpa == 0.0
-    assert result.value == pytest.approx(result.cd_rpa - result.cd_gt)
+    assert result["cd_gt"] == pytest.approx(1.0)
+    assert result["cd_rpa"] == 0.0
+    assert result["value"] == pytest.approx(result["cd_rpa"] - result["cd_gt"])
     with pytest.raises(ValueError):
         rcd({"a": gt["a"]}, rpa)
-    assert RcdResult(cd_gt=None, cd_rpa=0.5).value is None
+    # an undefined side (every predicted role empty) leaves the gap undefined
+    empty = {r: TransitionMatrix.zeros("intra", TINY_TAX.labels) for r in rpa}
+    assert rcd(gt, empty, smooth=0.0) == {"value": None, "cd_gt": result["cd_gt"],
+                              "cd_rpa": None}
 
 
 # -------------------------------------------------------------------- mec
 
 def test_mec_perfect_predictions():
     samples = [(["happy", "sadness"], ["sadness", "happy"])]
-    report = mec(samples, TAX)
-    assert report.value == 1.0
-    assert report.per_class["happy"].tp == 1
-    assert report.per_class["anger"].tn == 1
+    value, per_class = mec(samples, TAX)
+    assert value == 1.0
+    assert per_class["happy"]["tp"] == 1
+    assert per_class["anger"]["tn"] == 1
 
 
 def test_mec_ambiguous_predictions_are_discarded():
     samples = [(["happy"], [AMBIGUOUS, "happy", AMBIGUOUS])]
-    report = mec(samples, TAX)
-    assert report.value == 1.0
-    all_ambiguous = mec([(["happy"], [AMBIGUOUS])], TAX)
-    assert all_ambiguous.value == 0.0
-    assert all_ambiguous.per_class["happy"].fn == 1
-    assert all_ambiguous.per_class["happy"].fp == 0
+    assert mec(samples, TAX)[0] == 1.0
+    value, per_class = mec([(["happy"], [AMBIGUOUS])], TAX)
+    assert value == 0.0
+    assert per_class["happy"]["fn"] == 1
+    assert per_class["happy"]["fp"] == 0
 
 
 def test_mec_support_weighting_worked_example():
@@ -313,28 +316,28 @@ def test_mec_support_weighting_worked_example():
         (["happy"], ["happy"]),
         (["anger"], ["sadness"]),
     ]
-    report = mec(samples, TAX)
+    value, per_class = mec(samples, TAX)
     # happy: n=2 f1=1; anger: n=1 f1=0; sadness: n=0 (fp only)
-    assert report.value == pytest.approx(2.0 / 3.0, abs=1e-15)
-    assert report.per_class["sadness"].n == 0
-    assert report.per_class["sadness"].fp == 1
-    assert report.per_class["sadness"].f1 == 0.0
+    assert value == pytest.approx(2.0 / 3.0, abs=1e-15)
+    assert per_class["sadness"] == {"n": 0, "tp": 0, "fp": 1, "fn": 0, "tn": 2,
+                                    "precision": 0.0, "recall": 0.0, "f1": 0.0}
+    assert per_class["happy"]["f1"] == 1.0
 
 
 def test_mec_upper_collapses_to_tendencies():
     samples = [(["happy"], ["grateful"])]
-    lower = mec(samples, TAX, level="lower")
-    upper = mec(samples, TAX, level="upper")
-    assert lower.value == 0.0
-    assert upper.value == 1.0
-    assert set(upper.per_class) == {"positive", "neutral", "negative"}
+    lower, _ = mec(samples, TAX, level="lower")
+    upper, upper_per_class = mec(samples, TAX, level="upper")
+    assert lower == 0.0
+    assert upper == 1.0
+    assert set(upper_per_class) == {"positive", "neutral", "negative"}
 
 
 def test_mec_duplicate_labels_collapse_to_sets():
     a = mec([(["happy", "happy", "anger"], ["happy", "happy"])], TAX)
     b = mec([(["happy", "anger"], ["happy"])], TAX)
-    assert a.value == b.value
-    assert a.per_class["happy"].tp == b.per_class["happy"].tp == 1
+    assert a == b
+    assert a[1]["happy"]["tp"] == 1
 
 
 def test_mec_errors():
@@ -362,7 +365,7 @@ def test_mec_matches_precision_recall_route():
                   for _ in range(rng.randint(0, 4))]
             samples.append((gt, pd))
         for level in ("lower", "upper"):
-            assert mec(samples, TAX, level).value == pytest.approx(
+            assert mec(samples, TAX, level)[0] == pytest.approx(
                 mec_via_precision_recall(samples, TAX, level), abs=1e-12)
 
 
@@ -507,32 +510,25 @@ def test_ed_averages_cells():
 # ---------------------------------------------------------------- rc scores
 
 def test_rc_verdict_mapping_table():
-    assert rc_score_from_verdict(RcVerdict([], [])) is None
-    assert rc_score_from_verdict(RcVerdict(["a"], [])) == 5
-    assert rc_score_from_verdict(RcVerdict(["a", "b"], ["c"])) == 4
-    assert rc_score_from_verdict(RcVerdict(["a"], ["c"])) == 3
-    assert rc_score_from_verdict(RcVerdict(["a"], ["c", "d"])) == 2
-    assert rc_score_from_verdict(RcVerdict([], ["c"])) == 1
+    assert rc_score_from_verdict([], []) is None
+    assert rc_score_from_verdict(["a"], []) == 5
+    assert rc_score_from_verdict(["a", "b"], ["c"]) == 4
+    assert rc_score_from_verdict(["a"], ["c"]) == 3
+    assert rc_score_from_verdict(["a"], ["c", "d"]) == 2
+    assert rc_score_from_verdict([], ["c"]) == 1
 
 
-def test_rc_score_averages_available_evaluators():
-    result = rc_score({
-        "alpha": RcVerdict(["x"], []),          # 5
-        "beta": RcVerdict(["x"], ["y", "z"]),   # 2
-    })
-    assert result.score == pytest.approx(3.5)
-    assert result.per_evaluator == {"alpha": 5, "beta": 2}
+# ---------------------------------------------------------------- layering
 
-
-def test_rc_score_handles_abstentions_and_unavailable():
-    result = rc_score({
-        "alpha": RcVerdict([], []),   # abstains
-        "beta": None,                 # unavailable
-    })
-    assert result.score is None
-    assert result.per_evaluator == {"alpha": None}
-    partial = rc_score({
-        "alpha": RcVerdict([], []),
-        "beta": RcVerdict([], ["y"]),
-    })
-    assert partial.score == 1.0
+def test_metrics_depend_on_corpus_only_and_exports_resolve():
+    source = Path(rpeval.metrics.__file__).read_text(encoding="utf-8")
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = ("rpeval." if node.level else "") + (node.module or "")
+            imported.add(module.rstrip("."))
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert {m for m in imported if m.split(".")[0] == "rpeval"} == {"rpeval.corpus"}
+    for name in rpeval.__all__:
+        assert hasattr(rpeval, name), name

@@ -20,13 +20,22 @@ from conftest import (
 
 from rpeval.cli import main
 from rpeval.corpus import CorpusError, PredictionRecord, load_predictions
-from rpeval.judges import MockBackend, RetryPolicy, TransportError, prompt_digest
+from rpeval.judges import (
+    JudgeClient,
+    MockBackend,
+    RetryPolicy,
+    TransportError,
+    prompt_digest,
+)
 from rpeval.pipeline import (
     DEFAULT_RC_ROUTING,
+    RC_METRICS,
     SUMMARY_KEYS,
     BackendSpec,
     ConfigError,
     RunConfig,
+    _assemble_rc,
+    _rc_judge_sample,
     _rc_materials,
     agreement,
     evaluate,
@@ -60,6 +69,12 @@ def test_config_rejects_unknown_keys_and_bad_values():
         RunConfig.from_dict({
             "experts": [{"name": "same", "kind": "mock"},
                         {"name": "same", "kind": "mock"}],
+        })
+    # the repair judge shares the manifest's per-name counters too
+    with pytest.raises(ConfigError, match="unique.*'same'"):
+        RunConfig.from_dict({
+            "rc_evaluators": [{"name": "same", "kind": "mock"}],
+            "repair": {"name": "same", "kind": "mock"},
         })
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"labels": ["happy"]})  # taxonomy too small
@@ -302,6 +317,35 @@ def test_evaluate_drops_unrepairable_and_can_floor_rc(small_world, tmp_path):
     assert floored.report["summary"]["rc.exp"] == pytest.approx(expected)
 
 
+def test_assemble_rc_averages_evaluators():
+    rc_raw = {"s1": {m: {"alpha": 5, "beta": 2} for m in RC_METRICS}}
+    section = _assemble_rc(["alpha", "beta"], rc_raw, floored=0)
+    assert section["exp"] == {"score": 3.5,
+                              "per_evaluator": {"alpha": 5.0, "beta": 2.0},
+                              "scored": 1, "dropped": 0}
+
+
+def test_assemble_rc_drops_abstaining_and_unusable(small_world):
+    # alpha quotes no evidence (abstains), beta's replies are unusable
+    def replying(name, text):
+        backend = MockBackend(name, handler=lambda prompt, sampling: text)
+        return JudgeClient(backend, RetryPolicy(max_attempts=1, base_delay=0.0))
+
+    evaluators = [replying("alpha", '{"agree_evidence": [], "disagree_evidence": []}'),
+                  replying("beta", "no verdict")]
+    sample = small_world["samples"][0]
+    scores = _rc_judge_sample(sample, sample.ground_truth, evaluators,
+                              fast_config(), lambda calls: [c() for c in calls])
+    assert scores == {m: {"alpha": None} for m in RC_METRICS}
+    # a sample where only beta scores is kept; one floored sample adds 1.0
+    rc_raw = {"s1": scores,
+              "s2": {m: {"alpha": None, "beta": 2} for m in RC_METRICS}}
+    section = _assemble_rc(["alpha", "beta"], rc_raw, floored=1)
+    assert section["cha"] == {"score": 1.5,
+                              "per_evaluator": {"alpha": None, "beta": 2.0},
+                              "scored": 2, "dropped": 1}
+
+
 def test_evaluate_drops_a_prediction_nested_too_deep_to_parse(small_world,
                                                               tmp_path):
     samples = small_world["samples"]
@@ -366,6 +410,16 @@ def test_evaluate_rejects_unknown_prediction_ids(small_world, tmp_path):
         evaluate(small_world["config"], small_world["corpus"], predictions,
                  experts=small_world["experts"],
                  rc_evaluators=small_world["rc"])
+
+
+def test_evaluate_refuses_a_repair_judge_named_like_another(small_world):
+    experts = small_world["experts"]
+    with pytest.raises(ConfigError, match="unique.*'expert0'"):
+        evaluate(small_world["config"], small_world["corpus"],
+                 small_world["predictions"], experts=experts,
+                 rc_evaluators=small_world["rc"],
+                 repair_judge=make_repair_judge({}, name="expert0"))
+    assert sum(b.calls for b in experts + small_world["rc"]) == 0
 
 
 def test_evaluate_raises_when_no_judge_ever_answers(small_world, tmp_path):
@@ -714,6 +768,36 @@ def test_cli_exit_codes(tmp_path):
     assert main(["evaluate", "--config", str(dead_config), "--corpus", corpus,
                  "--predictions", predictions,
                  "--out", str(tmp_path / "o2")]) == 4
+    # 2: an output directory that cannot be made or written into, refused
+    # before any judge request (the dead judges above would give 4)
+    a_file = tmp_path / "a_file"
+    a_file.write_text("", encoding="utf-8")
+    blocked = tmp_path / "blocked"
+    (blocked / "report.json").mkdir(parents=True)
+    ok_report = tmp_path / "ok_report.json"
+    ok_report.write_text("{}", encoding="utf-8")
+    for out in (a_file, a_file / "sub"):
+        assert main(["evaluate", "--config", str(dead_config), "--corpus", corpus,
+                     "--predictions", predictions, "--out", str(out)]) == 2
+        assert main(["gt-stats", "--config", str(ok_config), "--corpus", corpus,
+                     "--out", str(out)]) == 2
+        assert main(["report", "--report", str(ok_report), "--format", "md",
+                     "--out", str(out)]) == 2
+    experts, critics = make_experts(), make_rc_evaluators()
+    with pytest.raises(ConfigError, match="a_file"):
+        evaluate(fast_config(), corpus, predictions, out_dir=a_file,
+                 experts=experts, rc_evaluators=critics)
+    assert sum(b.calls for b in experts + critics) == 0
+    # a file that cannot be written into the directory is a config error too
+    with pytest.raises(ConfigError, match="report.json"):
+        evaluate(fast_config(), corpus, predictions, out_dir=blocked,
+                 experts=experts, rc_evaluators=critics)
+    (blocked / "gt_stats.json").mkdir()
+    (blocked / "report.md").mkdir()
+    assert main(["gt-stats", "--config", str(ok_config), "--corpus", corpus,
+                 "--out", str(blocked)]) == 2
+    assert main(["report", "--report", str(ok_report), "--format", "md",
+                 "--out", str(blocked)]) == 2
     # 2: a reply cache file that is not a database, before any judge runs
     (tmp_path / "cache").mkdir()
     (tmp_path / "cache" / "replies.sqlite3").write_bytes(b"not a database " * 100)
