@@ -57,15 +57,17 @@ def expert(name, view):
 experts = [expert(f"expert{i}", majority_view) for i in range(4)]
 experts.append(expert("expert4", minority_view))
 
+# One plain dict per (expert, pass), in (expert, pass) order: each
+# channel's labels, or None where the expert's reply was unusable.
 results = run_panel(response, utterances, experts, taxonomy, passes=2)
-print("panel returned", len(results), "expert-pass result(s)")
+print("panel returned", len(results), "expert-pass vote dicts")
+print("expert4, pass 1:", results[8])
 
-# aggregate returns plain data: per channel, one final label and one
-# vote histogram (label -> count, keys sorted) per utterance.
-voted = aggregate(results, tau=0.7, n_utterances=len(utterances))
-print("fusion labels:", voted.fusion_labels)
-for i, (label, votes) in enumerate(
-        zip(voted.labels["fusion"], voted.counts["fusion"]), 1):
+# aggregate returns two plain dicts keyed by channel: the final label of
+# each utterance, and its vote histogram (label -> count, keys sorted).
+labels, counts = aggregate(results, tau=0.7, n_utterances=len(utterances))
+print("fusion labels:", labels["fusion"])
+for i, (label, votes) in enumerate(zip(labels["fusion"], counts["fusion"]), 1):
     total = sum(votes.values())
     shares = {lab: f"{count / total:.1f}" for lab, count in votes.items()}
     print(f"  utterance {i}: {label!r} from {total} votes {shares}")

@@ -11,7 +11,6 @@ ambiguous sentinel.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -32,27 +31,6 @@ DEFAULT_PASSES = 2
 # Guards the vote-share comparison against float artifacts such as
 # 7/10 < 0.7 * 10 / 10 evaluating the wrong way after division.
 _TAU_EPSILON = 1e-9
-
-
-@dataclass
-class ErcResult:
-    """One expert pass over one response: a vote list per modality.
-
-    A modality whose reply could not be coerced to valid labels (after
-    one corrective re-prompt) is ``None``: its votes are simply absent,
-    shrinking the denominators for the affected cells.
-    """
-
-    expert_id: str
-    pass_index: int
-    votes: dict[str, Optional[list[str]]]
-
-    def __post_init__(self) -> None:
-        extra = set(self.votes) - set(MODALITIES)
-        if extra:
-            raise ValueError(f"unknown modalities: {sorted(extra)}")
-        for m in MODALITIES:
-            self.votes.setdefault(m, None)
 
 
 def parse_erc_reply(
@@ -93,8 +71,13 @@ def run_panel(
     taxonomy: EmotionTaxonomy,
     passes: int = DEFAULT_PASSES,
     fan_out: Optional[Callable[[list], list]] = None,
-) -> list[ErcResult]:
+) -> list[dict[str, Optional[list[str]]]]:
     """Query every expert ``passes`` times over one response.
+
+    Each (expert, pass) yields one ``{modality: labels or None}`` dict.
+    A modality whose reply could not be coerced to valid labels is
+    ``None``: its votes are simply absent, shrinking the denominators
+    for the affected cells.
 
     Experts are ``JudgeClient``-shaped (``name`` attribute plus
     ``ask(kind, prompt, pass_index)``).  A malformed reply earns one
@@ -127,7 +110,7 @@ def run_panel(
     return fan_out(calls)
 
 
-def _expert_pass(expert, prompts, pass_index, n_utterances, taxonomy) -> ErcResult:
+def _expert_pass(expert, prompts, pass_index, n_utterances, taxonomy):
     prompt, retry_prompt = prompts
     votes = _query_once(expert, prompt, pass_index, n_utterances, taxonomy)
     if any(votes[m] is None for m in MODALITIES):
@@ -145,11 +128,7 @@ def _expert_pass(expert, prompts, pass_index, n_utterances, taxonomy) -> ErcResu
             pass_index,
             dropped,
         )
-    return ErcResult(
-        expert_id=getattr(expert, "name", "expert"),
-        pass_index=pass_index,
-        votes=votes,
-    )
+    return votes
 
 
 def _query_once(expert, prompt, pass_index, n_utterances, taxonomy):
@@ -173,45 +152,26 @@ def select_label(counts: Mapping[str, int], total: int, tau: float = DEFAULT_TAU
     return AMBIGUOUS
 
 
-@dataclass
-class AggregatedEmotions:
-    """Voting outcome for one response, per modality and utterance.
-
-    ``labels[m][u]`` is the final label of a cell and ``counts[m][u]``
-    its vote histogram, keys sorted; a cell nobody voted on has an
-    empty histogram and the ambiguous label.
-    """
-
-    labels: dict[str, list[str]]
-    counts: dict[str, list[dict[str, int]]]
-
-    @property
-    def fusion_labels(self) -> list[str]:
-        return self.labels["fusion"]
-
-    @property
-    def has_votes(self) -> bool:
-        return any(hist for row in self.counts.values() for hist in row)
-
-
 def aggregate(
-    results: Sequence[ErcResult],
+    results: Sequence[Mapping[str, Optional[list[str]]]],
     tau: float = DEFAULT_TAU,
     *,
     n_utterances: int,
-) -> AggregatedEmotions:
-    """Fold panel results into per-cell vote histograms and final labels.
+) -> tuple[dict[str, list[str]], dict[str, list[dict[str, int]]]]:
+    """Fold panel votes into per-cell final labels and vote histograms.
 
+    Returns ``(labels, counts)``: ``labels[m][u]`` is the final label of
+    a cell and ``counts[m][u]`` its vote histogram, keys sorted; a cell
+    nobody voted on has an empty histogram and the ambiguous label.
     Every vote list present must hold ``n_utterances`` labels.
     """
     if not 0.0 < tau <= 1.0:
         raise ValueError("tau must be in (0, 1]")
-    for result in results:
+    for votes in results:
         for m in MODALITIES:
-            votes = result.votes[m]
-            if votes is not None and len(votes) != n_utterances:
+            if votes[m] is not None and len(votes[m]) != n_utterances:
                 raise ValueError(
-                    f"vote list length {len(votes)}, expected {n_utterances}"
+                    f"vote list length {len(votes[m])}, expected {n_utterances}"
                 )
     labels: dict[str, list[str]] = {}
     counts: dict[str, list[dict[str, int]]] = {}
@@ -219,10 +179,10 @@ def aggregate(
         row = counts[modality] = []
         for u in range(n_utterances):
             hist: dict[str, int] = {}
-            for result in results:
-                votes = result.votes[modality]
-                if votes is not None:
-                    hist[votes[u]] = hist.get(votes[u], 0) + 1
+            for votes in results:
+                cell = votes[modality]
+                if cell is not None:
+                    hist[cell[u]] = hist.get(cell[u], 0) + 1
             row.append(dict(sorted(hist.items())))
         labels[modality] = [select_label(h, sum(h.values()), tau) for h in row]
-    return AggregatedEmotions(labels=labels, counts=counts)
+    return labels, counts

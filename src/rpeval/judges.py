@@ -21,7 +21,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Optional, Sequence
 from urllib.parse import unquote, urlsplit
 
 logger = logging.getLogger(__name__)
@@ -126,9 +126,9 @@ def prompt_digest(prompt: str) -> str:
 class MockBackend:
     """Deterministic stand-in for a remote judge.
 
-    Replies come from, in order: a handler callable, an in-memory
-    fixture table keyed by prompt digest, or ``<digest>.txt`` files in a
-    fixture directory.  A prompt with no fixture raises
+    Replies come from a handler callable or, without one, from
+    ``<digest>.txt`` files in a fixture directory, keyed by prompt
+    digest.  A prompt with no fixture raises
     ``TransportError`` so exhaustion paths stay testable.  ``rate_limit``
     (requests per second) is honoured by the ``JudgeClient`` that drives
     it, as for HTTP backends.
@@ -137,7 +137,6 @@ class MockBackend:
     def __init__(
         self,
         name: str = "mock",
-        fixtures: Optional[Mapping[str, str]] = None,
         fixture_dir: Optional[str | Path] = None,
         handler: Optional[Callable[[str, Sampling], str]] = None,
         rate_limit: float = 0.0,
@@ -145,14 +144,10 @@ class MockBackend:
         self.name = name
         self.identity = ("mock", name)
         self.rate_limit = rate_limit
-        self.fixtures = dict(fixtures or {})
         self.fixture_dir = Path(fixture_dir) if fixture_dir else None
         self.handler = handler
         self.calls = 0
         self._calls_lock = threading.Lock()
-
-    def add_reply(self, prompt: str, text: str) -> None:
-        self.fixtures[prompt_digest(prompt)] = text
 
     def complete(self, prompt: str, sampling: Sampling) -> str:
         with self._calls_lock:
@@ -160,8 +155,6 @@ class MockBackend:
         if self.handler is not None:
             return self.handler(prompt, sampling)
         key = prompt_digest(prompt)
-        if key in self.fixtures:
-            return self.fixtures[key]
         if self.fixture_dir is not None:
             path = self.fixture_dir / f"{key}.txt"
             if path.exists():
@@ -386,18 +379,18 @@ class ReplyCache:
         import sqlite3
 
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
         path = self.root / self.FILE
         self._lock = threading.Lock()
         self._db = None
         try:
+            self.root.mkdir(parents=True, exist_ok=True)
             # The timeout is how long a write waits out another process's.
             self._db = sqlite3.connect(path, timeout=30.0, check_same_thread=False)
             self._db.execute("PRAGMA journal_mode=WAL")
             self._db.execute("PRAGMA synchronous=NORMAL")
             self._db.execute("CREATE TABLE IF NOT EXISTS replies (key TEXT PRIMARY KEY,"
                              " kind TEXT NOT NULL, text TEXT NOT NULL)")
-        except sqlite3.DatabaseError as exc:
+        except (OSError, sqlite3.DatabaseError) as exc:
             if self._db is not None:
                 self._db.close()
             raise BackendConfigError(f"reply cache {path}: {exc}") from exc

@@ -13,7 +13,7 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -441,13 +441,10 @@ def normalized_entropy(counts: Mapping[str, int], num_categories: int) -> float:
     return entropy / math.log(num_categories)
 
 
-def ed(
-    histograms: Iterable[Mapping[str, int]], taxonomy: EmotionTaxonomy
-) -> float:
-    """Mean normalized vote-entropy over cells: expert indecision, 0 is crisp."""
-    entropies = [normalized_entropy(h, taxonomy.size) for h in histograms]
+def ed(entropies: Sequence[float]) -> float:
+    """Mean of the cells' ``normalized_entropy``: expert indecision, 0 is crisp."""
     if not entropies:
-        raise ValueError("no vote histograms")
+        raise ValueError("no cell entropies")
     return float(np.mean(entropies))
 
 

@@ -16,6 +16,7 @@ import io
 import json
 import logging
 import math
+import os
 import random
 import time
 from collections import Counter
@@ -69,6 +70,7 @@ from .metrics import (
     edd,
     krippendorff_alpha,
     mec,
+    normalized_entropy,
     rc_score_from_verdict,
     rcd,
 )
@@ -582,19 +584,29 @@ def evaluate(
 
     # Each prediction flows format gate -> emotion panel -> role
     # consistency on its own; only the metric assembly waits for all.
-    def _judge(pred: PredictionRecord):
+    # What assembly needs of a sample is one plain record: the response
+    # text and the vote histograms end here.
+    def _judge(pred: PredictionRecord) -> dict:
         outcome = format_response(pred.raw_output, repair,
                                   max_attempts=config.max_repair_attempts)
-        if outcome.response is None:
-            return outcome, None, None
-        utterances = segment_utterances(outcome.response.content,
-                                        config.delimiters)
-        results = run_panel(outcome.response, utterances, experts, taxonomy,
-                            passes=config.passes, fan_out=scheduler.fan_out)
-        votes = aggregate(results, tau=config.tau, n_utterances=len(utterances))
-        return outcome, votes, _rc_judge_sample(
-            by_id[pred.sample_id], outcome.response, rc_evaluators, config,
-            scheduler.fan_out)
+        record = {"status": outcome.status, "labels": dict.fromkeys(MODALITIES),
+                  "entropy": dict.fromkeys(MODALITIES), "rc": None}
+        response = outcome.response
+        if response is None:
+            return record
+        utterances = segment_utterances(response.content, config.delimiters)
+        votes = run_panel(response, utterances, experts, taxonomy,
+                          passes=config.passes, fan_out=scheduler.fan_out)
+        labels, counts = aggregate(votes, tau=config.tau,
+                                   n_utterances=len(utterances))
+        if any(hist for row in counts.values() for hist in row):
+            record["labels"] = labels
+            record["entropy"] = {
+                m: [normalized_entropy(hist, taxonomy.size) for hist in row]
+                for m, row in counts.items()}
+        record["rc"] = _rc_judge_sample(by_id[pred.sample_id], response,
+                                        rc_evaluators, config, scheduler.fan_out)
+        return record
 
     try:
         experts, rc_evaluators, repair = _judge_clients(
@@ -611,11 +623,11 @@ def evaluate(
 
     # ``judged`` is in sample-id order, and so is every mapping built
     # from it; the metric sums below rely on that order.
-    statuses = Counter(outcome.status for outcome, _, _ in judged.values())
-    rc_raw = {sid: rc for sid, (outcome, _, rc) in judged.items()
-              if outcome.response is not None}
-    voted = {sid: votes for sid, (_, votes, _) in judged.items()
-             if sid in rc_raw and votes.has_votes}
+    statuses = Counter(record["status"] for record in judged.values())
+    rc_raw = {sid: record["rc"] for sid, record in judged.items()
+              if record["rc"] is not None}
+    voted = {sid: record for sid, record in judged.items()
+             if record["labels"]["fusion"] is not None}
     floored = statuses[UNREPAIRABLE] if config.rc_floor_unrepairable else 0
 
     # Deterministic metric assembly, once every sample is judged.
@@ -683,8 +695,8 @@ def evaluate(
 def _assemble_ec(config, taxonomy, samples, by_id, voted) -> tuple[dict, dict]:
     """The report's emotion ``metrics`` sections and its ``per_class``.
 
-    ``voted`` maps the sample ids that reached the emotion panel, in
-    sample-id order, to their votes.
+    ``voted`` maps the sample ids that got at least one panel vote, in
+    sample-id order, to their ``_judge`` records.
     """
     if not voted:
         logger.warning("no samples survived to emotion scoring")
@@ -695,12 +707,12 @@ def _assemble_ec(config, taxonomy, samples, by_id, voted) -> tuple[dict, dict]:
             "rcd": {v: dict(_NULL_RCD) for v in ("intra", "inter")},
             "ed": {column: None for column in _ED_COLUMNS},
         }, {"lower": {}, "upper": {}}
-    mec_samples = [(by_id[sid].gt_emotions, votes.fusion_labels)
-                   for sid, votes in voted.items()]
+    mec_samples = [(by_id[sid].gt_emotions, record["labels"]["fusion"])
+                   for sid, record in voted.items()]
     mecs = {level: mec(mec_samples, taxonomy, level=level)
             for level in ("lower", "upper")}
 
-    table = [[lab for votes in voted.values() for lab in votes.labels[m]]
+    table = [[lab for record in voted.values() for lab in record["labels"][m]]
              for m in MODALITIES]
     try:
         cecs = {level: cec(table, taxonomy, level=level)
@@ -711,8 +723,8 @@ def _assemble_ec(config, taxonomy, samples, by_id, voted) -> tuple[dict, dict]:
 
     ed_values: dict[str, Optional[float]] = {}
     for column, modality in _ED_COLUMNS.items():
-        hists = [h for votes in voted.values() for h in votes.counts[modality]]
-        ed_values[column] = ed(hists, taxonomy) if hists else None
+        cells = [e for record in voted.values() for e in record["entropy"][modality]]
+        ed_values[column] = ed(cells) if cells else None
 
     threads = group_role_dialogues(samples)
     gt_intra, gt_inter = _role_matrices(threads, lambda s: s.gt_emotions,
@@ -720,7 +732,7 @@ def _assemble_ec(config, taxonomy, samples, by_id, voted) -> tuple[dict, dict]:
     # An absent or dropped prediction breaks the transition chains.
     rpa_intra, rpa_inter = _role_matrices(
         threads,
-        lambda s: (voted[s.sample_id].fusion_labels if s.sample_id in voted
+        lambda s: (voted[s.sample_id]["labels"]["fusion"] if s.sample_id in voted
                    else [AMBIGUOUS]),
         taxonomy)
     divergence = (config.smoothing, config.divergence_mode)
@@ -789,9 +801,16 @@ def generate(
 
     Uses the generation sampling settings (not the greedy judge ones);
     the backend is picked by name from the config's ``generators``.
+    ``out_path`` is checked before the first request and written only
+    once every sample has its reply.
     """
     taxonomy = config.taxonomy()
     samples = load_corpus(corpus_path, taxonomy, config.delimiters)
+    out_path = Path(out_path)
+    _make_out_dir(out_path.parent)
+    target = out_path if out_path.exists() else out_path.parent
+    if out_path.is_dir() or not os.access(target, os.W_OK):
+        raise ConfigError(f"cannot write predictions to {out_path}")
     if generator is None:
         generator = next(
             (s for s in config.generators if s.name == backend_name), None)
@@ -816,7 +835,10 @@ def generate(
             client.close()
         if cache is not None:
             cache.close()
-    save_jsonl(out_path, [r.to_record() for r in records])
+    try:
+        save_jsonl(out_path, [r.to_record() for r in records])
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out_path}: {exc.strerror or exc}") from None
     return records
 
 

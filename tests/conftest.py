@@ -19,10 +19,39 @@ from rpeval.corpus import (
     UserTurn,
     save_jsonl,
 )
-from rpeval.judges import MockBackend, RetryPolicy
+from rpeval.judges import MockBackend, ReplyCache, RetryPolicy
 from rpeval.pipeline import RunConfig
 
 LABEL_SET = set(DEFAULT_EMOTION_LABELS)
+
+
+@pytest.fixture(autouse=True)
+def _reply_caches_closed(monkeypatch):
+    """Fail a test that leaves a ``ReplyCache`` open.
+
+    Python 3.13 warns about an unclosed ``sqlite3`` connection, but 3.10
+    and 3.11 do not, so ``-W error`` alone would not catch one there.
+    """
+    opened = []
+    init, close = ReplyCache.__init__, ReplyCache.close
+
+    def tracked_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        opened.append(self)
+
+    def tracked_close(self):
+        close(self)
+        if self in opened:
+            opened.remove(self)
+
+    monkeypatch.setattr(ReplyCache, "__init__", tracked_init)
+    monkeypatch.setattr(ReplyCache, "close", tracked_close)
+    yield
+    left = [str(cache.root) for cache in opened]
+    for cache in opened:
+        close(cache)
+    if left:
+        pytest.fail(f"ReplyCache left open: {left}")
 
 
 def make_response(content: str, flavor: str = "calm") -> MultimodalResponse:

@@ -9,7 +9,6 @@ from conftest import label_echo_expert, make_experts, make_response
 from rpeval.corpus import AMBIGUOUS, default_taxonomy, segment_utterances
 from rpeval.erc import (
     MODALITIES,
-    ErcResult,
     aggregate,
     parse_erc_reply,
     run_panel,
@@ -28,9 +27,9 @@ def _client(backend):
     return JudgeClient(backend, policy=RetryPolicy(max_attempts=1, base_delay=0.0))
 
 
-def _result(expert_id, labels, pass_index=1):
-    return ErcResult(expert_id=expert_id, pass_index=pass_index,
-                     votes={m: list(labels) for m in MODALITIES})
+def _votes(labels):
+    """One (expert, pass) of a panel: the same labels in every modality."""
+    return {m: list(labels) for m in MODALITIES}
 
 
 def test_parse_erc_reply_valid():
@@ -71,12 +70,32 @@ def test_run_panel_full_vote_matrix():
     utterances = segment_utterances(response.content)
     experts = [_client(b) for b in make_experts(5)]
     results = run_panel(response, utterances, experts, TAX, passes=2)
-    assert len(results) == 10
-    assert {(r.expert_id, r.pass_index) for r in results} == {
-        (f"expert{i}", p) for i in range(5) for p in (1, 2)
-    }
-    assert all(r.votes[m] == ["happy", "sadness"]
-               for r in results for m in MODALITIES)
+    assert results == [_votes(["happy", "sadness"])] * 10
+
+
+def test_run_panel_results_come_in_expert_pass_order():
+    response = make_response("happy。")
+    utterances = segment_utterances(response.content)
+    labels = ["happy", "sadness", "anger"]
+
+    class Expert:
+        """Expert i answers labels[i] on pass 1 and labels[i + 1] on pass 2."""
+
+        def __init__(self, i):
+            self.name, self.i = f"e{i}", i
+
+        def ask(self, kind, prompt, pass_index):
+            return _reply([labels[self.i + pass_index - 1]])
+
+    def backwards(calls):
+        return [call() for call in reversed(calls)][::-1]
+
+    for fan_out in (None, backwards):
+        results = run_panel(response, utterances, [Expert(0), Expert(1)], TAX,
+                            passes=2, fan_out=fan_out)
+        # (e0, 1), (e0, 2), (e1, 1), (e1, 2)
+        assert [r["fusion"] for r in results] == [["happy"], ["sadness"],
+                                                  ["sadness"], ["anger"]]
 
 
 def test_run_panel_retry_corrects_bad_reply():
@@ -90,7 +109,7 @@ def test_run_panel_retry_corrects_bad_reply():
 
     results = run_panel(response, utterances,
                         [_client(MockBackend("e", handler=handler))], TAX, passes=1)
-    assert results[0].votes["fusion"] == ["anger"]
+    assert results[0]["fusion"] == ["anger"]
 
 
 def test_run_panel_drops_modalities_that_stay_invalid():
@@ -105,8 +124,8 @@ def test_run_panel_drops_modalities_that_stay_invalid():
 
     results = run_panel(response, utterances,
                         [_client(MockBackend("e", handler=handler))], TAX, passes=1)
-    assert results[0].votes["f"] == ["anger"]
-    assert results[0].votes["fusion"] is None
+    assert results == [{"f": ["anger"], "b": ["anger"], "s": ["anger"],
+                        "fusion": None}]
 
 
 def test_run_panel_transport_failure_records_empty_result():
@@ -118,7 +137,7 @@ def test_run_panel_transport_failure_records_empty_result():
 
     results = run_panel(response, utterances,
                         [_client(MockBackend("e", handler=handler))], TAX, passes=2)
-    assert [r.votes for r in results] == [{m: None for m in MODALITIES}] * 2
+    assert results == [{m: None for m in MODALITIES}] * 2
 
 
 def test_run_panel_requires_experts_and_passes():
@@ -144,71 +163,66 @@ def test_select_label_multiple_winners_is_ambiguous():
 
 
 def test_aggregate_worked_example():
-    results = [_result(f"e{i}", ["happy"]) for i in range(8)]
-    results += [_result("e8", ["sadness"]), _result("e9", ["worried"])]
-    agg = aggregate(results, tau=0.7, n_utterances=1)
-    assert agg.counts["fusion"] == [{"happy": 8, "sadness": 1, "worried": 1}]
-    assert agg.labels["fusion"] == ["happy"]
-    assert agg.fusion_labels == ["happy"]
-    assert agg.has_votes
+    results = [_votes(["happy"]) for _ in range(8)]
+    results += [_votes(["sadness"]), _votes(["worried"])]
+    labels, counts = aggregate(results, tau=0.7, n_utterances=1)
+    assert counts == {m: [{"happy": 8, "sadness": 1, "worried": 1}]
+                      for m in MODALITIES}
+    assert labels == {m: ["happy"] for m in MODALITIES}
 
 
 def test_aggregate_histograms_have_sorted_keys():
-    results = [_result("a", ["worried", "happy"]), _result("b", ["anger", "happy"]),
-               _result("c", ["worried", "sadness"])]
-    agg = aggregate(results, n_utterances=2)
-    assert agg.counts["f"] == [{"anger": 1, "worried": 2},
-                               {"happy": 2, "sadness": 1}]
-    assert [list(h) for h in agg.counts["f"]] == [["anger", "worried"],
-                                                  ["happy", "sadness"]]
-    assert agg.labels == {m: [AMBIGUOUS, AMBIGUOUS] for m in MODALITIES}
+    results = [_votes(["worried", "happy"]), _votes(["anger", "happy"]),
+               _votes(["worried", "sadness"])]
+    labels, counts = aggregate(results, n_utterances=2)
+    assert counts["f"] == [{"anger": 1, "worried": 2},
+                           {"happy": 2, "sadness": 1}]
+    assert [list(h) for h in counts["f"]] == [["anger", "worried"],
+                                              ["happy", "sadness"]]
+    assert labels == {m: [AMBIGUOUS, AMBIGUOUS] for m in MODALITIES}
 
 
 def test_aggregate_below_threshold_is_ambiguous():
-    results = [_result(f"e{i}", ["happy"]) for i in range(6)]
-    results += [_result(f"e{i+6}", ["sadness"]) for i in range(4)]
-    agg = aggregate(results, tau=0.7, n_utterances=1)
-    assert agg.fusion_labels == [AMBIGUOUS]
-    assert agg.counts["fusion"] == [{"happy": 6, "sadness": 4}]
+    results = [_votes(["happy"]) for _ in range(6)]
+    results += [_votes(["sadness"]) for _ in range(4)]
+    labels, counts = aggregate(results, tau=0.7, n_utterances=1)
+    assert labels["fusion"] == [AMBIGUOUS]
+    assert counts["fusion"] == [{"happy": 6, "sadness": 4}]
 
 
 def test_aggregate_counts_only_present_modalities():
-    full = [_result(f"e{i}", ["anger"]) for i in range(8)]
-    partial = [
-        ErcResult(expert_id=f"p{i}", pass_index=1,
-                  votes={"f": ["anger"], "b": None, "s": None, "fusion": None})
-        for i in range(2)
-    ]
-    agg = aggregate(full + partial, tau=0.7, n_utterances=1)
-    assert agg.counts["f"] == [{"anger": 10}]
-    assert agg.counts["fusion"] == [{"anger": 8}]
+    full = [_votes(["anger"]) for _ in range(8)]
+    partial = [{"f": ["anger"], "b": None, "s": None, "fusion": None}
+               for _ in range(2)]
+    labels, counts = aggregate(full + partial, tau=0.7, n_utterances=1)
+    assert counts["f"] == [{"anger": 10}]
+    assert counts["fusion"] == [{"anger": 8}]
+    assert labels == {m: ["anger"] for m in MODALITIES}
 
 
 def test_aggregate_zero_votes_cell_is_ambiguous_and_empty():
-    results = [ErcResult(expert_id="e", pass_index=1,
-                         votes={m: None for m in MODALITIES})]
-    agg = aggregate(results, n_utterances=2)
-    assert agg.labels == {m: [AMBIGUOUS, AMBIGUOUS] for m in MODALITIES}
-    assert agg.counts == {m: [{}, {}] for m in MODALITIES}
-    assert not agg.has_votes
-    assert aggregate([], n_utterances=1).counts == {m: [{}] for m in MODALITIES}
+    labels, counts = aggregate([{m: None for m in MODALITIES}], n_utterances=2)
+    assert labels == {m: [AMBIGUOUS, AMBIGUOUS] for m in MODALITIES}
+    assert counts == {m: [{}, {}] for m in MODALITIES}
+    assert aggregate([], n_utterances=1) == ({m: [AMBIGUOUS] for m in MODALITIES},
+                                             {m: [{}] for m in MODALITIES})
 
 
 def test_aggregate_rejects_conflicting_lengths():
     with pytest.raises(ValueError, match="expected 1"):
-        aggregate([_result("a", ["happy"]), _result("b", ["happy", "sadness"])],
+        aggregate([_votes(["happy"]), _votes(["happy", "sadness"])],
                   n_utterances=1)
     with pytest.raises(ValueError, match="expected 3"):
-        aggregate([_result("a", ["happy"])], n_utterances=3)
+        aggregate([_votes(["happy"])], n_utterances=3)
     with pytest.raises(TypeError):
-        aggregate([_result("a", ["happy"])])  # the length is never inferred
+        aggregate([_votes(["happy"])])  # the length is never inferred
 
 
 def test_aggregate_validates_tau():
     with pytest.raises(ValueError):
-        aggregate([_result("a", ["happy"])], tau=0.0, n_utterances=1)
+        aggregate([_votes(["happy"])], tau=0.0, n_utterances=1)
     with pytest.raises(ValueError):
-        aggregate([_result("a", ["happy"])], tau=1.5, n_utterances=1)
+        aggregate([_votes(["happy"])], tau=1.5, n_utterances=1)
 
 
 def test_tau_one_requires_unanimity():

@@ -63,6 +63,7 @@ def test_same_prompt_different_judges_do_not_share_cache(tmp_path):
         for name in ("expert0", "expert1")
     ]
     replies = [j.ask("erc", "same prompt") for j in judges]
+    cache.close()
     assert replies == ["expert0", "expert1"]
     assert all(j.stats()["cache_hits"] == 0 for j in judges)
 
@@ -122,10 +123,12 @@ def test_config_errors_are_not_retried():
 
 def test_cache_second_call_is_served_locally(tmp_path):
     backend = MockBackend("m", handler=lambda p, s: "reply!")
-    client = JudgeClient(backend, cache=ReplyCache(tmp_path / "cache"))
+    cache = ReplyCache(tmp_path / "cache")
+    client = JudgeClient(backend, cache=cache)
     request = JudgeRequest(kind="erc", prompt="p")
     assert client.call(request) == "reply!"
     assert client.call(request) == "reply!"
+    cache.close()
     assert backend.calls == 1
     assert client.stats() == {
         "cache_hits": 1, "cache_misses": 1, "backend_calls": 1,
@@ -214,16 +217,15 @@ def test_cache_is_shared_by_threads_and_a_second_cache(tmp_path):
 
 def test_distinct_pass_index_bypasses_cache(tmp_path):
     backend = MockBackend("m", handler=lambda p, s: "r")
-    client = JudgeClient(backend, cache=ReplyCache(tmp_path / "cache"))
+    cache = ReplyCache(tmp_path / "cache")
+    client = JudgeClient(backend, cache=cache)
     client.call(JudgeRequest(kind="erc", prompt="p", pass_index=1))
     client.call(JudgeRequest(kind="erc", prompt="p", pass_index=2))
+    cache.close()
     assert backend.calls == 2
 
 
 def test_mock_backend_fixture_sources(tmp_path):
-    backend = MockBackend("m")
-    backend.add_reply("hi", "from table")
-    assert backend.complete("hi", Sampling()) == "from table"
     digest = prompt_digest("bye")
     fixture_dir = tmp_path / "fx"
     fixture_dir.mkdir()
@@ -404,6 +406,7 @@ def test_cache_misses_when_the_model_changes(judge_server, tmp_path):
         backend = HttpBackend("j", endpoint=judge_server.url, model=model)
         JudgeClient(backend, cache=cache).ask("erc", "same prompt")
         backend.close()
+    cache.close()
     assert [seen["json"]["model"] for seen in judge_server.seen] == [
         "judge-1", "judge-2"]
 

@@ -500,11 +500,12 @@ def test_normalized_entropy_known_value():
 
 
 def test_ed_averages_cells():
-    value = ed([{"happy": 10}, {"anger": 5, "happy": 5}], TAX)
+    cells = [normalized_entropy({"happy": 10}, TAX.size),
+             normalized_entropy({"anger": 5, "happy": 5}, TAX.size)]
     expected = (0.0 + math.log(2) / math.log(13)) / 2.0
-    assert value == pytest.approx(expected, abs=1e-12)
+    assert ed(cells) == pytest.approx(expected, abs=1e-12)
     with pytest.raises(ValueError):
-        ed([], TAX)
+        ed([])
 
 
 # ---------------------------------------------------------------- rc scores

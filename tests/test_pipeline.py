@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -18,9 +19,13 @@ from conftest import (
     write_predictions,
 )
 
+import rpeval.pipeline
 from rpeval.cli import main
 from rpeval.corpus import CorpusError, PredictionRecord, load_predictions
+from rpeval.erc import MODALITIES
+from rpeval.formatter import UNREPAIRABLE, VALID_DIRECT
 from rpeval.judges import (
+    BackendConfigError,
     JudgeClient,
     MockBackend,
     RetryPolicy,
@@ -48,6 +53,7 @@ from rpeval.pipeline import (
     write_report_files,
 )
 from rpeval.prompts import build_erc_prompt, build_rc_prompt, render_history
+from rpeval.scheduler import Scheduler
 
 
 # ------------------------------------------------------------------ config
@@ -392,6 +398,58 @@ def test_evaluate_drops_sample_when_panel_never_answers(small_world, tmp_path):
     assert run.report["summary"]["mec.lower"] == 1.0
 
 
+def test_judge_keeps_one_plain_record_per_sample(small_world, tmp_path,
+                                                monkeypatch):
+    records = {}
+
+    class RecordingScheduler(Scheduler):
+        def map(self, fn, items):
+            items = list(items)
+            results = super().map(fn, items)
+            records.update(zip((p.sample_id for p in items), results))
+            return results
+
+    monkeypatch.setattr(rpeval.pipeline, "Scheduler", RecordingScheduler)
+    samples = [make_sample("s1", gt=("happy", "anger")),
+               make_sample("s2", gt=("worried",), content="mystery。"),
+               make_sample("s3", gt=("relaxed",))]
+    corpus = write_corpus(tmp_path / "c.jsonl", samples)
+    predictions = write_predictions(
+        tmp_path / "p.jsonl", [echo_prediction(samples[0]),
+                               echo_prediction(samples[1]),
+                               PredictionRecord("s3", "@@@@")])
+
+    def guarded(name):
+        def handler(prompt, sampling):
+            if "mystery" in prompt:
+                return "not an answer"
+            labels = _labels_from_prompt(prompt)
+            return json.dumps({f"emos_{m}": labels for m in MODALITIES})
+
+        return MockBackend(name, handler=handler)
+
+    evaluate(fast_config(), corpus, predictions,
+             experts=[guarded(f"e{i}") for i in range(5)],
+             rc_evaluators=make_rc_evaluators())
+    assert json.loads(json.dumps(records)) == records
+    assert all(list(r) == ["status", "labels", "entropy", "rc"]
+               for r in records.values())
+    full_marks = {m: {"critic0": 5, "critic1": 5} for m in RC_METRICS}
+    assert records["s1"] == {
+        "status": VALID_DIRECT,
+        "labels": {m: ["happy", "anger"] for m in MODALITIES},
+        "entropy": {m: [0.0, 0.0] for m in MODALITIES},
+        "rc": full_marks}
+    # formatted, but no vote landed: no labels or entropies, RC still scored
+    assert records["s2"] == {"status": VALID_DIRECT,
+                             "labels": dict.fromkeys(MODALITIES),
+                             "entropy": dict.fromkeys(MODALITIES),
+                             "rc": full_marks}
+    assert records["s3"] == {"status": UNREPAIRABLE,
+                             "labels": dict.fromkeys(MODALITIES),
+                             "entropy": dict.fromkeys(MODALITIES), "rc": None}
+
+
 def test_evaluate_tallies_missing_predictions(small_world, tmp_path):
     records = [echo_prediction(s) for s in small_world["samples"][:4]]
     predictions = write_predictions(tmp_path / "p5.jsonl", records)
@@ -540,6 +598,33 @@ def test_generate_writes_loadable_predictions(small_world, tmp_path):
         generate(fast_config(cache_dir=str(cache)), "gen", small_world["corpus"],
                  out, generator=object())
     assert [p.name for p in cache.iterdir()] == ["replies.sqlite3"]  # closed
+
+
+def test_generate_checks_its_output_before_the_first_request(small_world, tmp_path,
+                                                            monkeypatch):
+    generator = MockBackend("gen", handler=lambda prompt, sampling: "reply")
+    corpus = small_world["corpus"]
+    a_file = tmp_path / "a_file"
+    a_file.write_text("", encoding="utf-8")
+    for out, named in ((a_file / "p.jsonl", a_file),
+                       (a_file / "sub" / "p.jsonl", a_file),
+                       (tmp_path, tmp_path)):
+        with pytest.raises(ConfigError, match=re.escape(str(named))):
+            generate(fast_config(), "gen", corpus, out, generator=generator)
+    assert generator.calls == 0
+    # an existing file is kept as it is until every sample has its reply
+    out = tmp_path / "preds.jsonl"
+    out.write_text("earlier run\n", encoding="utf-8")
+    with pytest.raises(TransportError):
+        generate(fast_config(), "gen", corpus, out, generator=MockBackend("gen"))
+    assert out.read_text(encoding="utf-8") == "earlier run\n"
+
+    def disk_full(path, records):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(rpeval.pipeline, "save_jsonl", disk_full)
+    with pytest.raises(ConfigError, match=re.escape(f"{out}: No space left")):
+        generate(fast_config(), "gen", corpus, out, generator=generator)
 
 
 # -------------------------------------------------------------------- cli
@@ -807,3 +892,34 @@ def test_cli_exit_codes(tmp_path):
     assert main(["evaluate", "--config", str(dead_config), "--corpus", corpus,
                  "--predictions", predictions,
                  "--out", str(tmp_path / "o2")]) == 2
+    # 2: a cache_dir that is a regular file, which used to end in a
+    # traceback; no judge or generator request is made
+    dead_config.write_text(json.dumps({
+        **json.loads(dead_config.read_text(encoding="utf-8")),
+        "cache_dir": str(a_file),
+        "generators": [{"name": "g", "kind": "mock"}]}), encoding="utf-8")
+    assert main(["evaluate", "--config", str(dead_config), "--corpus", corpus,
+                 "--predictions", predictions,
+                 "--out", str(tmp_path / "o2")]) == 2
+    assert main(["generate", "--config", str(dead_config), "--corpus", corpus,
+                 "--backend", "g", "--out", str(tmp_path / "g.jsonl")]) == 2
+    experts, critics = make_experts(), make_rc_evaluators()
+    with pytest.raises(BackendConfigError, match=re.escape(str(a_file))):
+        evaluate(fast_config(cache_dir=str(a_file)), corpus, predictions,
+                 experts=experts, rc_evaluators=critics)
+    generator = MockBackend("g", handler=lambda prompt, sampling: "reply")
+    with pytest.raises(BackendConfigError, match=re.escape(str(a_file))):
+        generate(fast_config(cache_dir=str(a_file)), "g", corpus,
+                 tmp_path / "g.jsonl", generator=generator)
+    assert sum(b.calls for b in experts + critics + [generator]) == 0
+    # 2: a generate --out that is a directory or under a file, before any
+    # generator request (the dead generator would give 4)
+    dead_config.write_text(json.dumps({
+        **json.loads(dead_config.read_text(encoding="utf-8")),
+        "cache_dir": ""}), encoding="utf-8")
+    for out in (tmp_path, a_file / "g.jsonl"):
+        assert main(["generate", "--config", str(dead_config), "--corpus", corpus,
+                     "--backend", "g", "--out", str(out)]) == 2
+    assert main(["generate", "--config", str(dead_config), "--corpus", corpus,
+                 "--backend", "g", "--out", str(tmp_path / "g.jsonl")]) == 4
+    assert not (tmp_path / "g.jsonl").exists()

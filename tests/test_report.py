@@ -10,6 +10,7 @@ import json
 import zlib
 from pathlib import Path
 
+import pytest
 from conftest import (
     _labels_from_prompt,
     _response_content,
@@ -80,7 +81,7 @@ def _mixed_evaluator(name: str) -> MockBackend:
     return MockBackend(name, handler=handler)
 
 
-def _golden_run(tmp_path):
+def _golden_run(tmp_path, concurrency=2):
     """Three roles over two dialogues, with every kind of exclusion.
 
     s02 is repaired, s05 is unrepairable, the panel never answers s08
@@ -106,7 +107,8 @@ def _golden_run(tmp_path):
     records[4] = PredictionRecord("s05", "@@@@")
     predictions = write_predictions(tmp_path / "preds.jsonl", records)
     return evaluate(
-        fast_config(), corpus, predictions, out_dir=tmp_path / "out",
+        fast_config(concurrency=concurrency), corpus, predictions,
+        out_dir=tmp_path / "out",
         experts=[_swayed_expert(i) for i in range(5)],
         rc_evaluators=[_mixed_evaluator("critic0"), _mixed_evaluator("critic1")],
         repair_judge=make_repair_judge(
@@ -114,8 +116,10 @@ def _golden_run(tmp_path):
     )
 
 
-def test_report_matches_the_golden_file(tmp_path):
-    run = _golden_run(tmp_path)
+# Concurrency 1 runs every sample on the calling thread; 2 and 4 on the pool.
+@pytest.mark.parametrize("concurrency", [1, 2, 4])
+def test_report_matches_the_golden_file(tmp_path, concurrency):
+    run = _golden_run(tmp_path, concurrency)
     written = (tmp_path / "out" / "report.json").read_bytes()
     assert written == GOLDEN.read_bytes()
     counts = run.report["counts"]
