@@ -1,9 +1,12 @@
-"""The layout of ``report.json``: a byte-for-byte golden run and the null shapes.
+"""The layout of ``report.json``: byte-for-byte golden runs and the null shapes.
 
 ``tests/data/golden_report.json`` is the report of ``_golden_run`` as
-written by ``evaluate``.  Regenerate it only when a change is meant to
-alter the report, by copying ``report.json`` from a run of
-``_golden_run`` into that path, and say why in the change log.
+written by ``evaluate``; ``golden_report_rows.json`` is the same run with
+``divergence_mode: "rows"``; ``golden_gt_stats.json`` is what
+``rpeval gt-stats`` writes for ``_golden_corpus`` under the default
+config.  Regenerate one only when a change is meant to alter that
+output, by copying the file the run writes into that path, and say why
+in the change log.
 """
 
 import json
@@ -24,11 +27,13 @@ from conftest import (
     write_predictions,
 )
 
+from rpeval.cli import main
 from rpeval.corpus import DEFAULT_EMOTION_LABELS, PredictionRecord, default_taxonomy
 from rpeval.judges import MockBackend
 from rpeval.pipeline import SUMMARY_KEYS, evaluate, render_report
 
-GOLDEN = Path(__file__).parent / "data" / "golden_report.json"
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "golden_report.json"
 
 _ALTERNATES = ("astonished", "fear", "relaxed", "worried", "anger")
 
@@ -81,12 +86,8 @@ def _mixed_evaluator(name: str) -> MockBackend:
     return MockBackend(name, handler=handler)
 
 
-def _golden_run(tmp_path, concurrency=2):
-    """Three roles over two dialogues, with every kind of exclusion.
-
-    s02 is repaired, s05 is unrepairable, the panel never answers s08
-    ("mystery"), and s10 has no prediction.
-    """
+def _golden_corpus(tmp_path):
+    """Three roles over two dialogues: the samples and the corpus path."""
     samples = [
         make_sample("s01", "hero", ("happy", "grateful", "relaxed"), "d1"),
         make_sample("s02", "witch", ("anger", "disgust"), "d1"),
@@ -100,14 +101,23 @@ def _golden_run(tmp_path, concurrency=2):
         make_sample("s10", "bard", ("grateful", "happy"), "d2"),
         make_sample("s11", "bard", ("neutral", "relaxed", "happy"), "d2"),
     ]
-    corpus = write_corpus(tmp_path / "corpus.jsonl", samples)
+    return samples, write_corpus(tmp_path / "corpus.jsonl", samples)
+
+
+def _golden_run(tmp_path, concurrency=2, **overrides):
+    """``_golden_corpus`` judged, with every kind of exclusion.
+
+    s02 is repaired, s05 is unrepairable, the panel never answers s08
+    ("mystery"), and s10 has no prediction.
+    """
+    samples, corpus = _golden_corpus(tmp_path)
     broken = "face: scowl / body: arms crossed / says anger and disgust"
     records = [echo_prediction(s) for s in samples if s.sample_id != "s10"]
     records[1] = PredictionRecord("s02", broken)
     records[4] = PredictionRecord("s05", "@@@@")
     predictions = write_predictions(tmp_path / "preds.jsonl", records)
     return evaluate(
-        fast_config(concurrency=concurrency), corpus, predictions,
+        fast_config(concurrency=concurrency, **overrides), corpus, predictions,
         out_dir=tmp_path / "out",
         experts=[_swayed_expert(i) for i in range(5)],
         rc_evaluators=[_mixed_evaluator("critic0"), _mixed_evaluator("critic1")],
@@ -127,6 +137,22 @@ def test_report_matches_the_golden_file(tmp_path, concurrency):
             counts["missing_predictions"]) == (1, 1, 1, 1)
     # some sample got no RC score from either evaluator on some metric
     assert sum(counts["rc_dropped"].values()) > 0
+
+
+def test_rows_mode_report_matches_the_golden_file(tmp_path):
+    _golden_run(tmp_path, divergence_mode="rows")
+    written = (tmp_path / "out" / "report.json").read_bytes()
+    assert written == (DATA / "golden_report_rows.json").read_bytes()
+
+
+def test_gt_stats_matches_the_golden_file(tmp_path):
+    _, corpus = _golden_corpus(tmp_path)
+    config = tmp_path / "run.json"
+    config.write_text("{}", encoding="utf-8")
+    assert main(["gt-stats", "--config", str(config), "--corpus", corpus,
+                 "--out", str(tmp_path / "out")]) == 0
+    written = (tmp_path / "out" / "gt_stats.json").read_bytes()
+    assert written == (DATA / "golden_gt_stats.json").read_bytes()
 
 
 def _null_ec_metrics():
