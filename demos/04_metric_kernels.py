@@ -35,17 +35,20 @@ print("half overlap:", round(hellinger([1, 0], [0.5, 0.5]), 6),
       "= sqrt(1 - sqrt(0.5)) =", round(math.sqrt(1 - math.sqrt(0.5)), 6))
 
 # --------------------------------------------------------------- transitions
-# Per-role emotion flow is summarized as two count matrices: pairs of
-# adjacent labels inside one response (intra) and across the boundary
-# between consecutive responses (inter).  Ambiguous labels break chains.
+# Per-role emotion flow is summarized as two count arrays, rows and
+# columns in taxonomy order: pairs of adjacent labels inside one response
+# (intra) and across the boundary between consecutive responses (inter).
+# Ambiguous labels break chains.
 
 dialogue = [
     ["happy", "happy", "anger"],      # intra: happy->happy, happy->anger
-    ["anger"],                        # inter: anger->anger
+    ["anger"],                        # inter: anger->anger, anger->sadness
     ["sadness", AMBIGUOUS, "fear"],   # the ambiguous cell contributes nothing
 ]
 intra, inter = build_transition_matrices([dialogue], taxonomy)
-print("\nintra pairs counted:", intra.total, "| inter pairs counted:", inter.total)
+print("\nintra pairs counted:", intra.sum(), "| inter pairs counted:", inter.sum())
+h, a = taxonomy.index("happy"), taxonomy.index("anger")
+print("happy->anger count:", intra[h, a])
 
 other = [["sadness", "sadness"], ["fear", "worried"]]
 other_intra, _ = build_transition_matrices([other], taxonomy)

@@ -32,7 +32,7 @@ from .erc import (
     run_panel,
     select_label,
 )
-from .formatter import FormatOutcome, format_response, repair, validate
+from .formatter import FormatOutcome, format_response, validate
 from .judges import (
     BackendConfigError,
     HttpBackend,
@@ -46,7 +46,6 @@ from .judges import (
     parse_rc_verdict,
 )
 from .metrics import (
-    TransitionMatrix,
     build_transition_matrices,
     cec,
     character_distinctiveness,
@@ -94,7 +93,6 @@ __all__ = [
     "RoleCard",
     "RunConfig",
     "Sampling",
-    "TransitionMatrix",
     "TransportError",
     "UserTurn",
     "aggregate",
@@ -121,7 +119,6 @@ __all__ = [
     "rc_score_from_verdict",
     "rcd",
     "render_report",
-    "repair",
     "run_panel",
     "save_jsonl",
     "segment_utterances",

@@ -103,20 +103,26 @@ def validate(
     return None
 
 
-def repair(
+def format_response(
     raw: str,
-    judge,
+    judge=None,
     max_attempts: int = 2,
     aliases: Mapping[str, str] = DEFAULT_KEY_ALIASES,
 ) -> FormatOutcome:
-    """Ask the repair judge to rewrite invalid output, up to ``max_attempts``.
+    """Full gate: direct validation, then up to ``max_attempts`` repairs.
 
     ``judge`` is any object with ``ask(kind, prompt, pass_index) -> str``
-    (a ``JudgeClient`` fits).  Calling this on output that already
-    validates is a caller bug and raises.
+    (a ``JudgeClient`` fits); without one, invalid output is unrepairable.
     """
-    if validate(raw, aliases) is not None:
-        raise ValueError("repair called on output that already validates")
+    response = validate(raw, aliases)
+    if response is not None:
+        return FormatOutcome(status=VALID_DIRECT, response=response)
+    if judge is None:
+        return FormatOutcome(
+            status=UNREPAIRABLE,
+            response=None,
+            diagnostic="invalid format and no repair judge configured",
+        )
     if max_attempts < 1:
         raise ValueError("max_attempts must be at least 1")
     diagnostic = "invalid format"
@@ -140,22 +146,3 @@ def repair(
         repair_attempts=max_attempts,
         diagnostic=diagnostic,
     )
-
-
-def format_response(
-    raw: str,
-    judge=None,
-    max_attempts: int = 2,
-    aliases: Mapping[str, str] = DEFAULT_KEY_ALIASES,
-) -> FormatOutcome:
-    """Full gate: direct validation first, then repair if a judge is given."""
-    response = validate(raw, aliases)
-    if response is not None:
-        return FormatOutcome(status=VALID_DIRECT, response=response)
-    if judge is None:
-        return FormatOutcome(
-            status=UNREPAIRABLE,
-            response=None,
-            diagnostic="invalid format and no repair judge configured",
-        )
-    return repair(raw, judge, max_attempts=max_attempts, aliases=aliases)

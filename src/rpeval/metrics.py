@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -51,99 +50,26 @@ def hellinger(p: Sequence[float], q: Sequence[float]) -> float:
     return min(1.0, max(0.0, d))
 
 
-@dataclass
-class TransitionMatrix:
-    """Square count matrix of label-to-label transitions.
-
-    ``variant`` records what a pair means: ``intra`` pairs are adjacent
-    utterances inside one response, ``inter`` pairs connect the last
-    utterance of a response to the first utterance of the same role's
-    next response in the dialogue.
-    """
-
-    variant: str
-    labels: tuple[str, ...]
-    counts: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.variant not in ("intra", "inter"):
-            raise ValueError(f"bad variant: {self.variant!r}")
-        self.labels = tuple(self.labels)
-        n = len(self.labels)
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        if self.counts.shape != (n, n):
-            raise ValueError(f"counts must be {n}x{n}")
-        if (self.counts < 0).any():
-            raise ValueError("counts must be non-negative")
-        self._index = {lab: i for i, lab in enumerate(self.labels)}
-
-    @classmethod
-    def zeros(cls, variant: str, labels: Sequence[str]) -> "TransitionMatrix":
-        n = len(labels)
-        return cls(variant=variant, labels=tuple(labels),
-                   counts=np.zeros((n, n), dtype=np.int64))
-
-    def add(self, src: str, dst: str) -> None:
-        try:
-            self.counts[self._index[src], self._index[dst]] += 1
-        except KeyError as exc:
-            raise CorpusError(f"unknown emotion label: {exc.args[0]!r}") from None
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    @property
-    def is_empty(self) -> bool:
-        return self.total == 0
-
-    def row_probabilities(self) -> np.ndarray:
-        """Rows normalized to 1; all-zero rows fall back to uniform."""
-        n = len(self.labels)
-        probs = self.counts.astype(float)
-        sums = probs.sum(axis=1, keepdims=True)
-        uniform = np.full((1, n), 1.0 / n)
-        return np.where(sums > 0, probs / np.where(sums > 0, sums, 1.0), uniform)
-
-    def flattened_distribution(self, smooth: float = 0.0) -> np.ndarray:
-        """All n*n cells as one distribution over the total pair count."""
-        total = self.total
-        if total == 0:
-            raise ValueError("cannot normalize an empty transition matrix")
-        flat = self.counts.astype(float).ravel()
-        if smooth > 0:
-            return (flat + smooth) / (total + smooth * flat.size)
-        return flat / total
-
-    def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "labels": list(self.labels),
-            "counts": self.counts.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, obj: Mapping) -> "TransitionMatrix":
-        return cls(
-            variant=obj["variant"],
-            labels=tuple(obj["labels"]),
-            counts=np.asarray(obj["counts"], dtype=np.int64),
-        )
-
-
 def build_transition_matrices(
     dialogues: Sequence[Sequence[Sequence[str]]],
     taxonomy: EmotionTaxonomy,
-) -> tuple[TransitionMatrix, TransitionMatrix]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Count intra- and inter-response transitions for one role.
 
     ``dialogues`` is a list of dialogues; each dialogue is the ordered
     list of that role's responses; each response is its per-utterance
-    label list.  The ambiguous sentinel contributes no pairs at all: it
-    breaks chains instead of bridging them, on both boundaries.
+    label list.  Returns ``(intra, inter)``: int64 n*n count arrays with
+    rows (source) and columns (target) in ``taxonomy.labels`` order.
+    ``intra`` pairs are adjacent utterances inside one response;
+    ``inter`` pairs connect the last utterance of a response to the
+    first utterance of the same role's next response in the dialogue.
+    The ambiguous sentinel contributes no pairs at all: it breaks chains
+    instead of bridging them, on both boundaries.
     """
-    intra = TransitionMatrix.zeros("intra", taxonomy.labels)
-    inter = TransitionMatrix.zeros("inter", taxonomy.labels)
+    n = taxonomy.size
+    intra = np.zeros((n, n), dtype=np.int64)
+    inter = np.zeros((n, n), dtype=np.int64)
+    index = taxonomy.index
     for dialogue in dialogues:
         prev_last: Optional[str] = None
         for labels in dialogue:
@@ -153,43 +79,63 @@ def build_transition_matrices(
                 continue
             for a, b in zip(labels, labels[1:]):
                 if a != AMBIGUOUS and b != AMBIGUOUS:
-                    intra.add(a, b)
+                    intra[index(a), index(b)] += 1
             first, last = labels[0], labels[-1]
             if prev_last is not None and prev_last != AMBIGUOUS and first != AMBIGUOUS:
-                inter.add(prev_last, first)
+                inter[index(prev_last), index(first)] += 1
             prev_last = last
     return intra, inter
 
 
+def _row_probabilities(counts: np.ndarray) -> np.ndarray:
+    """Rows normalized to 1; all-zero rows fall back to uniform."""
+    n = len(counts)
+    probs = counts.astype(float)
+    sums = probs.sum(axis=1, keepdims=True)
+    uniform = np.full((1, n), 1.0 / n)
+    return np.where(sums > 0, probs / np.where(sums > 0, sums, 1.0), uniform)
+
+
+def _flattened_distribution(counts: np.ndarray, smooth: float) -> np.ndarray:
+    """All n*n cells as one distribution over the total pair count."""
+    total = int(counts.sum())
+    if total == 0:
+        raise ValueError("cannot normalize an empty transition matrix")
+    flat = counts.astype(float).ravel()
+    if smooth > 0:
+        return (flat + smooth) / (total + smooth * flat.size)
+    return flat / total
+
+
 def matrix_distance(
-    a: TransitionMatrix,
-    b: TransitionMatrix,
+    a: np.ndarray,
+    b: np.ndarray,
     smooth: float = DEFAULT_SMOOTHING,
     mode: str = "flatten",
 ) -> float:
-    """Hellinger distance between two transition matrices.
+    """Hellinger distance between two transition count matrices.
 
     ``flatten`` (the default) treats each matrix as one distribution
     over all n*n cells, normalized by the total pair count.  ``rows``
     averages per-row distances over row-normalized probabilities
     instead (zero rows uniform, no smoothing).
     """
-    if a.labels != b.labels:
-        raise ValueError("matrices are over different label sets")
+    if a.shape != b.shape:
+        raise ValueError("matrices have different shapes")
     if mode == "flatten":
-        return hellinger(a.flattened_distribution(smooth),
-                         b.flattened_distribution(smooth))
+        return hellinger(_flattened_distribution(a, smooth),
+                         _flattened_distribution(b, smooth))
     if mode == "rows":
-        rows_a = a.row_probabilities()
-        rows_b = b.row_probabilities()
+        rows_a = _row_probabilities(a)
+        rows_b = _row_probabilities(b)
         return float(np.mean([hellinger(rows_a[i], rows_b[i])
-                              for i in range(len(a.labels))]))
+                              for i in range(len(a))]))
     raise ValueError(f"bad mode: {mode!r}")
 
 
 def edd(
-    gt: Mapping[str, TransitionMatrix],
-    rpa: Mapping[str, TransitionMatrix],
+    gt: Mapping[str, np.ndarray],
+    rpa: Mapping[str, np.ndarray],
     smooth: float = DEFAULT_SMOOTHING,
     mode: str = "flatten",
 ) -> Optional[float]:
@@ -205,9 +151,7 @@ def edd(
         raise ValueError("no roles given")
     distances = []
     for role in sorted(gt):
-        if gt[role].variant != rpa[role].variant:
-            raise ValueError(f"role {role!r}: variant mismatch")
-        if gt[role].is_empty or rpa[role].is_empty:
+        if not gt[role].any() or not rpa[role].any():
             logger.info("divergence: role %r skipped (empty side)", role)
             continue
         distances.append(matrix_distance(gt[role], rpa[role], smooth, mode))
@@ -218,14 +162,14 @@ def edd(
 
 
 def character_distinctiveness(
-    matrices: Mapping[str, TransitionMatrix],
+    matrices: Mapping[str, np.ndarray],
     smooth: float = DEFAULT_SMOOTHING,
     mode: str = "flatten",
 ) -> Optional[float]:
     """Mean pairwise transition distance across roles (how unalike they are)."""
     if len(matrices) < 2:
         raise ValueError("need at least two roles")
-    usable = [role for role in sorted(matrices) if not matrices[role].is_empty]
+    usable = [role for role in sorted(matrices) if matrices[role].any()]
     skipped = sorted(set(matrices) - set(usable))
     if skipped:
         logger.info("distinctiveness: skipping empty roles %s", skipped)
@@ -240,8 +184,8 @@ def character_distinctiveness(
 
 
 def rcd(
-    gt: Mapping[str, TransitionMatrix],
-    rpa: Mapping[str, TransitionMatrix],
+    gt: Mapping[str, np.ndarray],
+    rpa: Mapping[str, np.ndarray],
     smooth: float = DEFAULT_SMOOTHING,
     mode: str = "flatten",
 ) -> dict:

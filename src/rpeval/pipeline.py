@@ -62,7 +62,6 @@ from .judges import (
 )
 from .metrics import (
     DEFAULT_SMOOTHING,
-    TransitionMatrix,
     build_transition_matrices,
     cec,
     character_distinctiveness,
@@ -247,16 +246,15 @@ class RunConfig:
         self.labels = tuple(self.labels)
         if not 0.0 < self.tau <= 1.0:
             raise ConfigError("tau must be in (0, 1]")
-        if self.passes < 1:
-            raise ConfigError("passes must be at least 1")
-        if self.max_repair_attempts < 1:
-            raise ConfigError("max_repair_attempts must be at least 1")
-        if (isinstance(self.concurrency, bool)
-                or not isinstance(self.concurrency, int) or self.concurrency < 1):
-            raise ConfigError("concurrency must be an integer of at least 1")
-        if self.sample_limit is not None and self.sample_limit < 1:
-            raise ConfigError("sample_limit must be positive when set")
-        if self.smoothing < 0:
+        # Checked here, not only in ``from_dict``, because a config built
+        # in Python with a fractional count would fail only mid-run.
+        for name in ("passes", "max_repair_attempts", "concurrency", "sample_limit"):
+            value = getattr(self, name)
+            if name == "sample_limit" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ConfigError(f"{name} must be an integer of at least 1")
+        if not self.smoothing >= 0:  # ``not >=`` so that NaN is refused too
             raise ConfigError("smoothing must be non-negative")
         if self.divergence_mode not in ("flatten", "rows"):
             raise ConfigError(f"bad divergence_mode: {self.divergence_mode!r}")
@@ -415,17 +413,16 @@ def _role_matrices(
     threads: Sequence[tuple[str, list[DialogueSample]]],
     labels_of,
     taxonomy: EmotionTaxonomy,
-) -> tuple[dict[str, TransitionMatrix], dict[str, TransitionMatrix]]:
-    """Per-role intra/inter matrices, each sample labelled by ``labels_of``."""
+) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    """Per-role intra/inter count arrays, each sample labelled by ``labels_of``."""
     per_role: dict[str, list[list[list[str]]]] = {}
     for role_id, thread in threads:
         per_role.setdefault(role_id, []).append([labels_of(s) for s in thread])
-    intra: dict[str, TransitionMatrix] = {}
-    inter: dict[str, TransitionMatrix] = {}
+    intra: dict[str, np.ndarray] = {}
+    inter: dict[str, np.ndarray] = {}
     for role_id in sorted(per_role):
-        m_intra, m_inter = build_transition_matrices(per_role[role_id], taxonomy)
-        intra[role_id] = m_intra
-        inter[role_id] = m_inter
+        intra[role_id], inter[role_id] = build_transition_matrices(
+            per_role[role_id], taxonomy)
     return intra, inter
 
 
@@ -463,7 +460,9 @@ def gt_statistics(config: RunConfig, corpus_path: str | Path) -> dict:
         "label_counts": label_counts,
         "cd": {"intra": cd_intra, "inter": cd_inter},
         "transitions": {
-            role: {"intra": intra[role].to_dict(), "inter": inter[role].to_dict()}
+            role: {variant: {"variant": variant, "labels": list(taxonomy.labels),
+                             "counts": matrices[role].tolist()}
+                   for variant, matrices in (("intra", intra), ("inter", inter))}
             for role in roles
         },
     }

@@ -237,12 +237,12 @@ def test_criterion_06_transition_pair_oracle():
             ])
         intra, inter = build_transition_matrices(dialogues, TAXONOMY)
         want_intra, want_inter = transition_pairs(dialogues)
-        assert intra.total == sum(want_intra.values())
-        assert inter.total == sum(want_inter.values())
+        assert intra.sum() == sum(want_intra.values())
+        assert inter.sum() == sum(want_inter.values())
         for (a, b), count in want_intra.items():
-            assert intra.counts[TAXONOMY.index(a), TAXONOMY.index(b)] == count
+            assert intra[TAXONOMY.index(a), TAXONOMY.index(b)] == count
         for (a, b), count in want_inter.items():
-            assert inter.counts[TAXONOMY.index(a), TAXONOMY.index(b)] == count
+            assert inter[TAXONOMY.index(a), TAXONOMY.index(b)] == count
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
     _passed(6, f"500 dialogue sets, {elapsed:.2f}s")

@@ -12,7 +12,6 @@ from rpeval.formatter import (
     VALID_DIRECT,
     FormatOutcome,
     format_response,
-    repair,
     validate,
 )
 from rpeval.judges import JudgeClient, MockBackend, RetryPolicy, TransportError
@@ -142,10 +141,11 @@ def test_repair_survives_transport_failures():
     assert "down" in outcome.diagnostic
 
 
-def test_repair_on_valid_output_is_a_caller_bug():
+def test_max_attempts_is_checked_only_when_repairing():
     judge = _client(MockBackend("fix", handler=lambda p, s: GOOD))
-    with pytest.raises(ValueError, match="already validates"):
-        repair(GOOD, judge)
+    assert format_response(GOOD, judge, max_attempts=0).status == VALID_DIRECT
+    with pytest.raises(ValueError, match="max_attempts"):
+        format_response("broken", judge, max_attempts=0)
 
 
 def test_format_without_judge_cannot_repair():

@@ -14,7 +14,6 @@ import rpeval
 import rpeval.metrics
 from rpeval.corpus import AMBIGUOUS, CorpusError, EmotionTaxonomy, default_taxonomy
 from rpeval.metrics import (
-    TransitionMatrix,
     build_transition_matrices,
     cec,
     character_distinctiveness,
@@ -92,50 +91,50 @@ def test_hellinger_input_validation():
 
 # ------------------------------------------------------- transition matrices
 
+def _counts(*pairs, taxonomy=TINY_TAX):
+    """A count matrix with one count per (source, target) label pair."""
+    m = np.zeros((taxonomy.size, taxonomy.size), dtype=np.int64)
+    for src, dst in pairs:
+        m[taxonomy.index(src), taxonomy.index(dst)] += 1
+    return m
+
+
 def test_matrix_add_and_errors():
-    m = TransitionMatrix.zeros("intra", TINY_TAX.labels)
-    m.add("up", "down")
-    m.add("up", "down")
-    m.add("flat", "up")
-    assert m.total == 3
-    assert m.counts[0, 2] == 2
-    assert m.counts[1, 0] == 1
-    with pytest.raises(CorpusError):
-        m.add("sideways", "up")
-    with pytest.raises(ValueError):
-        TransitionMatrix.zeros("diagonal", TINY_TAX.labels)
+    intra, inter = build_transition_matrices(
+        [[["up", "down", "down"], ["flat", "up"]]], TINY_TAX)
+    assert intra.dtype == inter.dtype == np.int64
+    assert intra.shape == inter.shape == (3, 3)
+    assert intra.sum() == 3
+    assert intra[0, 2] == 1 and intra[2, 2] == 1 and intra[1, 0] == 1
+    assert inter.sum() == 1 and inter[2, 1] == 1
+    with pytest.raises(CorpusError, match="unknown emotion label: 'sideways'"):
+        build_transition_matrices([[["sideways", "up"]]], TINY_TAX)
+    with pytest.raises(CorpusError, match="unknown emotion label: 'sideways'"):
+        build_transition_matrices([[["up"], ["sideways"]]], TINY_TAX)
 
 
 def test_matrix_row_probabilities_uniform_for_zero_rows():
-    m = TransitionMatrix.zeros("intra", TINY_TAX.labels)
-    m.add("up", "up")
-    rows = m.row_probabilities()
-    assert rows[0].tolist() == [1.0, 0.0, 0.0]
-    assert rows[1].tolist() == [pytest.approx(1 / 3)] * 3
-    assert np.allclose(rows.sum(axis=1), 1.0)
+    # Row "up" differs: [1, 0, 0] against [0, 0, 1], distance 1.  Row
+    # "flat" is empty on both sides, so both are uniform: distance 0.  Row
+    # "down" is empty on one side only: [0, 1, 0] against uniform.
+    a = _counts(("up", "up"), ("down", "flat"))
+    b = _counts(("up", "down"))
+    against_uniform = math.sqrt(1.0 - math.sqrt(1.0 / 3.0))
+    assert matrix_distance(a, b, mode="rows") == pytest.approx(
+        (1.0 + 0.0 + against_uniform) / 3.0, abs=1e-12)
 
 
 def test_matrix_flattened_distribution_and_smoothing():
-    m = TransitionMatrix.zeros("intra", TINY_TAX.labels)
-    m.add("up", "down")
-    flat = m.flattened_distribution()
-    assert flat.sum() == pytest.approx(1.0)
-    assert flat[2] == 1.0
-    smoothed = m.flattened_distribution(smooth=1e-9)
-    assert smoothed.sum() == pytest.approx(1.0, abs=1e-12)
-    assert (smoothed > 0).all()
-    empty = TransitionMatrix.zeros("intra", TINY_TAX.labels)
-    with pytest.raises(ValueError):
-        empty.flattened_distribution()
-
-
-def test_matrix_serialization_roundtrip():
-    m = TransitionMatrix.zeros("inter", TINY_TAX.labels)
-    m.add("down", "flat")
-    again = TransitionMatrix.from_dict(m.to_dict())
-    assert again.variant == "inter"
-    assert again.labels == m.labels
-    assert (again.counts == m.counts).all()
+    a = _counts(("up", "down"))
+    b = _counts(("down", "up"))
+    assert matrix_distance(a, b, smooth=0.0) == 1.0
+    smoothed = matrix_distance(a, b, smooth=1e-9)
+    assert 0.9999 < smoothed < 1.0
+    empty = np.zeros((3, 3), dtype=np.int64)
+    with pytest.raises(ValueError, match="empty"):
+        matrix_distance(empty, a)
+    with pytest.raises(ValueError, match="empty"):
+        matrix_distance(a, empty, smooth=0.0)
 
 
 def test_build_transitions_worked_example():
@@ -147,13 +146,13 @@ def test_build_transitions_worked_example():
     ]
     intra, inter = build_transition_matrices([dialogue], TAX)
     h, s, a, w = (TAX.index(x) for x in ("happy", "sadness", "anger", "worried"))
-    assert intra.counts[h, h] == 1
-    assert intra.counts[h, s] == 1
-    assert intra.counts[a, w] == 1
-    assert intra.total == 3
-    assert inter.counts[s, s] == 1
-    assert inter.counts[s, a] == 1
-    assert inter.total == 2
+    assert intra[h, h] == 1
+    assert intra[h, s] == 1
+    assert intra[a, w] == 1
+    assert intra.sum() == 3
+    assert inter[s, s] == 1
+    assert inter[s, a] == 1
+    assert inter.sum() == 2
 
 
 def test_build_transitions_ambiguous_breaks_chains():
@@ -163,10 +162,10 @@ def test_build_transitions_ambiguous_breaks_chains():
         ["anger"],
     ]
     intra, inter = build_transition_matrices([dialogue], TAX)
-    assert intra.total == 0
-    assert inter.total == 0
+    assert intra.sum() == 0
+    assert inter.sum() == 0
     # and no bridging: happy->anger must not appear either
-    assert inter.counts[TAX.index("happy"), TAX.index("anger")] == 0
+    assert inter[TAX.index("happy"), TAX.index("anger")] == 0
 
 
 def test_build_transitions_matches_pair_listing_oracle():
@@ -185,79 +184,66 @@ def test_build_transitions_matches_pair_listing_oracle():
         intra, inter = build_transition_matrices(dialogues, TAX)
         o_intra, o_inter = transition_pairs(dialogues)
         for (a, b), count in o_intra.items():
-            assert intra.counts[TAX.index(a), TAX.index(b)] == count
-        assert intra.total == sum(o_intra.values())
+            assert intra[TAX.index(a), TAX.index(b)] == count
+        assert intra.sum() == sum(o_intra.values())
         for (a, b), count in o_inter.items():
-            assert inter.counts[TAX.index(a), TAX.index(b)] == count
-        assert inter.total == sum(o_inter.values())
+            assert inter[TAX.index(a), TAX.index(b)] == count
+        assert inter.sum() == sum(o_inter.values())
 
 
 def test_matrix_distance_identical_is_zero_disjoint_is_one():
-    a = TransitionMatrix.zeros("intra", TINY_TAX.labels)
-    a.add("up", "down")
-    a.add("down", "up")
-    b = TransitionMatrix.from_dict(a.to_dict())
-    assert matrix_distance(a, b) == 0.0
-    c = TransitionMatrix.zeros("intra", TINY_TAX.labels)
-    c.add("flat", "flat")
+    a = _counts(("up", "down"), ("down", "up"))
+    assert matrix_distance(a, a.copy()) == 0.0
+    c = _counts(("flat", "flat"))
     # smoothing keeps the supports overlapping a little
     assert matrix_distance(a, c) == pytest.approx(1.0, abs=1e-4)
     assert matrix_distance(a, c, smooth=0.0) == 1.0
 
 
 def test_matrix_distance_modes_and_errors():
-    a = TransitionMatrix.zeros("intra", TINY_TAX.labels)
-    a.add("up", "down")
-    b = TransitionMatrix.zeros("intra", TINY_TAX.labels)
-    b.add("up", "up")
+    a = _counts(("up", "down"))
+    b = _counts(("up", "up"))
     assert 0.0 < matrix_distance(a, b, mode="rows") <= 1.0
-    other = TransitionMatrix.zeros("intra", ("x", "y"))
-    with pytest.raises(ValueError):
-        matrix_distance(a, other)
+    other = np.ones((2, 2), dtype=np.int64)
+    for mode in ("flatten", "rows"):
+        with pytest.raises(ValueError, match="shape"):
+            matrix_distance(a, other, mode=mode)
     with pytest.raises(ValueError):
         matrix_distance(a, b, mode="diagonal")
 
 
-def _one_hot_matrix(variant, src, dst, taxonomy=TINY_TAX):
-    m = TransitionMatrix.zeros(variant, taxonomy.labels)
-    m.add(src, dst)
-    return m
-
-
 def test_edd_averages_roles_and_skips_empty_sides():
-    gt = {"a": _one_hot_matrix("intra", "up", "up"),
-          "b": _one_hot_matrix("intra", "down", "down")}
-    rpa = {"a": _one_hot_matrix("intra", "up", "up"),
-           "b": TransitionMatrix.zeros("intra", TINY_TAX.labels)}
+    gt = {"a": _counts(("up", "up")),
+          "b": _counts(("down", "down"))}
+    rpa = {"a": _counts(("up", "up")),
+           "b": _counts()}
     value = edd(gt, rpa)
     assert value == 0.0  # role b skipped, role a identical
-    rpa["b"] = _one_hot_matrix("intra", "up", "down")
+    rpa["b"] = _counts(("up", "down"))
     both = edd(gt, rpa)
     assert both == pytest.approx(
         matrix_distance(gt["b"], rpa["b"]) / 2.0, abs=1e-12)
 
 
 def test_edd_undefined_when_every_role_empty():
-    gt = {"a": TransitionMatrix.zeros("intra", TINY_TAX.labels)}
-    rpa = {"a": _one_hot_matrix("intra", "up", "up")}
+    gt = {"a": _counts()}
+    rpa = {"a": _counts(("up", "up"))}
     assert edd(gt, rpa) is None
 
 
-def test_edd_validates_role_sets_and_variants():
-    gt = {"a": _one_hot_matrix("intra", "up", "up")}
+def test_edd_validates_role_sets():
+    gt = {"a": _counts(("up", "up"))}
     with pytest.raises(ValueError):
-        edd(gt, {"b": _one_hot_matrix("intra", "up", "up")})
-    with pytest.raises(ValueError):
-        edd(gt, {"a": _one_hot_matrix("inter", "up", "up")})
+        edd(gt, {"b": _counts(("up", "up"))})
     with pytest.raises(ValueError):
         edd({}, {})
 
 
 def test_character_distinctiveness():
     matrices = {
-        "a": _one_hot_matrix("intra", "up", "up"),
-        "b": _one_hot_matrix("intra", "down", "down"),
-        "c": _one_hot_matrix("intra", "up", "up"),
+        "a": _counts(("up", "up")),
+        "b": _counts(("down", "down")),
+        "c": _counts(("up", "up")),
     }
     value = character_distinctiveness(matrices, smooth=0.0)
     # pairs: (a,b)=1, (a,c)=0, (b,c)=1
@@ -268,17 +254,17 @@ def test_character_distinctiveness():
 
 def test_character_distinctiveness_undefined_with_one_usable_role():
     matrices = {
-        "a": _one_hot_matrix("intra", "up", "up"),
-        "b": TransitionMatrix.zeros("intra", TINY_TAX.labels),
+        "a": _counts(("up", "up")),
+        "b": _counts(),
     }
     assert character_distinctiveness(matrices) is None
 
 
 def test_rcd_is_difference_of_distinctiveness():
-    gt = {"a": _one_hot_matrix("intra", "up", "up"),
-          "b": _one_hot_matrix("intra", "down", "down")}
-    rpa = {"a": _one_hot_matrix("intra", "up", "up"),
-           "b": _one_hot_matrix("intra", "up", "up")}
+    gt = {"a": _counts(("up", "up")),
+          "b": _counts(("down", "down"))}
+    rpa = {"a": _counts(("up", "up")),
+           "b": _counts(("up", "up"))}
     result = rcd(gt, rpa, smooth=0.0)
     assert result["cd_gt"] == pytest.approx(1.0)
     assert result["cd_rpa"] == 0.0
@@ -286,7 +272,7 @@ def test_rcd_is_difference_of_distinctiveness():
     with pytest.raises(ValueError):
         rcd({"a": gt["a"]}, rpa)
     # an undefined side (every predicted role empty) leaves the gap undefined
-    empty = {r: TransitionMatrix.zeros("intra", TINY_TAX.labels) for r in rpa}
+    empty = {r: _counts() for r in rpa}
     assert rcd(gt, empty, smooth=0.0) == {"value": None, "cd_gt": result["cd_gt"],
                               "cd_rpa": None}
 

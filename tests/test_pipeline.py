@@ -1,6 +1,7 @@
 """Pipeline orchestration: config, staging, reports, CLI."""
 
 import csv
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -137,10 +138,17 @@ def test_config_rejects_unknown_keys_and_bad_values():
     ):
         with pytest.raises(ConfigError, match=match):
             RunConfig.from_dict(bad)
-    # built in Python, not parsed: a fractional count would never block
-    for concurrency in (2.5, True, 0):
-        with pytest.raises(ConfigError, match="concurrency"):
-            RunConfig(concurrency=concurrency)
+    # built in Python, not parsed: a fractional count would never block, or
+    # would fail mid-run after judge requests had started
+    for name in ("passes", "max_repair_attempts", "concurrency", "sample_limit"):
+        for value in (2.5, 1.5, True, 0):
+            with pytest.raises(ConfigError, match=name):
+                RunConfig(**{name: value})
+            with pytest.raises(ConfigError, match=name):
+                dataclasses.replace(RunConfig(), **{name: value})
+    with pytest.raises(ConfigError, match="smoothing"):
+        RunConfig(smoothing=float("nan"))
+    assert RunConfig(sample_limit=None).sample_limit is None
     # a float field takes a JSON integer, an Optional one takes null
     config = RunConfig.from_dict({"tau": 1, "sample_limit": None,
                                   "experts": [{"name": "e", "kind": "mock",
