@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import base64
 import dataclasses
+import functools
 import hashlib
 import json
 import logging
+import math
 import os
 import re
 import select
@@ -21,7 +23,8 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import (Callable, Mapping, Optional, Sequence, Union, get_args,
+                    get_origin, get_type_hints)
 from urllib.parse import unquote, urlsplit
 
 logger = logging.getLogger(__name__)
@@ -43,6 +46,56 @@ class RequestRejected(TransportError):
     """The backend refused this one request (HTTP 400/413/422); never retried."""
 
 
+# Config annotations are strings until resolved; resolve each class once.
+_type_hints = functools.cache(get_type_hints)
+
+
+def _checked(tp, value, where: str, error):
+    """``value`` checked against annotation ``tp``; JSON objects become dataclasses."""
+    if get_origin(tp) is Union:  # Optional[X]
+        if value is None:
+            return None
+        (tp,) = [arg for arg in get_args(tp) if arg is not type(None)]
+    if dataclasses.is_dataclass(tp):
+        return value if isinstance(value, tp) else build_config(tp, value, where, error)
+    origin = get_origin(tp) or tp
+    if origin in (list, tuple):
+        if not isinstance(value, (list, tuple)):
+            raise error(f"{where} must be a list")
+        return origin(_checked(get_args(tp)[0], v, f"{where}[{i}]", error)
+                      for i, v in enumerate(value))
+    # JSON 1 is a valid float; bool is an int subclass but no number here.
+    allowed = (int, float) if tp is float else Mapping if origin is dict else tp
+    if not isinstance(value, allowed) or (isinstance(value, bool) and tp is not bool):
+        raise error(f"{where} must be {tp.__name__}, got {type(value).__name__}")
+    if tp is float and not math.isfinite(value):
+        raise error(f"{where} must be a finite number, got {value}")
+    return value
+
+
+def check_fields(obj, error) -> None:
+    """Check (and convert) each field of config dataclass ``obj`` by its annotation."""
+    hints = _type_hints(type(obj))
+    for f in dataclasses.fields(obj):
+        value = _checked(hints[f.name], getattr(obj, f.name), f.name, error)
+        object.__setattr__(obj, f.name, value)  # frozen dataclasses too
+
+
+def build_config(cls, obj, where: str, error):
+    """Build ``cls`` from JSON object ``obj``; errors name the path from ``where``."""
+    if not isinstance(obj, Mapping):
+        raise error(f"{where} must be an object")
+    names = tuple(f.name for f in dataclasses.fields(cls))
+    unknown = set(obj) - set(names)
+    if unknown:
+        raise error(f"{where} has unknown keys: {sorted(unknown)}")
+    try:
+        return cls(**obj)
+    except (TypeError, ValueError) as exc:
+        sep = "." if str(exc).startswith(names) else ": "  # a field continues the path
+        raise error(f"{where}{sep}{exc}") from None
+
+
 @dataclass(frozen=True)
 class Sampling:
     """Decoding parameters sent with every judge request.
@@ -55,6 +108,15 @@ class Sampling:
     temperature: float = 0.0
     top_p: float = 1.0
     max_tokens: int = 1024
+
+    def __post_init__(self) -> None:
+        check_fields(self, ValueError)
+        if self.temperature < 0:
+            raise ValueError("temperature must not be negative")
+        if not 0 <= self.top_p <= 1:
+            raise ValueError("top_p must be in [0, 1]")
+        if self.max_tokens < 1:
+            raise ValueError("max_tokens must be at least 1")
 
 
 # Sampling values go into cache keys and request bodies in field order.
@@ -107,11 +169,11 @@ class RetryPolicy:
     max_delay: float = 30.0
 
     def __post_init__(self) -> None:
+        check_fields(self, ValueError)
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
-        # ``not >=`` so that NaN is refused too.
         for name in ("base_delay", "max_delay"):
-            if not getattr(self, name) >= 0:
+            if getattr(self, name) < 0:
                 raise ValueError(f"{name} must not be negative")
 
     def delay(self, attempt: int) -> float:

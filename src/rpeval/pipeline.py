@@ -15,7 +15,6 @@ import hashlib
 import io
 import json
 import logging
-import math
 import os
 import random
 import time
@@ -24,8 +23,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
-from typing import (Mapping, Optional, Sequence, Union, get_args, get_origin,
-                    get_type_hints)
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -58,6 +56,8 @@ from .judges import (
     RetryPolicy,
     Sampling,
     TransportError,
+    build_config,
+    check_fields,
     parse_rc_verdict,
 )
 from .metrics import (
@@ -133,17 +133,15 @@ class BackendSpec:
     fixture_dir: str = ""
 
     def __post_init__(self) -> None:
+        check_fields(self, ConfigError)
         if not self.name:
-            raise ConfigError("backend needs a non-empty name")
+            raise ConfigError("name must not be empty")
         if self.kind not in ("http", "mock"):
-            raise ConfigError(f"backend {self.name!r}: unknown kind {self.kind!r}")
-        # ``not >`` so that NaN is refused too; a negative rate limit
-        # would silently mean no limit.
-        if not self.timeout > 0:
-            raise ConfigError(f"backend {self.name!r}: timeout must be positive")
-        if not self.rate_limit >= 0:
-            raise ConfigError(
-                f"backend {self.name!r}: rate_limit must not be negative")
+            raise ConfigError(f"kind must be http or mock, got {self.kind!r}")
+        if self.timeout <= 0:
+            raise ConfigError("timeout must be positive")
+        if self.rate_limit < 0:  # a negative rate limit would mean no limit
+            raise ConfigError("rate_limit must not be negative")
 
     def build_backend(self):
         if self.kind == "mock":
@@ -160,58 +158,6 @@ class BackendSpec:
             )
         except BackendConfigError as exc:
             raise ConfigError(str(exc)) from None
-
-
-def _field_types(cls) -> dict:
-    """Field name -> resolved annotation of a config dataclass."""
-    hints = get_type_hints(cls)
-    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
-
-
-def _from_value(tp, value, where: str):
-    """Check ``value`` against annotation ``tp``, building nested dataclasses."""
-    if get_origin(tp) is Union:  # Optional[X]
-        if value is None:
-            return None
-        (tp,) = [arg for arg in get_args(tp) if arg is not type(None)]
-    if dataclasses.is_dataclass(tp):
-        return _from_dict(tp, value, where)
-    origin = get_origin(tp) or tp
-    if origin in (list, tuple):
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{where} must be a list")
-        item = get_args(tp)[0]
-        return [_from_value(item, v, f"{where}[{i}]") for i, v in enumerate(value)]
-    if origin is dict:
-        if not isinstance(value, Mapping):
-            raise ConfigError(f"{where} must be an object")
-        return value
-    # JSON 1 is a valid float; bool is an int subclass but no number here.
-    allowed = (int, float) if tp is float else tp
-    if not isinstance(value, allowed) or (isinstance(value, bool) and tp is not bool):
-        raise ConfigError(
-            f"{where} must be {tp.__name__}, got {type(value).__name__}")
-    if tp is float and not math.isfinite(value):
-        raise ConfigError(f"{where} must be a finite number, got {value}")
-    return value
-
-
-def _from_dict(cls, obj, where: str):
-    """Build config dataclass ``cls`` from a JSON object, checked against its fields."""
-    if not isinstance(obj, Mapping):
-        raise ConfigError(f"{where} must be an object")
-    types = _field_types(cls)
-    unknown = set(obj) - set(types)
-    if unknown:
-        raise ConfigError(f"{where} has unknown keys: {sorted(unknown)}")
-    kwargs = {key: _from_value(types[key], value, f"{where}.{key}")
-              for key, value in obj.items()}
-    try:
-        return cls(**kwargs)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {where}: {exc}") from None
 
 
 @dataclass
@@ -243,21 +189,18 @@ class RunConfig:
     generators: list[BackendSpec] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        self.labels = tuple(self.labels)
+        check_fields(self, ConfigError)
         if not 0.0 < self.tau <= 1.0:
             raise ConfigError("tau must be in (0, 1]")
-        # Checked here, not only in ``from_dict``, because a config built
-        # in Python with a fractional count would fail only mid-run.
         for name in ("passes", "max_repair_attempts", "concurrency", "sample_limit"):
             value = getattr(self, name)
-            if name == "sample_limit" and value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ConfigError(f"{name} must be an integer of at least 1")
-        if not self.smoothing >= 0:  # ``not >=`` so that NaN is refused too
+            if value is not None and value < 1:
+                raise ConfigError(f"{name} must be at least 1")
+        if self.smoothing < 0:
             raise ConfigError("smoothing must be non-negative")
         if self.divergence_mode not in ("flatten", "rows"):
-            raise ConfigError(f"bad divergence_mode: {self.divergence_mode!r}")
+            raise ConfigError(f"divergence_mode must be flatten or rows, "
+                              f"got {self.divergence_mode!r}")
         unknown = set(self.rc_routing) - set(RC_METRICS)
         if unknown:
             raise ConfigError(f"rc_routing has unknown metrics: {sorted(unknown)}")
@@ -269,6 +212,8 @@ class RunConfig:
                 )
         _require_unique_names([s.name for s in self.experts + self.rc_evaluators
                                + [self.repair] if s is not None])
+        _require_unique_names([s.name for s in self.generators])  # never beside judges
+        self.taxonomy()  # fail fast on a bad label scheme
 
     def taxonomy(self) -> EmotionTaxonomy:
         try:
@@ -279,9 +224,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, obj: Mapping) -> "RunConfig":
-        config = _from_dict(cls, obj, "config")
-        config.taxonomy()  # fail fast on a bad label scheme
-        return config
+        return build_config(cls, obj, "config", ConfigError)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import math
 import re
 from pathlib import Path
 
@@ -30,6 +31,7 @@ from rpeval.judges import (
     JudgeClient,
     MockBackend,
     RetryPolicy,
+    Sampling,
     TransportError,
     prompt_digest,
 )
@@ -154,6 +156,79 @@ def test_config_rejects_unknown_keys_and_bad_values():
                                   "experts": [{"name": "e", "kind": "mock",
                                                "rate_limit": 2}]})
     assert config.tau == 1 and config.experts[0].rate_limit == 2
+
+
+_DUPLICATE_GENERATORS = [
+    {"name": "actor", "kind": "mock"},
+    {"name": "actor", "kind": "http", "endpoint": "http://127.0.0.1:9/v1", "model": "m"},
+]
+
+# (config class, field, bad value): each is refused however the config is
+# built, through a run config JSON object, directly or by replace().
+_BAD_CONFIG_VALUES = [
+    (RunConfig, "smoothing", math.inf),
+    (RunConfig, "tau", True),
+    (RunConfig, "seed", 1.5),
+    (RunConfig, "delimiters", 5),
+    (RunConfig, "cache_dir", None),
+    (RunConfig, "rc_floor_unrepairable", "yes"),
+    (RunConfig, "retry", 3),
+    (RunConfig, "generators", _DUPLICATE_GENERATORS),
+    (RetryPolicy, "base_delay", math.inf),
+    (RetryPolicy, "max_attempts", 2.5),
+    (RetryPolicy, "max_attempts", True),
+    (Sampling, "temperature", -math.inf),
+    (Sampling, "temperature", -1),
+    (Sampling, "top_p", math.nan),
+    (Sampling, "top_p", 5),
+    (Sampling, "top_p", -0.5),
+    (Sampling, "max_tokens", 2.5),
+    (Sampling, "max_tokens", 0),
+    (BackendSpec, "timeout", math.inf),
+    (BackendSpec, "timeout", True),
+    (BackendSpec, "rate_limit", math.inf),
+    (BackendSpec, "name", 5),
+]
+
+# Config class -> (the path of its values in a run config, the fields it
+# needs, the error its constructor raises, how a run config nests it).
+_CONFIG_PLACES = {
+    RunConfig: ("config", {}, ConfigError, lambda obj: obj),
+    BackendSpec: ("config.experts[0]", {"name": "e", "kind": "http"}, ConfigError,
+                  lambda obj: {"experts": [obj]}),
+    RetryPolicy: ("config.retry", {}, ValueError, lambda obj: {"retry": obj}),
+    Sampling: ("config.judge_sampling", {}, ValueError,
+               lambda obj: {"judge_sampling": obj}),
+}
+
+
+@pytest.mark.parametrize("cls,name,value", _BAD_CONFIG_VALUES)
+def test_config_refuses_bad_values_however_built(cls, name, value):
+    path, needed, error, nest = _CONFIG_PLACES[cls]
+    # a refused JSON value is named by its path from the top of the config
+    generators = name == "generators"
+    with pytest.raises(ConfigError, match="unique.*'actor'" if generators
+                       else re.escape(f"{path}.{name} ")):
+        RunConfig.from_dict(nest({**needed, name: value}))
+    match = "unique" if generators else name
+    with pytest.raises(error, match=match):
+        cls(**{**needed, name: value})
+    with pytest.raises(error, match=match):
+        dataclasses.replace(cls(**needed), **{name: value})
+
+
+def test_config_builds_nested_json_objects_however_built():
+    labels = RunConfig().labels
+    config = RunConfig(judge_sampling={}, retry={"max_attempts": 2},
+                       experts=[{"name": "e", "kind": "mock"}], labels=list(labels))
+    assert config.judge_sampling == Sampling()
+    assert config.retry == RetryPolicy(max_attempts=2)
+    assert config.experts == [BackendSpec(name="e", kind="mock")]
+    assert config.labels == labels and isinstance(config.labels, tuple)
+    with pytest.raises(ConfigError, match=re.escape("retry.max_attempts")):
+        RunConfig(retry={"max_attempts": 0})
+    with pytest.raises(ConfigError, match="config.experts.0.: .*'kind'"):
+        RunConfig.from_dict({"experts": [{"name": "e"}]})
 
 
 def test_config_roundtrip_and_digest():

@@ -1,0 +1,271 @@
+"""Byte-identity check of rpeval's outputs against a base revision.
+
+Usage: python3 -B tools/identity.py --base REV
+
+Runs one fixed grid of ``evaluate`` and ``gt-stats`` cells twice: with
+the ``src/`` of git revision REV and with the working tree's ``src/``.
+Both sides read the same inputs, written once by the working tree's
+``bench/gen.py``, and use the same deterministic judges: the bench's
+``replies.Replier``, injected as ``MockBackend``s, with retry delays of 0.
+Each side runs in its own ``python3 -B`` child with its own ``src``
+first on the path.  REV's source is exported with ``git archive`` into a
+temporary directory, so nothing needs the network and no worktree is
+left behind.
+
+Compared per cell: the bytes of ``report.json`` and ``gt_stats.json``,
+the manifest's ``counts``, and each judge's ``replies``,
+``backend_calls``, ``transport_failures`` and ``rejected``.
+
+The grid is fixed here.  Cells may be added, never dropped:
+
+- seeds 1-3 (40 samples, 4 roles) x Replier faults ""/wrong-labels/drop
+  x concurrency 1 and 4;
+- 400 samples with 8 roles, in ``flatten`` mode and in ``rows`` mode
+  (smoothing 0);
+- corpora with 1 role and with 2 roles;
+- ``gt-stats`` on each corpus (and in rows mode on the 400-sample one);
+- a run at concurrency 1 that fills a reply cache, and its warm rerun.
+
+Exit codes: 0 when every cell matches, 1 with the list of cells that
+differ, 2 for a REV that cannot be exported or run.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import logging
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Corpus name -> (bench/gen.py seed, samples, roles).
+CORPORA = {
+    "s1": (1, 40, 4),
+    "s2": (2, 40, 4),
+    "s3": (3, 40, 4),
+    "400x8": (1, 400, 8),
+    "1-role": (1, 40, 1),
+    "2-roles": (1, 40, 2),
+}
+EXPERTS = [f"expert{i}" for i in range(5)]
+CRITICS = ["critic0", "critic1"]
+JUDGE_KEYS = ("replies", "backend_calls", "transport_failures", "rejected")
+ROWS = {"divergence_mode": "rows", "smoothing": 0.0}
+
+
+def grid() -> list[dict]:
+    """Every cell, in run order; a warm rerun follows the run that fills its cache."""
+    cells = []
+
+    def evaluate(corpus, fault="", concurrency=4, cache="", tag="", **config):
+        name = f"{corpus}/{fault or 'clean'}/c{concurrency}" + (f"/{tag}" if tag else "")
+        cells.append({"name": name, "command": "evaluate", "corpus": corpus,
+                      "fault": fault, "cache": cache,
+                      "config": {"concurrency": concurrency, **config}})
+
+    for corpus in ("s1", "s2", "s3"):
+        for fault in ("", "wrong-labels", "drop"):
+            for concurrency in (1, 4):
+                evaluate(corpus, fault, concurrency)
+    evaluate("400x8", tag="flatten")
+    evaluate("400x8", tag="rows", **ROWS)
+    evaluate("1-role")
+    evaluate("2-roles")
+    evaluate("s1", concurrency=1, cache="warm-s1", tag="cold-cache")
+    evaluate("s1", concurrency=1, cache="warm-s1", tag="warm-cache")
+    for corpus in CORPORA:
+        cells.append({"name": f"{corpus}/gt-stats", "command": "gt-stats",
+                      "corpus": corpus, "config": {}})
+    cells.append({"name": "400x8/gt-stats/rows", "command": "gt-stats",
+                  "corpus": "400x8", "config": dict(ROWS)})
+    return cells
+
+
+# -- child: run the grid with one side's source ------------------------
+
+def _judges(fault: str) -> dict:
+    import rpeval
+    from replies import Replier, Transient
+
+    replier = Replier(fault)
+
+    def judge(name):
+        def handler(prompt, sampling):
+            try:
+                return replier.reply(name, prompt)
+            except Transient as exc:
+                raise rpeval.TransportError(str(exc)) from None
+        return rpeval.MockBackend(name, handler=handler)
+
+    return {"experts": [judge(n) for n in EXPERTS],
+            "rc_evaluators": [judge(n) for n in CRITICS],
+            "repair_judge": judge("fixer")}
+
+
+def _run_cell(cell: dict, inputs: Path, work: Path) -> dict:
+    import rpeval
+    import rpeval.cli
+
+    out = work / "cells" / cell["name"].replace("/", "_")
+    corpus = inputs / cell["corpus"]
+    config = {"retry": {"max_attempts": 3, "base_delay": 0.0, "max_delay": 0.0},
+              **cell["config"]}
+    if cell["command"] == "gt-stats":
+        out.mkdir(parents=True)
+        (out / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        argv = ["gt-stats", "--config", str(out / "config.json"),
+                "--corpus", str(corpus / "corpus.jsonl"), "--out", str(out)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = rpeval.cli.main(argv)
+        if code != 0:
+            raise RuntimeError(f"rpeval gt-stats exited with {code}")
+        return {"files": {"gt_stats.json": str(out / "gt_stats.json")}}
+    if cell["cache"]:
+        config["cache_dir"] = str(work / "caches" / cell["cache"])
+    run = rpeval.evaluate(rpeval.RunConfig.from_dict(config), corpus / "corpus.jsonl",
+                          corpus / "predictions.jsonl", out_dir=out,
+                          **_judges(cell["fault"]))
+    return {"files": {"report.json": str(out / "report.json")},
+            "counts": run.manifest["counts"],
+            "judges": {name: {key: stats[key] for key in JUDGE_KEYS}
+                       for name, stats in run.manifest["judges"].items()}}
+
+
+def run_grid(src: Path, inputs: Path, work: Path) -> int:
+    """Run every cell with the rpeval in ``src``; write ``work/results.json``."""
+    sys.path[:0] = [str(src), str(ROOT / "bench")]
+    import rpeval
+
+    if Path(rpeval.__file__).resolve().parent != (src / "rpeval").resolve():
+        print(f"imported rpeval from {rpeval.__file__}, not {src}", file=sys.stderr)
+        return 2
+    logging.disable(logging.CRITICAL)  # planted faults log a warning each
+    results = {}
+    for cell in grid():
+        t0 = time.monotonic()
+        try:
+            result = _run_cell(cell, inputs, work)
+        except Exception as exc:  # a failing cell is a difference, not a crash
+            result = {"error": f"{type(exc).__name__}: {exc}"}
+        result["seconds"] = round(time.monotonic() - t0, 3)
+        results[cell["name"]] = result
+    (work / "results.json").write_text(json.dumps(results, indent=1), encoding="utf-8")
+    return 0
+
+
+# -- parent: export REV, run both sides, compare ------------------------
+
+def _git(*args: str, **kwargs) -> subprocess.CompletedProcess:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, **kwargs)
+
+
+def export_source(rev: str, dest: Path) -> str | None:
+    """Write REV's ``src/`` under ``dest``; its commit id, or None if unusable."""
+    commit = _git("rev-parse", "--verify", "--quiet", f"{rev}^{{commit}}", text=True)
+    if commit.returncode != 0:
+        return None
+    archive = _git("archive", commit.stdout.strip(), "src")
+    if archive.returncode != 0:
+        return None
+    dest.mkdir(parents=True)
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, check=True)
+    if not (dest / "src" / "rpeval" / "__init__.py").is_file():
+        return None
+    return commit.stdout.strip()
+
+
+def write_inputs(inputs: Path) -> None:
+    for name, (seed, samples, roles) in CORPORA.items():
+        subprocess.run(
+            [sys.executable, "-B", str(ROOT / "bench" / "gen.py"),
+             "--out", str(inputs / name), "--seed", str(seed),
+             "--samples", str(samples), "--roles", str(roles)],
+            check=True, cwd=ROOT, timeout=300)
+
+
+def compare(base: dict, tree: dict) -> list[str]:
+    """One line per differing cell, naming what differs."""
+    lines = []
+    for cell in grid():
+        name = cell["name"]
+        a, b = base.get(name, {"error": "not run"}), tree.get(name, {"error": "not run"})
+        if "error" in a or "error" in b:
+            lines.append(f"{name}: base {a.get('error', 'ok')}; tree {b.get('error', 'ok')}")
+            continue
+        what = [f for f in a["files"]
+                if Path(a["files"][f]).read_bytes() != Path(b["files"][f]).read_bytes()]
+        if a.get("counts") != b.get("counts"):
+            what.append("counts")
+        for judge in sorted(set(a.get("judges", {})) | set(b.get("judges", {}))):
+            ja, jb = a["judges"].get(judge, {}), b["judges"].get(judge, {})
+            what += [f"{judge}.{key}" for key in JUDGE_KEYS if ja.get(key) != jb.get(key)]
+        if what:
+            lines.append(f"{name}: {', '.join(what)}")
+    return lines
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(
+        description="compare rpeval outputs on a fixed grid with those of REV")
+    parser.add_argument("--base", help="git revision to compare against")
+    parser.add_argument("--run-grid", type=Path, help=argparse.SUPPRESS)
+    parser.add_argument("--inputs", type=Path, help=argparse.SUPPRESS)
+    parser.add_argument("--work", type=Path, help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.run_grid:
+        return run_grid(args.run_grid, args.inputs, args.work)
+    if not args.base:
+        parser.error("--base is required")
+
+    tmp = Path(tempfile.mkdtemp(prefix="rpeval-identity-"))
+    try:
+        commit = export_source(args.base, tmp / "base")
+        if commit is None:
+            print(f"cannot export src/ of {args.base!r}", file=sys.stderr)
+            return 2
+        t0 = time.monotonic()
+        write_inputs(tmp / "inputs")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        children = {}
+        for side, src in (("base", tmp / "base" / "src"), ("tree", ROOT / "src")):
+            (tmp / side).mkdir(exist_ok=True)
+            children[side] = subprocess.Popen(
+                [sys.executable, "-B", str(Path(__file__).resolve()),
+                 "--run-grid", str(src), "--inputs", str(tmp / "inputs"),
+                 "--work", str(tmp / side)],
+                cwd=ROOT, env=env, stderr=subprocess.PIPE, text=True)
+        errors = {side: child.communicate()[1] for side, child in children.items()}
+        results = {}
+        for side, child in children.items():
+            if child.returncode != 0:
+                print(f"the {side} side failed:\n{errors[side]}", file=sys.stderr)
+                return 2 if side == "base" else 1
+            results[side] = json.loads((tmp / side / "results.json").read_text())
+        diffs = compare(results["base"], results["tree"])
+        seconds = {side: round(sum(r["seconds"] for r in res.values()), 1)
+                   for side, res in results.items()}
+        print(f"{len(grid())} cells against {commit[:12]} in "
+              f"{time.monotonic() - t0:.1f} s (cells: base {seconds['base']} s, "
+              f"tree {seconds['tree']} s)")
+        if diffs:
+            print(f"{len(diffs)} cells differ:")
+            for line in diffs:
+                print(f"  {line}")
+            return 1
+        print("all cells identical")
+        return 0
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
