@@ -34,7 +34,7 @@ from .erc import (
 )
 from .formatter import FormatOutcome, format_response, validate
 from .judges import (
-    BackendConfigError,
+    ConfigError,
     HttpBackend,
     JudgeClient,
     JudgeRequest,
@@ -60,7 +60,6 @@ from .metrics import (
     rcd,
 )
 from .pipeline import (
-    ConfigError,
     EvaluationRun,
     RunConfig,
     agreement,
@@ -73,7 +72,6 @@ from .pipeline import (
 
 __all__ = [
     "AMBIGUOUS",
-    "BackendConfigError",
     "ConfigError",
     "CorpusError",
     "DEFAULT_DELIMITERS",

@@ -12,9 +12,8 @@ import logging
 import sys
 
 from .corpus import CorpusError, parse_json, read_lines
-from .judges import BackendConfigError, TransportError
+from .judges import ConfigError, TransportError
 from .pipeline import (
-    ConfigError,
     RunConfig,
     agreement,
     evaluate,
@@ -152,7 +151,7 @@ def main(argv=None) -> int:
     )
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, BackendConfigError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except CorpusError as exc:

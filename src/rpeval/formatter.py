@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .corpus import RESPONSE_FIELDS, MultimodalResponse
-from .judges import TransportError, extract_json_object, json_object
+from .judges import TransportError, extract_json_object
 from .prompts import build_repair_prompt
 
 logger = logging.getLogger(__name__)
@@ -84,23 +84,18 @@ def validate(
     """
     if not raw or not raw.strip():
         return None
-    # The bare object first; the extractor only when that fails.
-    for parse in (json_object, extract_json_object):
-        obj = parse(raw)
-        if obj is None:
-            continue
-        normalized = _normalize_keys(obj, aliases)
-        if normalized is None:
-            continue
-        if set(normalized) != set(RESPONSE_FIELDS):
-            continue
-        if not all(isinstance(normalized[k], str) for k in RESPONSE_FIELDS):
-            continue
-        cleaned = {k: normalized[k].strip() for k in RESPONSE_FIELDS}
-        if not cleaned["content"]:
-            continue
-        return MultimodalResponse(**cleaned)
-    return None
+    obj = extract_json_object(raw)
+    if obj is None:
+        return None
+    normalized = _normalize_keys(obj, aliases)
+    if normalized is None or set(normalized) != set(RESPONSE_FIELDS):
+        return None
+    if not all(isinstance(normalized[k], str) for k in RESPONSE_FIELDS):
+        return None
+    cleaned = {k: normalized[k].strip() for k in RESPONSE_FIELDS}
+    if not cleaned["content"]:
+        return None
+    return MultimodalResponse(**cleaned)
 
 
 def format_response(

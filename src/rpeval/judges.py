@@ -23,15 +23,15 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (Callable, Mapping, Optional, Sequence, Union, get_args,
-                    get_origin, get_type_hints)
+from typing import (Callable, Literal, Mapping, Optional, Sequence, Union,
+                    get_args, get_origin, get_type_hints)
 from urllib.parse import unquote, urlsplit
 
 logger = logging.getLogger(__name__)
 
 
-class BackendConfigError(ValueError):
-    """Misconfiguration (bad credentials, unknown backend); never retried."""
+class ConfigError(ValueError):
+    """Bad configuration (values, backend set-up, credentials, cache); never retried."""
 
 
 class TransportError(RuntimeError):
@@ -50,50 +50,61 @@ class RequestRejected(TransportError):
 _type_hints = functools.cache(get_type_hints)
 
 
-def _checked(tp, value, where: str, error):
+def _checked(tp, value, where: str):
     """``value`` checked against annotation ``tp``; JSON objects become dataclasses."""
     if get_origin(tp) is Union:  # Optional[X]
         if value is None:
             return None
         (tp,) = [arg for arg in get_args(tp) if arg is not type(None)]
     if dataclasses.is_dataclass(tp):
-        return value if isinstance(value, tp) else build_config(tp, value, where, error)
+        return value if isinstance(value, tp) else build_config(tp, value, where)
     origin = get_origin(tp) or tp
+    if origin is Literal:  # of strings
+        if not isinstance(value, str) or value not in get_args(tp):
+            raise ConfigError(f"{where} must be one of {', '.join(get_args(tp))}, "
+                              f"got {value!r}")
+        return value
     if origin in (list, tuple):
         if not isinstance(value, (list, tuple)):
-            raise error(f"{where} must be a list")
-        return origin(_checked(get_args(tp)[0], v, f"{where}[{i}]", error)
+            raise ConfigError(f"{where} must be a list")
+        return origin(_checked(get_args(tp)[0], v, f"{where}[{i}]")
                       for i, v in enumerate(value))
+    if origin is dict:
+        if not isinstance(value, Mapping):
+            raise ConfigError(f"{where} must be an object")
+        key_tp, value_tp = get_args(tp)
+        return {_checked(key_tp, k, f"{where} key"): _checked(value_tp, v, f"{where}.{k}")
+                for k, v in value.items()}
     # JSON 1 is a valid float; bool is an int subclass but no number here.
-    allowed = (int, float) if tp is float else Mapping if origin is dict else tp
+    allowed = (int, float) if tp is float else tp
     if not isinstance(value, allowed) or (isinstance(value, bool) and tp is not bool):
-        raise error(f"{where} must be {tp.__name__}, got {type(value).__name__}")
+        raise ConfigError(f"{where} must be {tp.__name__}, got {type(value).__name__}")
     if tp is float and not math.isfinite(value):
-        raise error(f"{where} must be a finite number, got {value}")
+        raise ConfigError(f"{where} must be a finite number, got {value}")
     return value
 
 
-def check_fields(obj, error) -> None:
+def check_fields(obj) -> None:
     """Check (and convert) each field of config dataclass ``obj`` by its annotation."""
     hints = _type_hints(type(obj))
     for f in dataclasses.fields(obj):
-        value = _checked(hints[f.name], getattr(obj, f.name), f.name, error)
+        value = _checked(hints[f.name], getattr(obj, f.name), f.name)
         object.__setattr__(obj, f.name, value)  # frozen dataclasses too
 
 
-def build_config(cls, obj, where: str, error):
+def build_config(cls, obj, where: str):
     """Build ``cls`` from JSON object ``obj``; errors name the path from ``where``."""
     if not isinstance(obj, Mapping):
-        raise error(f"{where} must be an object")
+        raise ConfigError(f"{where} must be an object")
     names = tuple(f.name for f in dataclasses.fields(cls))
     unknown = set(obj) - set(names)
     if unknown:
-        raise error(f"{where} has unknown keys: {sorted(unknown)}")
+        raise ConfigError(f"{where} has unknown keys: {sorted(unknown)}")
     try:
         return cls(**obj)
     except (TypeError, ValueError) as exc:
         sep = "." if str(exc).startswith(names) else ": "  # a field continues the path
-        raise error(f"{where}{sep}{exc}") from None
+        raise ConfigError(f"{where}{sep}{exc}") from None
 
 
 @dataclass(frozen=True)
@@ -110,13 +121,13 @@ class Sampling:
     max_tokens: int = 1024
 
     def __post_init__(self) -> None:
-        check_fields(self, ValueError)
+        check_fields(self)
         if self.temperature < 0:
-            raise ValueError("temperature must not be negative")
+            raise ConfigError("temperature must not be negative")
         if not 0 <= self.top_p <= 1:
-            raise ValueError("top_p must be in [0, 1]")
+            raise ConfigError("top_p must be in [0, 1]")
         if self.max_tokens < 1:
-            raise ValueError("max_tokens must be at least 1")
+            raise ConfigError("max_tokens must be at least 1")
 
 
 # Sampling values go into cache keys and request bodies in field order.
@@ -169,12 +180,12 @@ class RetryPolicy:
     max_delay: float = 30.0
 
     def __post_init__(self) -> None:
-        check_fields(self, ValueError)
+        check_fields(self)
         if self.max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
+            raise ConfigError("max_attempts must be at least 1")
         for name in ("base_delay", "max_delay"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must not be negative")
+                raise ConfigError(f"{name} must not be negative")
 
     def delay(self, attempt: int) -> float:
         """Backoff before retry number ``attempt`` (attempt counts from 1)."""
@@ -245,7 +256,7 @@ def _proxy_for(scheme: str, host: str) -> Optional[tuple[str, int, dict]]:
         return None
     parts = urlsplit(url if "://" in url else f"http://{url}")
     if parts.scheme != "http" or not parts.hostname:
-        raise BackendConfigError(f"unsupported proxy {url!r}: only http:// proxies")
+        raise ConfigError(f"unsupported proxy {url!r}: only http:// proxies")
     auth = {}
     if parts.username:
         pair = f"{unquote(parts.username)}:{unquote(parts.password or '')}"
@@ -289,12 +300,12 @@ class HttpBackend:
         timeout: float = 60.0,
     ):
         if not endpoint:
-            raise BackendConfigError(f"backend {name!r}: endpoint is required")
+            raise ConfigError(f"backend {name!r}: endpoint is required")
         if not model:
-            raise BackendConfigError(f"backend {name!r}: model is required")
+            raise ConfigError(f"backend {name!r}: model is required")
         url = urlsplit(endpoint)
         if url.scheme not in ("http", "https") or not url.hostname:
-            raise BackendConfigError(
+            raise ConfigError(
                 f"backend {name!r}: endpoint {endpoint!r} is not an http(s) URL")
         self.name = name
         self.endpoint = endpoint
@@ -362,7 +373,7 @@ class HttpBackend:
         if self.credential_env:
             token = os.environ.get(self.credential_env, "")
             if not token:
-                raise BackendConfigError(
+                raise ConfigError(
                     f"backend {self.name!r}: environment variable "
                     f"{self.credential_env!r} is not set"
                 )
@@ -396,7 +407,7 @@ class HttpBackend:
             raise
         self._checkin(conn)
         if status in (401, 403):
-            raise BackendConfigError(
+            raise ConfigError(
                 f"backend {self.name!r}: authentication rejected "
                 f"(HTTP {status})"
             )
@@ -410,7 +421,7 @@ class HttpBackend:
                 f"{data.decode('utf-8', 'replace')[:200]}"
             )
         if status != 200:
-            raise BackendConfigError(
+            raise ConfigError(
                 f"backend {self.name!r}: unexpected HTTP {status}: "
                 f"{data.decode('utf-8', 'replace')[:200]}"
             )
@@ -455,7 +466,7 @@ class ReplyCache:
         except (OSError, sqlite3.DatabaseError) as exc:
             if self._db is not None:
                 self._db.close()
-            raise BackendConfigError(f"reply cache {path}: {exc}") from exc
+            raise ConfigError(f"reply cache {path}: {exc}") from exc
 
     def get(self, key: str) -> Optional[str]:
         with self._lock:
@@ -711,20 +722,21 @@ def json_object(text: str | bytes) -> Optional[dict]:
 def extract_json_object(text: str) -> Optional[dict]:
     """Parse the first complete JSON object out of free-form judge text.
 
-    Handles code fences and leading/trailing prose by scanning for a
-    balanced top-level ``{...}`` while respecting string literals.
-    ``None`` when there is no such ``{...}`` or it does not parse.
+    Tries the whole text first, so a fence quoted inside one object's
+    string never stands in for the object; then scans the code fences,
+    and then the text, for a balanced top-level ``{...}`` while respecting
+    string literals.  ``None`` when there is no such ``{...}`` or it does
+    not parse.
     """
+    obj = json_object(text)
+    if obj is not None:
+        return obj
     candidates = [m.group(1) for m in _FENCE_RE.finditer(text)]
-    candidates.append(text)
-    # Fast path: when the first candidate is, stripped, a JSON object, the
-    # scan below would find exactly that string.
-    first = candidates[0].strip()
-    if first.startswith("{") and first.endswith("}"):
-        obj = json_object(first)
-        if obj is not None:
-            return obj
-    blob = _scan_json_object(candidates)
+    # A first fence that holds one JSON object is what the scan would find.
+    obj = json_object(candidates[0]) if candidates else None
+    if obj is not None:
+        return obj
+    blob = _scan_json_object(candidates + [text])
     return None if blob is None else json_object(blob)
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Literal, Mapping, Optional, Sequence, get_args
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from .corpus import (
 from .erc import DEFAULT_PASSES, DEFAULT_TAU, MODALITIES, aggregate, run_panel
 from .formatter import REPAIRED, UNREPAIRABLE, VALID_DIRECT, format_response
 from .judges import (
-    BackendConfigError,
+    ConfigError,
     HttpBackend,
     JudgeClient,
     MockBackend,
@@ -83,9 +83,11 @@ from .scheduler import Scheduler
 
 logger = logging.getLogger(__name__)
 
-RC_METRICS = ("exp", "cha", "rel")
+RcMetric = Literal["exp", "cha", "rel"]
+RC_METRICS = get_args(RcMetric)
 
 # Role material fields each role-consistency question is grounded in.
+RcField = Literal["profile", "previous_info"]
 DEFAULT_RC_ROUTING = {
     "exp": ["previous_info"],
     "cha": ["profile"],
@@ -108,10 +110,6 @@ SUMMARY_KEYS = (
 )
 
 
-class ConfigError(ValueError):
-    """Bad run configuration (file, schema, or values)."""
-
-
 def _require_unique_names(names: Sequence[str]) -> None:
     """Refuse judges that share a name: the manifest keys their counters by it."""
     dupes = sorted({name for name in names if names.count(name) > 1})
@@ -124,7 +122,7 @@ class BackendSpec:
     """Declarative judge backend description from the run config."""
 
     name: str
-    kind: str  # http | mock
+    kind: Literal["http", "mock"]
     endpoint: str = ""
     model: str = ""
     credential_env: str = ""
@@ -133,11 +131,9 @@ class BackendSpec:
     fixture_dir: str = ""
 
     def __post_init__(self) -> None:
-        check_fields(self, ConfigError)
+        check_fields(self)
         if not self.name:
             raise ConfigError("name must not be empty")
-        if self.kind not in ("http", "mock"):
-            raise ConfigError(f"kind must be http or mock, got {self.kind!r}")
         if self.timeout <= 0:
             raise ConfigError("timeout must be positive")
         if self.rate_limit < 0:  # a negative rate limit would mean no limit
@@ -147,17 +143,14 @@ class BackendSpec:
         if self.kind == "mock":
             return MockBackend(self.name, fixture_dir=self.fixture_dir or None,
                                rate_limit=self.rate_limit)
-        try:
-            return HttpBackend(
-                name=self.name,
-                endpoint=self.endpoint,
-                model=self.model,
-                credential_env=self.credential_env,
-                rate_limit=self.rate_limit,
-                timeout=self.timeout,
-            )
-        except BackendConfigError as exc:
-            raise ConfigError(str(exc)) from None
+        return HttpBackend(
+            name=self.name,
+            endpoint=self.endpoint,
+            model=self.model,
+            credential_env=self.credential_env,
+            rate_limit=self.rate_limit,
+            timeout=self.timeout,
+        )
 
 
 @dataclass
@@ -165,7 +158,8 @@ class RunConfig:
     """Everything a run needs besides the corpus and predictions paths."""
 
     labels: tuple[str, ...] = DEFAULT_EMOTION_LABELS
-    tendency_map: dict = field(default_factory=lambda: dict(DEFAULT_TENDENCY_MAP))
+    tendency_map: dict[str, str] = field(
+        default_factory=lambda: dict(DEFAULT_TENDENCY_MAP))
     delimiters: str = DEFAULT_DELIMITERS
     tau: float = DEFAULT_TAU
     passes: int = DEFAULT_PASSES
@@ -175,9 +169,9 @@ class RunConfig:
     sample_limit: Optional[int] = None
     cache_dir: str = ""
     smoothing: float = DEFAULT_SMOOTHING
-    divergence_mode: str = "flatten"
+    divergence_mode: Literal["flatten", "rows"] = "flatten"
     rc_floor_unrepairable: bool = False
-    rc_routing: dict = field(default_factory=lambda: {
+    rc_routing: dict[RcMetric, list[RcField]] = field(default_factory=lambda: {
         k: list(v) for k, v in DEFAULT_RC_ROUTING.items()
     })
     judge_sampling: Sampling = Sampling()
@@ -189,7 +183,7 @@ class RunConfig:
     generators: list[BackendSpec] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        check_fields(self, ConfigError)
+        check_fields(self)
         if not 0.0 < self.tau <= 1.0:
             raise ConfigError("tau must be in (0, 1]")
         for name in ("passes", "max_repair_attempts", "concurrency", "sample_limit"):
@@ -198,18 +192,6 @@ class RunConfig:
                 raise ConfigError(f"{name} must be at least 1")
         if self.smoothing < 0:
             raise ConfigError("smoothing must be non-negative")
-        if self.divergence_mode not in ("flatten", "rows"):
-            raise ConfigError(f"divergence_mode must be flatten or rows, "
-                              f"got {self.divergence_mode!r}")
-        unknown = set(self.rc_routing) - set(RC_METRICS)
-        if unknown:
-            raise ConfigError(f"rc_routing has unknown metrics: {sorted(unknown)}")
-        for metric, fields_ in self.rc_routing.items():
-            bad = set(fields_) - {"profile", "previous_info"}
-            if bad:
-                raise ConfigError(
-                    f"rc_routing[{metric!r}] has unknown fields: {sorted(bad)}"
-                )
         _require_unique_names([s.name for s in self.experts + self.rc_evaluators
                                + [self.repair] if s is not None])
         _require_unique_names([s.name for s in self.generators])  # never beside judges
@@ -224,7 +206,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, obj: Mapping) -> "RunConfig":
-        return build_config(cls, obj, "config", ConfigError)
+        return build_config(cls, obj, "config")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":

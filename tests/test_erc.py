@@ -43,6 +43,12 @@ def test_parse_erc_reply_tolerates_prose_and_fences():
     assert votes["fusion"] == ["anger"]
 
 
+def test_parse_erc_reply_reads_the_whole_object_past_a_quoted_fence():
+    obj = {**json.loads(_reply(["anger"])), "note": "format: ```{}```"}
+    votes = parse_erc_reply(json.dumps(obj), 1, TAX)
+    assert votes == {m: ["anger"] for m in MODALITIES}
+
+
 def test_parse_erc_reply_per_modality_failures():
     obj = {
         "emos_f": ["happy", "sadness"],

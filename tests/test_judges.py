@@ -11,7 +11,7 @@ import pytest
 
 from rpeval.judges import (
     _FENCE_RE,
-    BackendConfigError,
+    ConfigError,
     HttpBackend,
     JudgeClient,
     JudgeRequest,
@@ -112,11 +112,11 @@ def test_config_errors_are_not_retried():
 
     def handler(prompt, sampling):
         calls.append(1)
-        raise BackendConfigError("bad key")
+        raise ConfigError("bad key")
 
     client = JudgeClient(MockBackend("m", handler=handler),
                          policy=RetryPolicy(max_attempts=3, base_delay=0.0))
-    with pytest.raises(BackendConfigError):
+    with pytest.raises(ConfigError):
         client.call(JudgeRequest(kind="erc", prompt="p"))
     assert len(calls) == 1
 
@@ -171,7 +171,7 @@ def test_cache_file_that_is_not_a_database_is_a_config_error(tmp_path):
     root = tmp_path / "cache"
     root.mkdir()
     (root / "replies.sqlite3").write_text("not a database " * 100, encoding="utf-8")
-    with pytest.raises(BackendConfigError, match="not a database"):
+    with pytest.raises(ConfigError, match="not a database"):
         ReplyCache(root)
 
 
@@ -268,7 +268,7 @@ def test_http_backend_requires_credential(monkeypatch):
     backend = HttpBackend("j", endpoint="https://api.test/v1",
                           model="judge-1", credential_env="MISSING_KEY_VAR")
     monkeypatch.delenv("MISSING_KEY_VAR", raising=False)
-    with pytest.raises(BackendConfigError, match="MISSING_KEY_VAR"):
+    with pytest.raises(ConfigError, match="MISSING_KEY_VAR"):
         backend.complete("p", Sampling())
 
 
@@ -277,7 +277,7 @@ def test_http_backend_statuses(judge_server):
     script = judge_server.script
 
     script.append((401, None))
-    with pytest.raises(BackendConfigError):
+    with pytest.raises(ConfigError):
         backend.complete("p", Sampling())
 
     script.append((429, None))
@@ -295,7 +295,7 @@ def test_http_backend_statuses(judge_server):
 
     for status in (403, 404, 405):
         script.append((status, None))
-        with pytest.raises(BackendConfigError):
+        with pytest.raises(ConfigError):
             backend.complete("p", Sampling())
 
     script.append((200, {"choices": []}))
@@ -412,9 +412,9 @@ def test_cache_misses_when_the_model_changes(judge_server, tmp_path):
 
 
 def test_http_backend_validates_construction():
-    with pytest.raises(BackendConfigError):
+    with pytest.raises(ConfigError):
         HttpBackend("j", endpoint="", model="m")
-    with pytest.raises(BackendConfigError):
+    with pytest.raises(ConfigError):
         HttpBackend("j", endpoint="https://x", model="")
 
 
@@ -442,10 +442,18 @@ def test_extract_json_object_fast_path_matches_the_scan():
         "{" * 5000 + "}" * 5000, '{"a":' * 3000 + "1" + "}" * 3000,
     ]
     for text in cases:
+        # the whole text when it is one object, else the scan's find
         candidates = [m.group(1) for m in _FENCE_RE.finditer(text)] + [text]
         blob = _scan_json_object(candidates)
-        expected = None if blob is None else json_object(blob)
+        expected = json_object(text) or (None if blob is None else json_object(blob))
         assert extract_json_object(text) == expected, text[:60]
+    assert extract_json_object('{"note": "``` {} ```"}') == {"note": "``` {} ```"}
+
+
+def test_extract_json_object_prefers_the_whole_reply_to_a_quoted_fence():
+    verdict = json.dumps({"agree_evidence": ["she writes ```{}``` in her notes"],
+                          "disagree_evidence": []})
+    assert parse_rc_verdict(verdict) == (["she writes ```{}``` in her notes"], [])
 
 
 def test_parse_rc_verdict_basic():

@@ -27,7 +27,6 @@ from rpeval.corpus import CorpusError, PredictionRecord, load_predictions
 from rpeval.erc import MODALITIES
 from rpeval.formatter import UNREPAIRABLE, VALID_DIRECT
 from rpeval.judges import (
-    BackendConfigError,
     JudgeClient,
     MockBackend,
     RetryPolicy,
@@ -188,32 +187,38 @@ _BAD_CONFIG_VALUES = [
     (BackendSpec, "timeout", True),
     (BackendSpec, "rate_limit", math.inf),
     (BackendSpec, "name", 5),
+    (BackendSpec, "kind", "grpc"),
+    (RunConfig, "divergence_mode", "x"),
+    (RunConfig, "rc_routing", {"exp": 5}),
+    (RunConfig, "rc_routing", {"exp": "profile"}),
+    (RunConfig, "rc_routing", {"bogus": ["profile"]}),
+    (RunConfig, "rc_routing", {"exp": ["x"]}),
 ]
 
 # Config class -> (the path of its values in a run config, the fields it
-# needs, the error its constructor raises, how a run config nests it).
+# needs, how a run config nests it).
 _CONFIG_PLACES = {
-    RunConfig: ("config", {}, ConfigError, lambda obj: obj),
-    BackendSpec: ("config.experts[0]", {"name": "e", "kind": "http"}, ConfigError,
+    RunConfig: ("config", {}, lambda obj: obj),
+    BackendSpec: ("config.experts[0]", {"name": "e", "kind": "http"},
                   lambda obj: {"experts": [obj]}),
-    RetryPolicy: ("config.retry", {}, ValueError, lambda obj: {"retry": obj}),
-    Sampling: ("config.judge_sampling", {}, ValueError,
-               lambda obj: {"judge_sampling": obj}),
+    RetryPolicy: ("config.retry", {}, lambda obj: {"retry": obj}),
+    Sampling: ("config.judge_sampling", {}, lambda obj: {"judge_sampling": obj}),
 }
 
 
 @pytest.mark.parametrize("cls,name,value", _BAD_CONFIG_VALUES)
 def test_config_refuses_bad_values_however_built(cls, name, value):
-    path, needed, error, nest = _CONFIG_PLACES[cls]
-    # a refused JSON value is named by its path from the top of the config
+    path, needed, nest = _CONFIG_PLACES[cls]
+    # a refused JSON value is named by its path from the top of the config,
+    # down to the key or item of a mapping or list
     generators = name == "generators"
     with pytest.raises(ConfigError, match="unique.*'actor'" if generators
-                       else re.escape(f"{path}.{name} ")):
+                       else re.escape(f"{path}.{name}") + r"[ .\[]"):
         RunConfig.from_dict(nest({**needed, name: value}))
     match = "unique" if generators else name
-    with pytest.raises(error, match=match):
+    with pytest.raises(ConfigError, match=match):
         cls(**{**needed, name: value})
-    with pytest.raises(error, match=match):
+    with pytest.raises(ConfigError, match=match):
         dataclasses.replace(cls(**needed), **{name: value})
 
 
@@ -806,7 +811,7 @@ def test_cli_corpus_parts_that_are_not_objects_are_data_errors(tmp_path):
     assert main(["gt-stats", "--config", str(config), "--corpus", str(path)]) == 3
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, capsys, judge_server):
     # 2: broken config
     bad_config = tmp_path / "bad.json"
     bad_config.write_text('{"typo_key": 1}', encoding="utf-8")
@@ -846,6 +851,22 @@ def test_cli_exit_codes(tmp_path):
     assert main(["evaluate", "--config", str(infinite), "--corpus", corpus,
                  "--predictions", predictions,
                  "--out", str(tmp_path / "o1")]) == 2
+    # 2: an http backend that cannot be set up, named, before any request
+    # (the expert answers on the loopback judge)
+    expert = {"name": "e", "kind": "http", "model": "m", "endpoint": judge_server.url}
+    for refused in ({"endpoint": judge_server.url}, {"model": "m"},
+                    {"endpoint": "ftp://127.0.0.1/v1", "model": "m"}):
+        unusable = tmp_path / "unusable.json"
+        unusable.write_text(json.dumps({
+            "experts": [expert],
+            "rc_evaluators": [{"name": "refused", "kind": "http", **refused}],
+        }), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(unusable), "--corpus", corpus,
+                     "--predictions", predictions,
+                     "--out", str(tmp_path / "o1")]) == 2
+        assert "config error: backend 'refused'" in capsys.readouterr().err
+    assert judge_server.seen == []
     # 2: a config file that is not UTF-8
     latin1 = tmp_path / "latin1.json"
     latin1.write_bytes('{"delimiters": "é"}'.encode("latin-1"))
@@ -987,11 +1008,11 @@ def test_cli_exit_codes(tmp_path):
     assert main(["generate", "--config", str(dead_config), "--corpus", corpus,
                  "--backend", "g", "--out", str(tmp_path / "g.jsonl")]) == 2
     experts, critics = make_experts(), make_rc_evaluators()
-    with pytest.raises(BackendConfigError, match=re.escape(str(a_file))):
+    with pytest.raises(ConfigError, match=re.escape(str(a_file))):
         evaluate(fast_config(cache_dir=str(a_file)), corpus, predictions,
                  experts=experts, rc_evaluators=critics)
     generator = MockBackend("g", handler=lambda prompt, sampling: "reply")
-    with pytest.raises(BackendConfigError, match=re.escape(str(a_file))):
+    with pytest.raises(ConfigError, match=re.escape(str(a_file))):
         generate(fast_config(cache_dir=str(a_file)), "g", corpus,
                  tmp_path / "g.jsonl", generator=generator)
     assert sum(b.calls for b in experts + critics + [generator]) == 0

@@ -23,6 +23,8 @@ The grid is fixed here.  Cells may be added, never dropped:
 - 400 samples with 8 roles, in ``flatten`` mode and in ``rows`` mode
   (smoothing 0);
 - corpora with 1 role and with 2 roles;
+- seed 2 with the drop fault, unrepairable samples floored at RC score 1
+  and every RC question grounded in other role materials than the default;
 - ``gt-stats`` on each corpus (and in rows mode on the 400-sample one);
 - a run at concurrency 1 that fills a reply cache, and its warm rerun.
 
@@ -80,6 +82,9 @@ def grid() -> list[dict]:
     evaluate("400x8", tag="rows", **ROWS)
     evaluate("1-role")
     evaluate("2-roles")
+    evaluate("s2", "drop", tag="routing-floor", rc_floor_unrepairable=True,
+             rc_routing={"exp": ["profile", "previous_info"], "cha": ["previous_info"],
+                         "rel": ["profile"]})
     evaluate("s1", concurrency=1, cache="warm-s1", tag="cold-cache")
     evaluate("s1", concurrency=1, cache="warm-s1", tag="warm-cache")
     for corpus in CORPORA:
