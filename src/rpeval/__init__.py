@@ -6,120 +6,91 @@ transition divergence, role distinctiveness, vote indecision) and
 role consistency (experience, character, relationship), using panels
 of LLM judges for recognition and deterministic kernels for all
 arithmetic.
+
+The package root is lazy: ``import rpeval`` loads no submodule, and
+each name in ``__all__`` imports its submodule on first use.  numpy and
+the pipeline load only when a name that needs them is read (the
+metrics, ``evaluate`` and the other pipeline entry points); ``corpus``,
+``prompts``, ``judges``, ``formatter`` and ``erc`` do not import numpy.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .corpus import (
-    AMBIGUOUS,
-    DEFAULT_DELIMITERS,
-    DEFAULT_EMOTION_LABELS,
-    CorpusError,
-    DialogueSample,
-    EmotionTaxonomy,
-    MultimodalResponse,
-    PredictionRecord,
-    RoleCard,
-    UserTurn,
-    default_taxonomy,
-    load_corpus,
-    load_predictions,
-    save_jsonl,
-    segment_utterances,
-)
-from .erc import (
-    aggregate,
-    run_panel,
-    select_label,
-)
-from .formatter import FormatOutcome, format_response, validate
-from .judges import (
-    ConfigError,
-    HttpBackend,
-    JudgeClient,
-    JudgeRequest,
-    MockBackend,
-    ReplyCache,
-    RetryPolicy,
-    Sampling,
-    TransportError,
-    parse_rc_verdict,
-)
-from .metrics import (
-    build_transition_matrices,
-    cec,
-    character_distinctiveness,
-    ed,
-    edd,
-    hellinger,
-    krippendorff_alpha,
-    matrix_distance,
-    mec,
-    normalized_entropy,
-    rc_score_from_verdict,
-    rcd,
-)
-from .pipeline import (
-    EvaluationRun,
-    RunConfig,
-    agreement,
-    evaluate,
-    flatten_report,
-    generate,
-    gt_statistics,
-    render_report,
-)
+# Each exported name, grouped by the submodule that defines it.
+_EXPORTS = {
+    "corpus": (
+        "AMBIGUOUS",
+        "DEFAULT_DELIMITERS",
+        "DEFAULT_EMOTION_LABELS",
+        "CorpusError",
+        "DialogueSample",
+        "EmotionTaxonomy",
+        "MultimodalResponse",
+        "PredictionRecord",
+        "RoleCard",
+        "UserTurn",
+        "default_taxonomy",
+        "load_corpus",
+        "load_predictions",
+        "save_jsonl",
+        "segment_utterances",
+    ),
+    "erc": ("aggregate", "run_panel", "select_label"),
+    "formatter": ("FormatOutcome", "format_response", "validate"),
+    "judges": (
+        "ConfigError",
+        "HttpBackend",
+        "JudgeClient",
+        "JudgeRequest",
+        "MockBackend",
+        "ReplyCache",
+        "RetryPolicy",
+        "Sampling",
+        "TransportError",
+        "parse_rc_verdict",
+    ),
+    "metrics": (
+        "build_transition_matrices",
+        "cec",
+        "character_distinctiveness",
+        "ed",
+        "edd",
+        "hellinger",
+        "krippendorff_alpha",
+        "matrix_distance",
+        "mec",
+        "normalized_entropy",
+        "rc_score_from_verdict",
+        "rcd",
+    ),
+    "pipeline": (
+        "EvaluationRun",
+        "RunConfig",
+        "agreement",
+        "evaluate",
+        "flatten_report",
+        "generate",
+        "gt_statistics",
+        "render_report",
+    ),
+}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli", "prompts", "scheduler"}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "AMBIGUOUS",
-    "ConfigError",
-    "CorpusError",
-    "DEFAULT_DELIMITERS",
-    "DEFAULT_EMOTION_LABELS",
-    "DialogueSample",
-    "EmotionTaxonomy",
-    "EvaluationRun",
-    "FormatOutcome",
-    "HttpBackend",
-    "JudgeClient",
-    "JudgeRequest",
-    "MockBackend",
-    "MultimodalResponse",
-    "PredictionRecord",
-    "ReplyCache",
-    "RetryPolicy",
-    "RoleCard",
-    "RunConfig",
-    "Sampling",
-    "TransportError",
-    "UserTurn",
-    "aggregate",
-    "agreement",
-    "build_transition_matrices",
-    "cec",
-    "character_distinctiveness",
-    "default_taxonomy",
-    "ed",
-    "edd",
-    "evaluate",
-    "flatten_report",
-    "format_response",
-    "generate",
-    "gt_statistics",
-    "hellinger",
-    "krippendorff_alpha",
-    "load_corpus",
-    "load_predictions",
-    "matrix_distance",
-    "mec",
-    "normalized_entropy",
-    "parse_rc_verdict",
-    "rc_score_from_verdict",
-    "rcd",
-    "render_report",
-    "run_panel",
-    "save_jsonl",
-    "segment_utterances",
-    "select_label",
-    "validate",
-]
+__all__ = sorted(_ORIGIN)
+
+
+def __getattr__(name: str):
+    if name in _ORIGIN:
+        value = getattr(importlib.import_module(f"{__name__}.{_ORIGIN[name]}"), name)
+        globals()[name] = value
+        return value
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _ORIGIN.keys() | _SUBMODULES)

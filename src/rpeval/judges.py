@@ -643,10 +643,11 @@ class JudgeClient:
 
     def call(self, request: JudgeRequest) -> str:
         """The reply text, from the cache or the backend."""
-        if not request.backend:
-            request = dataclasses.replace(request, backend=self.identity)
-        key = request.idempotency_key
         if self.cache is not None:
+            # Only the cache reads the key, and it hashes the whole prompt.
+            if not request.backend:
+                request = dataclasses.replace(request, backend=self.identity)
+            key = request.idempotency_key
             cached = self.cache.get(key)
             if cached is not None:
                 with self._lock:

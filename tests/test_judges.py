@@ -55,6 +55,25 @@ def test_idempotency_key_is_pinned():
         "4eee7b6d13cd6028608b04fe7f331e43b52d9bf7e23b2d550c3a0d652eb59f89")
 
 
+def test_cacheless_client_never_computes_the_key(monkeypatch, tmp_path):
+    def no_key(request):
+        raise AssertionError("idempotency_key read without a cache")
+
+    client = JudgeClient(MockBackend("m", handler=lambda p, s: "reply"))
+    with monkeypatch.context() as patch:
+        patch.setattr(JudgeRequest, "idempotency_key", property(no_key))
+        assert client.call(JudgeRequest(kind="erc", prompt="p")) == "reply"
+        assert client.ask("rc", "p") == "reply"
+    # With a cache, the reply is stored under the key of the request with
+    # the client's identity filled in, as before.
+    cache = ReplyCache(tmp_path / "cache")
+    client = JudgeClient(MockBackend("m", handler=lambda p, s: "reply"), cache=cache)
+    client.call(JudgeRequest(kind="erc", prompt="p"))
+    key = JudgeRequest(kind="erc", prompt="p", backend=client.identity).idempotency_key
+    assert cache.get(key) == "reply"
+    cache.close()
+
+
 def test_same_prompt_different_judges_do_not_share_cache(tmp_path):
     cache = ReplyCache(tmp_path / "cache")
     judges = [
