@@ -88,6 +88,17 @@ def _check_object(obj, what: str) -> None:
         raise CorpusError(f"{what} must be an object")
 
 
+def _text(obj: Mapping, key: str, what: str = "") -> str:
+    """``obj[key]`` as text.  An absent or null optional field reads as
+    ``""``; a null required field (``what`` names its owner) is an error."""
+    value = obj.get(key)
+    if value is None:
+        if what:
+            raise CorpusError(f"{what} field {key!r} must not be null")
+        return ""
+    return str(value)
+
+
 @dataclass(frozen=True)
 class EmotionTaxonomy:
     """Closed label set plus a label -> tendency collapse map.
@@ -175,14 +186,14 @@ class RoleCard:
         _check_object(obj, "role card")
         if "role_id" not in obj:
             raise CorpusError("role card is missing 'role_id'")
-        role_id = str(obj["role_id"])
+        role_id = _text(obj, "role_id", "role card")
         if not role_id:
             raise CorpusError("role_id must be non-empty")
         return cls(
             role_id=role_id,
-            profile=str(obj.get("profile", "")),
-            image_ref=str(obj.get("image_ref", "")),
-            user_name=str(obj.get("user_name", "")),
+            profile=_text(obj, "profile"),
+            image_ref=_text(obj, "image_ref"),
+            user_name=_text(obj, "user_name"),
         )
 
 
@@ -208,9 +219,9 @@ class UserTurn:
         if "content" not in obj:
             raise CorpusError("user turn is missing 'content'")
         return cls(
-            content=str(obj["content"]),
-            audio_ref=str(obj.get("audio_ref", "")),
-            video_ref=str(obj.get("video_ref", "")),
+            content=_text(obj, "content", "user turn"),
+            audio_ref=_text(obj, "audio_ref"),
+            video_ref=_text(obj, "video_ref"),
         )
 
 
@@ -337,7 +348,7 @@ class DialogueSample:
         for key in ("sample_id", "role", "user_input", "ground_truth", "gt_emotions"):
             if key not in record:
                 raise CorpusError(f"sample is missing field {key!r}")
-        sample_id = str(record["sample_id"])
+        sample_id = _text(record, "sample_id", "sample")
         if not sample_id:
             raise CorpusError("sample_id must be non-empty")
         turns = record.get("history", [])
@@ -365,7 +376,7 @@ class DialogueSample:
         return cls(
             sample_id=sample_id,
             role=RoleCard.from_dict(record["role"]),
-            previous_info=str(record.get("previous_info", "")),
+            previous_info=_text(record, "previous_info"),
             history=history,
             user_input=UserTurn.from_dict(record["user_input"]),
             ground_truth=MultimodalResponse.from_short_dict(record["ground_truth"]),
@@ -406,7 +417,7 @@ class PredictionRecord:
         for key in ("sample_id", "raw_output"):
             if key not in record:
                 raise CorpusError(f"prediction is missing field {key!r}")
-        sample_id = str(record["sample_id"])
+        sample_id = _text(record, "sample_id", "prediction")
         if not sample_id:
             raise CorpusError("prediction sample_id must be non-empty")
         if not isinstance(record["raw_output"], str):

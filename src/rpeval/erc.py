@@ -11,8 +11,7 @@ ambiguous sentinel.
 from __future__ import annotations
 
 import logging
-from functools import partial
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .corpus import AMBIGUOUS, EmotionTaxonomy, MultimodalResponse
 from .judges import TransportError, extract_json_object
@@ -70,7 +69,6 @@ def run_panel(
     experts: Sequence,
     taxonomy: EmotionTaxonomy,
     passes: int = DEFAULT_PASSES,
-    fan_out: Optional[Callable[[list], list]] = None,
 ) -> list[dict[str, Optional[list[str]]]]:
     """Query every expert ``passes`` times over one response.
 
@@ -84,11 +82,8 @@ def run_panel(
     corrective re-prompt restating the closed label set and the exact
     list length; modalities still invalid after that are dropped for
     that (expert, pass) with a logged shortfall.  Transport failures are
-    treated the same way.  The (expert, pass) queries are independent:
-    ``fan_out``, given a list of zero-argument callables, runs them and
-    returns their results in order (concurrently, in the pipeline); by
-    default they run one after another.  Results come in (expert, pass)
-    order either way.
+    treated the same way.  The queries go out one after another, in
+    (expert, pass) order, which is also the order of the results.
     """
     if not experts:
         raise ValueError("panel needs at least one expert")
@@ -99,15 +94,11 @@ def run_panel(
         build_erc_prompt(response_json, utterances, taxonomy.labels),
         build_erc_prompt(response_json, utterances, taxonomy.labels, retry=True),
     )
-    calls = [
-        partial(_expert_pass, expert, prompts, pass_index, len(utterances),
-                taxonomy)
+    return [
+        _expert_pass(expert, prompts, pass_index, len(utterances), taxonomy)
         for expert in experts
         for pass_index in range(1, passes + 1)
     ]
-    if fan_out is None:
-        return [call() for call in calls]
-    return fan_out(calls)
 
 
 def _expert_pass(expert, prompts, pass_index, n_utterances, taxonomy):

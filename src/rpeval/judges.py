@@ -188,8 +188,12 @@ class RetryPolicy:
                 raise ConfigError(f"{name} must not be negative")
 
     def delay(self, attempt: int) -> float:
-        """Backoff before retry number ``attempt`` (attempt counts from 1)."""
-        return min(self.max_delay, self.base_delay * (2 ** (attempt - 1)))
+        """Backoff before retry number ``attempt`` (attempt counts from 1):
+        ``base_delay`` doubled per retry, capped at ``max_delay``."""
+        try:
+            return min(self.max_delay, math.ldexp(self.base_delay, attempt - 1))
+        except OverflowError:  # far past the cap
+            return self.max_delay
 
 
 def prompt_digest(prompt: str) -> str:
@@ -555,7 +559,7 @@ class JudgeClient:
     ``backend`` is anything with a ``name`` and ``complete(prompt,
     sampling)``.  ``sleep`` is injectable so retry schedules are testable
     without wall clock time; ``limiter`` bounds in-flight backend calls
-    when the pipeline fans out across threads.  The backend's
+    across the run's worker threads.  The backend's
     ``rate_limit`` (requests per second, if it has one) is waited out
     *before* taking a permit from ``limiter``, so a throttled judge never
     holds a permit while it waits; consecutive sends of this client are

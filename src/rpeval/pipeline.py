@@ -418,35 +418,33 @@ def _rc_materials(sample: DialogueSample, fields: Sequence[str]) -> str:
     return "\n".join(parts)
 
 
-def _rc_judge_sample(sample, response, rc_evaluators, config, fan_out):
+def _rc_judge_sample(sample, response, rc_evaluators, config):
     """All three role-consistency questions for one sample.
 
     Returns ``{metric: {evaluator: score or None}}``.  An evaluator with
     no usable verdict is absent; one that abstained is present with
-    ``None``.  The (question, evaluator) queries are independent and go
-    out through ``fan_out``; each corrective re-prompt follows its own
-    first reply.
+    ``None``.  The (question, evaluator) queries go out one after
+    another; each corrective re-prompt follows its own first reply.
     """
     history_text = render_history(sample.history)
-    keys, calls = [], []
+    response_json = response.to_json()
+    scores: dict[str, dict] = {}
     for metric in RC_METRICS:
         routing = config.rc_routing.get(metric, DEFAULT_RC_ROUTING[metric])
         materials = _rc_materials(sample, routing)
         sources = _rc_sources(sample, response, materials, history_text)
         prompts = [
             build_rc_prompt(metric, materials, history_text,
-                            sample.user_input.content, response.to_json(),
+                            sample.user_input.content, response_json,
                             retry=retry)
             for retry in (False, True)
         ]
+        scores[metric] = {}
         for evaluator in rc_evaluators:
-            keys.append((metric, evaluator.name))
-            calls.append(partial(_rc_verdict, evaluator, prompts, sources,
-                                 metric, sample.sample_id))
-    scores: dict[str, dict] = {metric: {} for metric in RC_METRICS}
-    for (metric, name), verdict in zip(keys, fan_out(calls)):
-        if verdict is not None:
-            scores[metric][name] = rc_score_from_verdict(*verdict)
+            verdict = _rc_verdict(evaluator, prompts, sources, metric,
+                                  sample.sample_id)
+            if verdict is not None:
+                scores[metric][evaluator.name] = rc_score_from_verdict(*verdict)
     return scores
 
 
@@ -507,7 +505,8 @@ def evaluate(
     judges: list[JudgeClient] = []
 
     # Each prediction flows format gate -> emotion panel -> role
-    # consistency on its own; only the metric assembly waits for all.
+    # consistency on one worker thread, its judge requests one after
+    # another; only the metric assembly waits for all.
     # What assembly needs of a sample is one plain record: the response
     # text and the vote histograms end here.
     def _judge(pred: PredictionRecord) -> dict:
@@ -520,7 +519,7 @@ def evaluate(
             return record
         utterances = segment_utterances(response.content, config.delimiters)
         votes = run_panel(response, utterances, experts, taxonomy,
-                          passes=config.passes, fan_out=scheduler.fan_out)
+                          passes=config.passes)
         labels, counts = aggregate(votes, tau=config.tau,
                                    n_utterances=len(utterances))
         if any(hist for row in counts.values() for hist in row):
@@ -529,7 +528,7 @@ def evaluate(
                 m: [normalized_entropy(hist, taxonomy.size) for hist in row]
                 for m, row in counts.items()}
         record["rc"] = _rc_judge_sample(by_id[pred.sample_id], response,
-                                        rc_evaluators, config, scheduler.fan_out)
+                                        rc_evaluators, config)
         return record
 
     try:

@@ -187,7 +187,7 @@ def make_repair_judge(table: dict[str, str], name: str = "fixer") -> MockBackend
 
 
 def fast_config(**overrides) -> RunConfig:
-    """Run config tuned for tests: no backoff sleeps, modest fanout."""
+    """Run config tuned for tests: no backoff sleeps, modest concurrency."""
     base = dict(
         concurrency=2,
         retry=RetryPolicy(max_attempts=2, base_delay=0.0, max_delay=0.0),

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import make_sample, write_corpus, write_predictions
 
+from rpeval.cli import main
 from rpeval.corpus import (
     AMBIGUOUS,
     DEFAULT_EMOTION_LABELS,
@@ -19,6 +20,7 @@ from rpeval.corpus import (
     load_predictions,
     segment_utterances,
 )
+from rpeval.pipeline import _rc_materials
 
 
 def test_default_taxonomy_has_thirteen_labels():
@@ -233,6 +235,69 @@ def test_load_predictions_rejects_duplicates_and_bad_fields(tmp_path):
     bad.write_text(json.dumps({"sample_id": "a"}) + "\n", encoding="utf-8")
     with pytest.raises(CorpusError, match="raw_output"):
         load_predictions(bad)
+
+
+# A JSON null in an optional field reads as the field left out; in a
+# required one it is a corpus error naming the field.
+_NULL_FIELDS = [
+    ("corpus", ("role", "profile"), None),
+    ("corpus", ("role", "image_ref"), None),
+    ("corpus", ("role", "user_name"), None),
+    ("corpus", ("previous_info",), None),
+    ("corpus", ("user_input", "audio_ref"), None),
+    ("corpus", ("history", 0, "user", "video_ref"), None),
+    ("corpus", ("sample_id",), "sample field 'sample_id' must not be null"),
+    ("corpus", ("role", "role_id"), "role card field 'role_id' must not be null"),
+    ("corpus", ("user_input", "content"),
+     "user turn field 'content' must not be null"),
+    ("corpus", ("history", 0, "user", "content"),
+     "user turn field 'content' must not be null"),
+    ("predictions", ("sample_id",),
+     "prediction field 'sample_id' must not be null"),
+]
+
+
+def _parent(record, path):
+    for key in path[:-1]:
+        record = record[key]
+    return record
+
+
+@pytest.mark.parametrize("where, path, error", _NULL_FIELDS,
+                         ids=[".".join(map(str, row[1])) + "@" + row[0]
+                              for row in _NULL_FIELDS])
+def test_null_fields_read_as_absent_or_are_named(tmp_path, capsys, where, path,
+                                                 error):
+    sample = make_sample("a", history=1)
+    records = {"corpus": sample.to_record(),
+               "predictions": PredictionRecord("a", sample.ground_truth.to_json())
+               .to_record()}
+    absent = json.loads(json.dumps(records[where]))
+    _parent(records[where], path)[path[-1]] = None
+    files = {}
+    for name, record in records.items():
+        files[name] = tmp_path / f"{name}.jsonl"
+        files[name].write_text(json.dumps(record) + "\n", encoding="utf-8")
+    load = load_corpus if where == "corpus" else load_predictions
+    if error is None:
+        _parent(absent, path).pop(path[-1], None)
+        files["absent"] = tmp_path / "absent.jsonl"
+        files["absent"].write_text(json.dumps(absent) + "\n", encoding="utf-8")
+        assert load(files[where]) == load(files["absent"])
+        (loaded,) = load(files[where])
+        assert "None" not in _rc_materials(loaded, ["profile", "previous_info"])
+        return
+    with pytest.raises(CorpusError, match=f"{where}.jsonl:1: {error}"):
+        load(files[where])
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experts": [{"name": "e", "kind": "mock"}],
+                                  "rc_evaluators": [{"name": "r", "kind": "mock"}]}),
+                      encoding="utf-8")
+    assert main(["evaluate", "--config", str(config),
+                 "--corpus", str(files["corpus"]),
+                 "--predictions", str(files["predictions"]),
+                 "--out", str(tmp_path / "out")]) == 3
+    assert error in capsys.readouterr().err
 
 
 def test_custom_taxonomy_validates_corpus(tmp_path):

@@ -90,6 +90,10 @@ def test_same_prompt_different_judges_do_not_share_cache(tmp_path):
 def test_retry_policy_backoff_doubles_and_caps():
     policy = RetryPolicy(max_attempts=5, base_delay=1.0, max_delay=3.0)
     assert [policy.delay(i) for i in range(1, 5)] == [1.0, 2.0, 3.0, 3.0]
+    # Doubled past a float's range, the delay is still the cap.
+    assert RetryPolicy(max_attempts=2000).delay(1100) == 30.0
+    assert RetryPolicy(max_attempts=2000, base_delay=0.0).delay(1999) == 0.0
+    assert RetryPolicy(max_attempts=2000, base_delay=1e-300).delay(1100) == 30.0
 
 
 def test_client_retries_then_succeeds_with_attempt_count():
@@ -114,16 +118,20 @@ def test_client_retries_then_succeeds_with_attempt_count():
 
 
 def test_client_exhaustion_raises_with_attempts():
-    client = JudgeClient(
-        MockBackend("m", handler=lambda p, s: (_ for _ in ()).throw(
-            TransportError("down"))),
-        policy=RetryPolicy(max_attempts=3, base_delay=0.0),
-        sleep=lambda s: None,
-    )
-    with pytest.raises(TransportError) as err:
-        client.call(JudgeRequest(kind="erc", prompt="p"))
-    assert err.value.attempts == 3
-    assert client.stats()["backend_calls"] == 3
+    def down(prompt, sampling):
+        raise TransportError("down")
+
+    # 1100 attempts: more than a doubled delay fits in a float.
+    for attempts in (3, 1100):
+        client = JudgeClient(
+            MockBackend("m", handler=down),
+            policy=RetryPolicy(max_attempts=attempts, base_delay=0.0, max_delay=0.0),
+            sleep=lambda s: None,
+        )
+        with pytest.raises(TransportError) as err:
+            client.call(JudgeRequest(kind="erc", prompt="p"))
+        assert err.value.attempts == attempts
+        assert client.stats()["backend_calls"] == attempts
 
 
 def test_config_errors_are_not_retried():

@@ -429,7 +429,7 @@ def test_assemble_rc_drops_abstaining_and_unusable(small_world):
                   replying("beta", "no verdict")]
     sample = small_world["samples"][0]
     scores = _rc_judge_sample(sample, sample.ground_truth, evaluators,
-                              fast_config(), lambda calls: [c() for c in calls])
+                              fast_config())
     assert scores == {m: {"alpha": None} for m in RC_METRICS}
     # a sample where only beta scores is kept; one floored sample adds 1.0
     rc_raw = {"s1": scores,

@@ -1,7 +1,8 @@
-"""Judge scheduling: permits, per-judge rate limits, fan-out, aborts."""
+"""Judge scheduling: permits, per-judge rate limits, per-sample order, aborts."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -28,7 +29,8 @@ import rpeval.pipeline
 from rpeval.cli import main
 from rpeval.corpus import PredictionRecord
 from rpeval.judges import JudgeClient, MockBackend, Permits, RunAborted
-from rpeval.pipeline import ConfigError, evaluate
+from rpeval.pipeline import RC_METRICS, ConfigError, evaluate
+from rpeval.prompts import _RC_QUESTIONS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -334,11 +336,72 @@ def test_paced_judge_leaves_the_others_their_concurrency(tmp_path, monkeypatch):
     evaluate(fast_config(concurrency=concurrency), corpus, predictions,
              experts=experts, rc_evaluators=critics)
     assert sum(b.calls for b in experts + critics) == 8 * (5 * 2 + 2 * 3)
-    # Both passes of a sample ask the paced judge at once, so it waited.
+    # Each sample asks the paced judge twice within its 25 ms interval
+    # (10 ms apart), so it waited.
     assert seen["waits"] >= 8
     assert seen["waits_holding"] == 0, seen
     assert seen["peak"] == concurrency
     assert sum(holders.values()) == 0
+
+
+def test_each_sample_sends_its_requests_in_order_from_one_thread(tmp_path):
+    # Every request names its sample through the role id, which the
+    # panel prompts carry in the response and the others in the role
+    # materials or the raw output.
+    golds = [("happy", "grateful"), ("anger",), ("worried", "sadness"), ("fear",)]
+    samples = [make_sample(f"t{i}", role_id=f"sample-{i}", gt=golds[i % 4])
+               for i in range(8)]
+    corpus = write_corpus(tmp_path / "corpus.jsonl", samples)
+    records = [echo_prediction(s) for s in samples]
+    repaired = {0, 5}
+    table = {}
+    for i in repaired:
+        broken = f"sample-{i} looks calm and says {golds[i % 4][0]}"
+        records[i] = PredictionRecord(sample_id=f"t{i}", raw_output=broken)
+        table[broken] = samples[i].ground_truth.to_json()
+    predictions = write_predictions(tmp_path / "preds.jsonl", records)
+    seen, in_flight, lock = [], Counter(), threading.Lock()
+
+    def step(name, prompt):
+        if name == "fixer":
+            return ("format",)
+        if name.startswith("expert"):
+            return ("panel", name)
+        return ("rc", next(m for m, q in _RC_QUESTIONS.items() if q in prompt), name)
+
+    def recorded(backend):
+        handler = backend.handler
+
+        def record(prompt, sampling):
+            (sid,) = set(re.findall(r"\bsample-(\d+)\b", prompt))
+            with lock:
+                in_flight[sid] += 1
+                seen.append((sid, threading.get_ident(), in_flight[sid],
+                             step(backend.name, prompt)))
+            time.sleep(0.002)
+            with lock:
+                in_flight[sid] -= 1
+            return handler(prompt, sampling)
+
+        backend.handler = record
+        return backend
+
+    experts = [recorded(b) for b in make_experts(3)]
+    experts[0].rate_limit = 500.0
+    critics = [recorded(b) for b in make_rc_evaluators()]
+    repair = recorded(make_repair_judge(table))
+    run = evaluate(fast_config(concurrency=2), corpus, predictions,
+                   experts=experts, rc_evaluators=critics, repair_judge=repair)
+    assert run.report["counts"]["repaired"] == len(repaired)
+    assert run.report["counts"]["ec_samples"] == 8
+    panel = [("panel", b.name) for b in experts for _ in range(2)]
+    judged = panel + [("rc", m, b.name) for m in RC_METRICS for b in critics]
+    for i in range(8):
+        mine = [entry for entry in seen if entry[0] == str(i)]
+        assert len({thread for _, thread, _, _ in mine}) == 1, i
+        assert max(count for _, _, count, _ in mine) == 1, i
+        expected = [("format",)] * (i in repaired) + judged
+        assert [step for _, _, _, step in mine] == expected, i
 
 
 def test_auth_failure_in_a_worker_aborts_the_run(judge_server, tmp_path):

@@ -26,7 +26,10 @@ The grid is fixed here.  Cells may be added, never dropped:
 - seed 2 with the drop fault, unrepairable samples floored at RC score 1
   and every RC question grounded in other role materials than the default;
 - ``gt-stats`` on each corpus (and in rows mode on the 400-sample one);
-- a run at concurrency 1 that fills a reply cache, and its warm rerun.
+- a run at concurrency 1 that fills a reply cache, and its warm rerun;
+- seed 1 with ``expert0`` rate-limited to 2000 requests per second, at
+  concurrency 1 and 2 (a rate-limited judge puts even concurrency 1 on
+  the thread pool).
 
 Exit codes: 0 when every cell matches, 1 with the list of cells that
 differ, 2 for a REV that cannot be exported or run.
@@ -68,10 +71,11 @@ def grid() -> list[dict]:
     """Every cell, in run order; a warm rerun follows the run that fills its cache."""
     cells = []
 
-    def evaluate(corpus, fault="", concurrency=4, cache="", tag="", **config):
+    def evaluate(corpus, fault="", concurrency=4, cache="", tag="", limit=0.0,
+                 **config):
         name = f"{corpus}/{fault or 'clean'}/c{concurrency}" + (f"/{tag}" if tag else "")
         cells.append({"name": name, "command": "evaluate", "corpus": corpus,
-                      "fault": fault, "cache": cache,
+                      "fault": fault, "cache": cache, "limit": limit,
                       "config": {"concurrency": concurrency, **config}})
 
     for corpus in ("s1", "s2", "s3"):
@@ -87,6 +91,8 @@ def grid() -> list[dict]:
                          "rel": ["profile"]})
     evaluate("s1", concurrency=1, cache="warm-s1", tag="cold-cache")
     evaluate("s1", concurrency=1, cache="warm-s1", tag="warm-cache")
+    for concurrency in (1, 2):
+        evaluate("s1", concurrency=concurrency, tag="expert0-2000rps", limit=2000.0)
     for corpus in CORPORA:
         cells.append({"name": f"{corpus}/gt-stats", "command": "gt-stats",
                       "corpus": corpus, "config": {}})
@@ -97,7 +103,9 @@ def grid() -> list[dict]:
 
 # -- child: run the grid with one side's source ------------------------
 
-def _judges(fault: str) -> dict:
+def _judges(fault: str, limit: float) -> dict:
+    """The Replier's judges; ``expert0`` sends at most ``limit`` requests
+    per second (0: unlimited)."""
     import rpeval
     from replies import Replier, Transient
 
@@ -109,7 +117,8 @@ def _judges(fault: str) -> dict:
                 return replier.reply(name, prompt)
             except Transient as exc:
                 raise rpeval.TransportError(str(exc)) from None
-        return rpeval.MockBackend(name, handler=handler)
+        return rpeval.MockBackend(name, handler=handler,
+                                  rate_limit=limit if name == "expert0" else 0.0)
 
     return {"experts": [judge(n) for n in EXPERTS],
             "rc_evaluators": [judge(n) for n in CRITICS],
@@ -138,7 +147,7 @@ def _run_cell(cell: dict, inputs: Path, work: Path) -> dict:
         config["cache_dir"] = str(work / "caches" / cell["cache"])
     run = rpeval.evaluate(rpeval.RunConfig.from_dict(config), corpus / "corpus.jsonl",
                           corpus / "predictions.jsonl", out_dir=out,
-                          **_judges(cell["fault"]))
+                          **_judges(cell["fault"], cell["limit"]))
     return {"files": {"report.json": str(out / "report.json")},
             "counts": run.manifest["counts"],
             "judges": {name: {key: stats[key] for key in JUDGE_KEYS}
