@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import re
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterator, Mapping, Optional, Sequence
@@ -75,12 +78,21 @@ def read_lines(path: str | Path, error: type[Exception] = CorpusError) -> Iterat
         raise error(f"{path}: not UTF-8 text: {exc}") from None
 
 
+# Where an escape may decode to half of a UTF-16 surrogate pair.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
 def parse_json(text: str, where: str, error: type[Exception] = CorpusError):
-    """The value ``text`` holds; invalid or too deeply nested JSON raises ``error``."""
+    """The value ``text`` holds; invalid or too deeply nested JSON, or a
+    string that is not valid Unicode (an unpaired surrogate escape), raises
+    ``error``."""
     try:
-        return json.loads(text)
-    except (ValueError, RecursionError) as exc:
+        obj = json.loads(text)
+        if _SURROGATE_ESCAPE.search(text):
+            json.dumps(obj, ensure_ascii=False).encode("utf-8")
+    except (ValueError, RecursionError) as exc:  # UnicodeEncodeError included
         raise error(f"{where}: invalid JSON: {exc}") from None
+    return obj
 
 
 def _check_object(obj, what: str) -> None:
@@ -496,10 +508,30 @@ def load_predictions(path: str | Path) -> list[PredictionRecord]:
     return records
 
 
+@contextmanager
+def replacing(path: str | Path) -> Iterator:
+    """A UTF-8 text file that takes the place of ``path`` once fully written.
+
+    The text goes to a temporary file in the same directory, which is
+    moved onto ``path`` on success and removed on any exception, so a
+    failed or killed write leaves the previous file as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):  # absent when open failed
+            os.unlink(tmp)
+        raise
+
+
 def save_jsonl(path: str | Path, records: Sequence[Mapping]) -> None:
     """Write records as one JSON object per line (UTF-8, no ASCII escaping)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         for record in records:
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")

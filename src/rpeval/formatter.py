@@ -60,22 +60,20 @@ class FormatOutcome:
             raise ValueError("response must be present exactly when usable")
 
 
-def _normalize_keys(obj: Mapping, aliases: Mapping[str, str]) -> Optional[dict]:
+def _normalize_keys(obj: Mapping) -> Optional[dict]:
     out: dict = {}
     for key, value in obj.items():
         if not isinstance(key, str):
             return None
         canon = key.strip().lower()
-        canon = aliases.get(canon, canon)
+        canon = DEFAULT_KEY_ALIASES.get(canon, canon)
         if canon in out:
             return None  # two spellings collapsed onto one field
         out[canon] = value
     return out
 
 
-def validate(
-    raw: str, aliases: Mapping[str, str] = DEFAULT_KEY_ALIASES
-) -> Optional[MultimodalResponse]:
+def validate(raw: str) -> Optional[MultimodalResponse]:
     """Parse raw output into a response, or ``None`` if it fails.
 
     Accepts the object bare or embedded in fences/prose, accepts alias
@@ -87,7 +85,7 @@ def validate(
     obj = extract_json_object(raw)
     if obj is None:
         return None
-    normalized = _normalize_keys(obj, aliases)
+    normalized = _normalize_keys(obj)
     if normalized is None or set(normalized) != set(RESPONSE_FIELDS):
         return None
     if not all(isinstance(normalized[k], str) for k in RESPONSE_FIELDS):
@@ -98,18 +96,13 @@ def validate(
     return MultimodalResponse(**cleaned)
 
 
-def format_response(
-    raw: str,
-    judge=None,
-    max_attempts: int = 2,
-    aliases: Mapping[str, str] = DEFAULT_KEY_ALIASES,
-) -> FormatOutcome:
+def format_response(raw: str, judge=None, max_attempts: int = 2) -> FormatOutcome:
     """Full gate: direct validation, then up to ``max_attempts`` repairs.
 
     ``judge`` is any object with ``ask(kind, prompt, pass_index) -> str``
     (a ``JudgeClient`` fits); without one, invalid output is unrepairable.
     """
-    response = validate(raw, aliases)
+    response = validate(raw)
     if response is not None:
         return FormatOutcome(status=VALID_DIRECT, response=response)
     if judge is None:
@@ -129,7 +122,7 @@ def format_response(
             diagnostic = f"repair attempt {attempt}: {exc}"
             logger.warning(diagnostic)
             continue
-        response = validate(reply, aliases)
+        response = validate(reply)
         if response is not None:
             return FormatOutcome(
                 status=REPAIRED, response=response, repair_attempts=attempt

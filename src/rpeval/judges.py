@@ -431,10 +431,12 @@ class HttpBackend:
             )
         try:
             content = json_object(data)["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError):
-            content = None
-        if not isinstance(content, str):  # a refusal can have null content
-            raise TransportError(f"backend {self.name!r}: malformed completion payload")
+            # A refusal can have null content; text holding an unpaired
+            # surrogate escape could be neither cached nor sent on.
+            content.encode("utf-8")
+        except (KeyError, IndexError, TypeError, AttributeError, UnicodeEncodeError):
+            raise TransportError(
+                f"backend {self.name!r}: malformed completion payload") from None
         return content
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
-from typing import Literal, Mapping, Optional, Sequence, get_args
+from typing import Literal, Mapping, Optional, Sequence, TypedDict, get_args
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from .corpus import (
     load_predictions,
     parse_json,
     read_lines,
+    replacing,
     save_jsonl,
     segment_utterances,
 )
@@ -287,10 +288,11 @@ def _make_out_dir(out_dir: str | Path) -> Path:
 
 
 def write_out_file(out_dir: str | Path, name: str, text: str) -> Path:
-    """Write ``text`` to ``out_dir/name``; an ``OSError`` is a ``ConfigError``."""
+    """Replace ``out_dir/name`` with ``text``; an ``OSError`` is a ``ConfigError``."""
     path = _make_out_dir(out_dir) / name
     try:
-        path.write_text(text, encoding="utf-8")
+        with replacing(path) as fh:
+            fh.write(text)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
     return path
@@ -462,6 +464,45 @@ def _rc_verdict(evaluator, prompts, sources, metric, sample_id):
     return None
 
 
+class SampleRecord(TypedDict):
+    """All that assembly reads of one judged sample; it round-trips through
+    JSON unchanged.  ``labels``/``entropy`` are per-modality cell lists,
+    ``None`` when no panel vote landed; ``rc`` is ``{metric: {evaluator:
+    score or None}}``, ``None`` when the format gate dropped the sample."""
+
+    status: str
+    labels: Optional[dict[str, list[str]]]
+    entropy: Optional[dict[str, list[float]]]
+    rc: Optional[dict[str, dict[str, Optional[int]]]]
+
+
+def judge_sample(pred: PredictionRecord, sample: DialogueSample,
+                 config: RunConfig, taxonomy: EmotionTaxonomy, experts,
+                 rc_evaluators, repair) -> SampleRecord:
+    """One prediction through format gate -> emotion panel -> role
+    consistency, its judge requests one after another on the calling
+    thread.  The response text and the vote histograms end here."""
+    outcome = format_response(pred.raw_output, repair,
+                              max_attempts=config.max_repair_attempts)
+    record: SampleRecord = {"status": outcome.status, "labels": None,
+                            "entropy": None, "rc": None}
+    response = outcome.response
+    if response is None:
+        return record
+    utterances = segment_utterances(response.content, config.delimiters)
+    votes = run_panel(response, utterances, experts, taxonomy,
+                      passes=config.passes)
+    labels, counts = aggregate(votes, tau=config.tau,
+                               n_utterances=len(utterances))
+    if any(hist for row in counts.values() for hist in row):
+        record["labels"] = labels
+        record["entropy"] = {
+            m: [normalized_entropy(hist, taxonomy.size) for hist in row]
+            for m, row in counts.items()}
+    record["rc"] = _rc_judge_sample(sample, response, rc_evaluators, config)
+    return record
+
+
 def evaluate(
     config: RunConfig,
     corpus_path: str | Path,
@@ -496,78 +537,26 @@ def evaluate(
                               config.sample_limit))
         predictions = [p for p in predictions if p.sample_id in keep]
     predictions = sorted(predictions, key=lambda p: p.sample_id)
-    missing = sorted(set(by_id) - {p.sample_id for p in predictions})
     if out_dir is not None:
         _make_out_dir(out_dir)  # before the first judge request
 
     cache = ReplyCache(config.cache_dir) if config.cache_dir else None
     permits = Permits(config.concurrency)
     judges: list[JudgeClient] = []
-
-    # Each prediction flows format gate -> emotion panel -> role
-    # consistency on one worker thread, its judge requests one after
-    # another; only the metric assembly waits for all.
-    # What assembly needs of a sample is one plain record: the response
-    # text and the vote histograms end here.
-    def _judge(pred: PredictionRecord) -> dict:
-        outcome = format_response(pred.raw_output, repair,
-                                  max_attempts=config.max_repair_attempts)
-        record = {"status": outcome.status, "labels": dict.fromkeys(MODALITIES),
-                  "entropy": dict.fromkeys(MODALITIES), "rc": None}
-        response = outcome.response
-        if response is None:
-            return record
-        utterances = segment_utterances(response.content, config.delimiters)
-        votes = run_panel(response, utterances, experts, taxonomy,
-                          passes=config.passes)
-        labels, counts = aggregate(votes, tau=config.tau,
-                                   n_utterances=len(utterances))
-        if any(hist for row in counts.values() for hist in row):
-            record["labels"] = labels
-            record["entropy"] = {
-                m: [normalized_entropy(hist, taxonomy.size) for hist in row]
-                for m, row in counts.items()}
-        record["rc"] = _rc_judge_sample(by_id[pred.sample_id], response,
-                                        rc_evaluators, config)
-        return record
-
     try:
         experts, rc_evaluators, repair = _judge_clients(
             config, cache, permits, experts, rc_evaluators, repair_judge)
         judges = experts + rc_evaluators + ([repair] if repair is not None else [])
         with Scheduler(permits, config.concurrency, judges) as scheduler:
-            judged = dict(zip((p.sample_id for p in predictions),
-                              scheduler.map(_judge, predictions)))
+            judged = scheduler.map(
+                lambda pred: judge_sample(pred, by_id[pred.sample_id], config,
+                                          taxonomy, experts, rc_evaluators, repair),
+                predictions)
     finally:
         for client in judges:
             client.close()
         if cache is not None:
             cache.close()
-
-    # ``judged`` is in sample-id order, and so is every mapping built
-    # from it; the metric sums below rely on that order.
-    statuses = Counter(record["status"] for record in judged.values())
-    rc_raw = {sid: record["rc"] for sid, record in judged.items()
-              if record["rc"] is not None}
-    voted = {sid: record for sid, record in judged.items()
-             if record["labels"]["fusion"] is not None}
-    floored = statuses[UNREPAIRABLE] if config.rc_floor_unrepairable else 0
-
-    # Deterministic metric assembly, once every sample is judged.
-    metrics, per_class = _assemble_ec(config, taxonomy, samples, by_id, voted)
-    metrics["rc"] = _assemble_rc([c.name for c in rc_evaluators], rc_raw, floored)
-    tally = {
-        "corpus_samples": len(samples),
-        "predictions": len(predictions),
-        "missing_predictions": len(missing),
-        "valid_direct": statuses[VALID_DIRECT],
-        "repaired": statuses[REPAIRED],
-        "dropped_format": statuses[UNREPAIRABLE],
-        "dropped_erc": len(rc_raw) - len(voted),
-        "ec_samples": len(voted),
-        "rc_floored": floored,
-        "rc_dropped": {m: metrics["rc"][m]["dropped"] for m in RC_METRICS},
-    }
 
     judge_stats = {c.name: c.stats() for c in judges}
     if (sum(s["replies"] for s in judge_stats.values()) == 0
@@ -576,17 +565,8 @@ def evaluate(
         raise TransportError(
             "no judge request succeeded in this run; backends unreachable")
 
-    summary = {}
-    for key in SUMMARY_KEYS:
-        section, name = key.split(".")
-        value = metrics[section][name]
-        if section == "rcd":
-            value = value["value"]
-        elif section == "rc":
-            value = value["score"]
-        summary[key] = value
-    report = {"summary": summary, "metrics": metrics, "per_class": per_class,
-              "counts": dict(tally)}
+    records = dict(zip((p.sample_id for p in predictions), judged))
+    report = assemble(config, samples, records, [c.name for c in rc_evaluators])
     lookups = sum(s["cache_hits"] + s["cache_misses"]
                   for s in judge_stats.values())
     hits = sum(s["cache_hits"] for s in judge_stats.values())
@@ -606,7 +586,7 @@ def evaluate(
             "hits": hits,
             "hit_ratio": (hits / lookups) if lookups else 0.0,
         },
-        "counts": dict(tally),
+        "counts": dict(report["counts"]),
     }
     written: list[Path] = []
     if out_dir is not None:
@@ -615,12 +595,72 @@ def evaluate(
     return EvaluationRun(report=report, manifest=manifest, written=written)
 
 
-def _assemble_ec(config, taxonomy, samples, by_id, voted) -> tuple[dict, dict]:
-    """The report's emotion ``metrics`` sections and its ``per_class``.
+def assemble(config: RunConfig, samples: Sequence[DialogueSample],
+             records: Mapping[str, SampleRecord],
+             evaluators: Sequence[str]) -> dict:
+    """The report of a run, from the corpus and its per-sample records.
 
-    ``voted`` maps the sample ids that got at least one panel vote, in
-    sample-id order, to their ``_judge`` records.
-    """
+    Pure: no I/O and no judge request.  ``records`` maps sample ids to
+    records in any order; every sum runs in sample-id order.  A corpus
+    sample without a record is tallied as a missing prediction.
+    ``evaluators`` names the role-consistency evaluators."""
+    records = {sid: records[sid] for sid in sorted(records)}
+    statuses = Counter(record["status"] for record in records.values())
+    voted = {sid: record for sid, record in records.items()
+             if record["labels"] is not None}
+    scored = [record["rc"] for record in records.values()
+              if record["rc"] is not None]
+    floored = statuses[UNREPAIRABLE] if config.rc_floor_unrepairable else 0
+
+    metrics, per_class = _assemble_ec(config, samples, voted)
+    # Per metric, a sample where no evaluator scored is dropped, and
+    # each floored unrepairable sample adds a 1.0.
+    rc = metrics["rc"] = {}
+    for metric in RC_METRICS:
+        sample_scores: list[float] = []
+        per_evaluator: dict[str, list[int]] = {name: [] for name in evaluators}
+        for per_sample in scored:
+            given = {k: v for k, v in per_sample[metric].items() if v is not None}
+            for name, value in given.items():
+                per_evaluator[name].append(value)
+            if given:
+                sample_scores.append(float(np.mean(list(given.values()))))
+        dropped = len(scored) - len(sample_scores)
+        sample_scores.extend(1.0 for _ in range(floored))
+        rc[metric] = {
+            "score": (sum(sample_scores) / len(sample_scores)
+                      if sample_scores else None),
+            "per_evaluator": {name: (sum(v) / len(v) if v else None)
+                              for name, v in per_evaluator.items()},
+            "scored": len(sample_scores),
+            "dropped": dropped,
+        }
+
+    summary = {}
+    for key in SUMMARY_KEYS:
+        section, name = key.split(".")
+        value = metrics[section][name]
+        summary[key] = (value["value"] if section == "rcd"
+                        else value["score"] if section == "rc" else value)
+    counts = {
+        "corpus_samples": len(samples),
+        "predictions": len(records),
+        "missing_predictions": len(samples) - len(records),
+        "valid_direct": statuses[VALID_DIRECT],
+        "repaired": statuses[REPAIRED],
+        "dropped_format": statuses[UNREPAIRABLE],
+        "dropped_erc": len(scored) - len(voted),
+        "ec_samples": len(voted),
+        "rc_floored": floored,
+        "rc_dropped": {m: rc[m]["dropped"] for m in RC_METRICS},
+    }
+    return {"summary": summary, "metrics": metrics, "per_class": per_class,
+            "counts": counts}
+
+
+def _assemble_ec(config, samples, voted) -> tuple[dict, dict]:
+    """The report's emotion ``metrics`` sections and its ``per_class``;
+    ``voted`` maps the ids of voted samples, in order, to their records."""
     if not voted:
         logger.warning("no samples survived to emotion scoring")
         return {
@@ -630,7 +670,9 @@ def _assemble_ec(config, taxonomy, samples, by_id, voted) -> tuple[dict, dict]:
             "rcd": {v: dict(_NULL_RCD) for v in ("intra", "inter")},
             "ed": {column: None for column in _ED_COLUMNS},
         }, {"lower": {}, "upper": {}}
-    mec_samples = [(by_id[sid].gt_emotions, record["labels"]["fusion"])
+    taxonomy = config.taxonomy()
+    gt = {s.sample_id: s.gt_emotions for s in samples}
+    mec_samples = [(gt[sid], record["labels"]["fusion"])
                    for sid, record in voted.items()]
     mecs = {level: mec(mec_samples, taxonomy, level=level)
             for level in ("lower", "upper")}
@@ -676,41 +718,6 @@ def _assemble_ec(config, taxonomy, samples, by_id, voted) -> tuple[dict, dict]:
     }
     per_class = {level: table for level, (_, table) in mecs.items()}
     return metrics, per_class
-
-
-def _assemble_rc(evaluators: Sequence[str], rc_raw, floored: int) -> dict:
-    """The report's ``rc`` section, one entry per role-consistency metric.
-
-    ``rc_raw`` maps each formatted sample id, in sample-id order, to the
-    per-evaluator scores of ``_rc_judge_sample``; a sample where no
-    evaluator scored is dropped, and each of the ``floored``
-    unrepairable samples adds a 1.0.
-    """
-    section = {}
-    for metric in RC_METRICS:
-        sample_scores: list[float] = []
-        dropped = 0
-        per_eval_scores: dict[str, list[int]] = {name: [] for name in evaluators}
-        for per_evaluator in rc_raw.values():
-            scores = []
-            for name, value in per_evaluator[metric].items():
-                if value is not None:
-                    per_eval_scores[name].append(value)
-                    scores.append(value)
-            if scores:
-                sample_scores.append(float(np.mean(scores)))
-            else:
-                dropped += 1
-        sample_scores.extend(1.0 for _ in range(floored))
-        section[metric] = {
-            "score": (sum(sample_scores) / len(sample_scores)
-                      if sample_scores else None),
-            "per_evaluator": {name: (sum(v) / len(v) if v else None)
-                              for name, v in per_eval_scores.items()},
-            "scored": len(sample_scores),
-            "dropped": dropped,
-        }
-    return section
 
 
 def generate(
@@ -834,11 +841,12 @@ def _is_number(value) -> bool:
 
 def _check_report(report: Mapping) -> None:
     """Refuse a report whose rendered parts lack the layout ``evaluate`` writes."""
-    summary = report.get("summary", {})
+    summary = report.get("summary")
     ok = isinstance(summary, Mapping) and all(
-        summary.get(key) is None or _is_number(summary[key]) for key in SUMMARY_KEYS)
-    ok = ok and isinstance(report.get("counts", {}), Mapping)
-    per_class = report.get("per_class", {})
+        key in summary and (summary[key] is None or _is_number(summary[key]))
+        for key in SUMMARY_KEYS)
+    ok = ok and isinstance(report.get("counts"), Mapping)
+    per_class = report.get("per_class")
     ok = ok and isinstance(per_class, Mapping) and all(
         isinstance(table, Mapping) and all(
             isinstance(row, Mapping)
@@ -870,18 +878,18 @@ def render_report(report: Mapping, fmt: str) -> str:
         return buf.getvalue()
     if fmt == "md":
         lines = ["# Evaluation report", "", "| Metric | Value |", "| --- | --- |"]
-        summary = report.get("summary", {})
+        summary = report["summary"]
         for key in SUMMARY_KEYS:
-            value = summary.get(key)
+            value = summary[key]
             shown = "n/a" if value is None else f"{value:.6f}"
             lines.append(f"| {key} | {shown} |")
-        counts = report.get("counts", {})
+        counts = report["counts"]
         if counts:
             lines += ["", "## Exclusions and tallies", "",
                       "| Count | Value |", "| --- | --- |"]
             for key, value in sorted(counts.items()):
                 lines.append(f"| {key} | {value} |")
-        per_class = report.get("per_class", {}).get("lower", {})
+        per_class = report["per_class"].get("lower", {})
         if per_class:
             lines += ["", "## Per-class emotion F1", "",
                       "| Label | n | precision | recall | f1 |",

@@ -1,11 +1,14 @@
 """Data model: taxonomy, segmentation, serialization, file loading."""
 
+import contextlib
 import json
 
 import pytest
 
 from conftest import make_sample, write_corpus, write_predictions
 
+import rpeval.corpus
+import rpeval.pipeline
 from rpeval.cli import main
 from rpeval.corpus import (
     AMBIGUOUS,
@@ -18,9 +21,12 @@ from rpeval.corpus import (
     default_taxonomy,
     load_corpus,
     load_predictions,
+    parse_json,
+    replacing,
+    save_jsonl,
     segment_utterances,
 )
-from rpeval.pipeline import _rc_materials
+from rpeval.pipeline import ConfigError, _rc_materials, write_out_file
 
 
 def test_default_taxonomy_has_thirteen_labels():
@@ -313,3 +319,54 @@ def test_custom_taxonomy_validates_corpus(tmp_path):
     assert loaded[0].gt_emotions == ["up"]
     with pytest.raises(CorpusError):
         load_corpus(path)  # default taxonomy does not know "up"
+
+
+def test_parse_json_refuses_unpaired_surrogate_escapes():
+    assert parse_json('"\\ud83d\\ude00"', "x") == "\U0001F600"  # a pair
+    assert parse_json('"\\\\ud800"', "x") == "\\ud800"  # an escaped backslash
+    for text in ('"\\ud800"', '"a\\uDC00"', '{"\\udbff": 1}', '[["\\ud83d"]]'):
+        with pytest.raises(CorpusError, match="^where: invalid JSON"):
+            parse_json(text, "where")
+
+
+class _FailingWriter:
+    """Passes writes to ``fh`` until ``limit`` characters, then fails."""
+
+    def __init__(self, fh, limit):
+        self.fh, self.limit = fh, limit
+
+    def write(self, text):
+        if self.limit < len(text):
+            self.fh.write(text[:self.limit])
+            raise OSError(28, "No space left on device")
+        self.limit -= len(text)
+        return self.fh.write(text)
+
+
+def test_a_failed_write_leaves_the_previous_file_and_no_temporary(tmp_path,
+                                                                 monkeypatch):
+    real = rpeval.corpus.replacing
+
+    @contextlib.contextmanager
+    def failing(path):
+        with real(path) as fh:
+            yield _FailingWriter(fh, limit=20)
+
+    for write, error in (
+            (lambda: write_out_file(tmp_path, "report.json", "x" * 100),
+             ConfigError),
+            (lambda: save_jsonl(tmp_path / "report.json",
+                                [{"n": i} for i in range(10)]), OSError)):
+        (tmp_path / "report.json").write_bytes(b"old bytes\n")
+        with monkeypatch.context() as patch:
+            patch.setattr(rpeval.corpus, "replacing", failing)
+            patch.setattr(rpeval.pipeline, "replacing", failing)
+            with pytest.raises(error, match="No space left"):
+                write()
+        assert (tmp_path / "report.json").read_bytes() == b"old bytes\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+    # a whole write replaces the file
+    with replacing(tmp_path / "report.json") as fh:
+        fh.write("new\n")
+    assert (tmp_path / "report.json").read_bytes() == b"new\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]

@@ -339,6 +339,14 @@ def test_http_backend_statuses(judge_server):
     with pytest.raises(TransportError, match="malformed completion payload"):
         backend.complete("p", Sampling())
 
+    # content with an unpaired surrogate escape could be neither cached
+    # nor sent on; an escaped pair is an ordinary character
+    script.append((200, b'{"choices": [{"message": {"content": "a\\ud800b"}}]}'))
+    with pytest.raises(TransportError, match="malformed completion payload"):
+        backend.complete("p", Sampling())
+    script.append((200, b'{"choices": [{"message": {"content": "\\ud83d\\ude00"}}]}'))
+    assert backend.complete("p", Sampling()) == "\U0001F600"
+
     script.append((200, {"choices": [{"message": {"content": "verdict"}}]}))
     assert backend.complete("p", Sampling()) == "verdict"
     backend.close()

@@ -41,21 +41,21 @@ from rpeval.pipeline import (
     BackendSpec,
     ConfigError,
     RunConfig,
-    _assemble_rc,
     _rc_judge_sample,
     _rc_materials,
     agreement,
+    assemble,
     evaluate,
     flatten_report,
     generate,
     group_role_dialogues,
     gt_statistics,
+    judge_sample,
     load_agreement_table,
     render_report,
     write_report_files,
 )
 from rpeval.prompts import build_erc_prompt, build_rc_prompt, render_history
-from rpeval.scheduler import Scheduler
 
 
 # ------------------------------------------------------------------ config
@@ -411,12 +411,23 @@ def test_evaluate_drops_unrepairable_and_can_floor_rc(small_world, tmp_path):
     assert floored.report["summary"]["rc.exp"] == pytest.approx(expected)
 
 
+def _rc_records(rc_by_id, unrepairable=0):
+    """Records that carry only role-consistency scores, plus dropped ones."""
+    records = {sid: {"status": VALID_DIRECT, "labels": None, "entropy": None,
+                     "rc": rc} for sid, rc in rc_by_id.items()}
+    records.update({f"u{i}": {"status": UNREPAIRABLE, "labels": None,
+                              "entropy": None, "rc": None}
+                    for i in range(unrepairable)})
+    return records
+
+
 def test_assemble_rc_averages_evaluators():
-    rc_raw = {"s1": {m: {"alpha": 5, "beta": 2} for m in RC_METRICS}}
-    section = _assemble_rc(["alpha", "beta"], rc_raw, floored=0)
-    assert section["exp"] == {"score": 3.5,
-                              "per_evaluator": {"alpha": 5.0, "beta": 2.0},
-                              "scored": 1, "dropped": 0}
+    samples = [make_sample("s1")]
+    records = _rc_records({"s1": {m: {"alpha": 5, "beta": 2} for m in RC_METRICS}})
+    report = assemble(fast_config(), samples, records, ["alpha", "beta"])
+    assert report["metrics"]["rc"]["exp"] == {
+        "score": 3.5, "per_evaluator": {"alpha": 5.0, "beta": 2.0},
+        "scored": 1, "dropped": 0}
 
 
 def test_assemble_rc_drops_abstaining_and_unusable(small_world):
@@ -432,12 +443,15 @@ def test_assemble_rc_drops_abstaining_and_unusable(small_world):
                               fast_config())
     assert scores == {m: {"alpha": None} for m in RC_METRICS}
     # a sample where only beta scores is kept; one floored sample adds 1.0
-    rc_raw = {"s1": scores,
-              "s2": {m: {"alpha": None, "beta": 2} for m in RC_METRICS}}
-    section = _assemble_rc(["alpha", "beta"], rc_raw, floored=1)
-    assert section["cha"] == {"score": 1.5,
-                              "per_evaluator": {"alpha": None, "beta": 2.0},
-                              "scored": 2, "dropped": 1}
+    records = _rc_records(
+        {"s1": scores, "s2": {m: {"alpha": None, "beta": 2} for m in RC_METRICS}},
+        unrepairable=1)
+    samples = [make_sample(sid) for sid in records]
+    report = assemble(fast_config(rc_floor_unrepairable=True), samples, records,
+                      ["alpha", "beta"])
+    assert report["metrics"]["rc"]["cha"] == {
+        "score": 1.5, "per_evaluator": {"alpha": None, "beta": 2.0},
+        "scored": 2, "dropped": 1}
 
 
 def test_evaluate_drops_a_prediction_nested_too_deep_to_parse(small_world,
@@ -486,26 +500,12 @@ def test_evaluate_drops_sample_when_panel_never_answers(small_world, tmp_path):
     assert run.report["summary"]["mec.lower"] == 1.0
 
 
-def test_judge_keeps_one_plain_record_per_sample(small_world, tmp_path,
-                                                monkeypatch):
-    records = {}
-
-    class RecordingScheduler(Scheduler):
-        def map(self, fn, items):
-            items = list(items)
-            results = super().map(fn, items)
-            records.update(zip((p.sample_id for p in items), results))
-            return results
-
-    monkeypatch.setattr(rpeval.pipeline, "Scheduler", RecordingScheduler)
+def test_judge_keeps_one_plain_record_per_sample():
     samples = [make_sample("s1", gt=("happy", "anger")),
                make_sample("s2", gt=("worried",), content="mystery。"),
                make_sample("s3", gt=("relaxed",))]
-    corpus = write_corpus(tmp_path / "c.jsonl", samples)
-    predictions = write_predictions(
-        tmp_path / "p.jsonl", [echo_prediction(samples[0]),
-                               echo_prediction(samples[1]),
-                               PredictionRecord("s3", "@@@@")])
+    predictions = [echo_prediction(samples[0]), echo_prediction(samples[1]),
+                   PredictionRecord("s3", "@@@@")]
 
     def guarded(name):
         def handler(prompt, sampling):
@@ -516,9 +516,12 @@ def test_judge_keeps_one_plain_record_per_sample(small_world, tmp_path,
 
         return MockBackend(name, handler=handler)
 
-    evaluate(fast_config(), corpus, predictions,
-             experts=[guarded(f"e{i}") for i in range(5)],
-             rc_evaluators=make_rc_evaluators())
+    config = fast_config()
+    experts = [JudgeClient(guarded(f"e{i}"), config.retry) for i in range(5)]
+    critics = [JudgeClient(b, config.retry) for b in make_rc_evaluators()]
+    records = {pred.sample_id: judge_sample(pred, sample, config, config.taxonomy(),
+                                            experts, critics, None)
+               for pred, sample in zip(predictions, samples)}
     assert json.loads(json.dumps(records)) == records
     assert all(list(r) == ["status", "labels", "entropy", "rc"]
                for r in records.values())
@@ -529,13 +532,10 @@ def test_judge_keeps_one_plain_record_per_sample(small_world, tmp_path,
         "entropy": {m: [0.0, 0.0] for m in MODALITIES},
         "rc": full_marks}
     # formatted, but no vote landed: no labels or entropies, RC still scored
-    assert records["s2"] == {"status": VALID_DIRECT,
-                             "labels": dict.fromkeys(MODALITIES),
-                             "entropy": dict.fromkeys(MODALITIES),
-                             "rc": full_marks}
-    assert records["s3"] == {"status": UNREPAIRABLE,
-                             "labels": dict.fromkeys(MODALITIES),
-                             "entropy": dict.fromkeys(MODALITIES), "rc": None}
+    assert records["s2"] == {"status": VALID_DIRECT, "labels": None,
+                             "entropy": None, "rc": full_marks}
+    assert records["s3"] == {"status": UNREPAIRABLE, "labels": None,
+                             "entropy": None, "rc": None}
 
 
 def test_evaluate_tallies_missing_predictions(small_world, tmp_path):
@@ -876,6 +876,10 @@ def test_cli_exit_codes(tmp_path, capsys, judge_server):
     deep_config = tmp_path / "deep.json"
     deep_config.write_text(deep, encoding="utf-8")
     assert main(["gt-stats", "--config", str(deep_config), "--corpus", corpus]) == 2
+    # 2: a config string holding an unpaired surrogate escape
+    lone_config = tmp_path / "lone.json"
+    lone_config.write_text('{"delimiters": "\\ud800"}', encoding="utf-8")
+    assert main(["gt-stats", "--config", str(lone_config), "--corpus", corpus]) == 2
 
     # 3: corrupt corpus
     ok_config = tmp_path / "ok.json"
@@ -905,6 +909,37 @@ def test_cli_exit_codes(tmp_path, capsys, judge_server):
     assert main(["evaluate", "--config", str(ok_config), "--corpus", corpus,
                  "--predictions", str(deep_lines),
                  "--out", str(tmp_path / "o3")]) == 3
+    # 3: a corpus or predictions line holding an unpaired surrogate escape,
+    # which used to abort a cached run or gt-stats with a traceback; it is
+    # refused at load, naming the line, before any judge request
+    cached = tmp_path / "cached.json"
+    cached.write_text(json.dumps({
+        "cache_dir": str(tmp_path / "surrogate_cache"),
+        "experts": [{"name": "e", "kind": "http", "model": "m",
+                     "endpoint": judge_server.url}],
+        "rc_evaluators": [{"name": "r", "kind": "http", "model": "m",
+                           "endpoint": judge_server.url}],
+    }), encoding="utf-8")
+    lone_preds = tmp_path / "lone_preds.jsonl"
+    lone_preds.write_text(json.dumps(
+        {"sample_id": "a", "raw_output": "half \ud800 a pair"}) + "\n",
+        encoding="utf-8")
+    lone_corpus = tmp_path / "lone_corpus.jsonl"
+    record = make_sample("a").to_record()
+    record["role"]["role_id"] = "hero\udc00"
+    lone_corpus.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cached), "--corpus", corpus,
+                 "--predictions", str(lone_preds),
+                 "--out", str(tmp_path / "o3")]) == 3
+    assert f"{lone_preds}:1: invalid JSON" in capsys.readouterr().err
+    assert main(["evaluate", "--config", str(cached), "--corpus", str(lone_corpus),
+                 "--predictions", predictions,
+                 "--out", str(tmp_path / "o3")]) == 3
+    assert f"{lone_corpus}:1: invalid JSON" in capsys.readouterr().err
+    assert main(["gt-stats", "--config", str(ok_config),
+                 "--corpus", str(lone_corpus)]) == 3
+    assert judge_server.seen == []
     latin1_table = tmp_path / "table.csv"
     latin1_table.write_bytes("a,b\né,b\n".encode("latin-1"))
     deep_table = tmp_path / "deep_table.json"
@@ -938,7 +973,10 @@ def test_cli_exit_codes(tmp_path, capsys, judge_server):
             {"per_class": {"lower": {"happy": 3}}},
             {"per_class": {"lower": {"happy": {"n": 1, "precision": 1.0,
                                                "recall": None, "f1": 1.0}}}},
-            {"per_class": [1]}]):
+            {"per_class": [1]},
+            {},  # lacks every section
+            {"tool": {"name": "rpeval", "version": "0"}, "judges": {},
+             "counts": {"predictions": 1}}]):  # a manifest
         reports.append(tmp_path / f"layout{i}.json")
         reports[-1].write_text(json.dumps(layout), encoding="utf-8")
     for report in reports:
@@ -963,8 +1001,7 @@ def test_cli_exit_codes(tmp_path, capsys, judge_server):
     a_file.write_text("", encoding="utf-8")
     blocked = tmp_path / "blocked"
     (blocked / "report.json").mkdir(parents=True)
-    ok_report = tmp_path / "ok_report.json"
-    ok_report.write_text("{}", encoding="utf-8")
+    ok_report = Path(__file__).parent / "data" / "golden_report.json"
     for out in (a_file, a_file / "sub"):
         assert main(["evaluate", "--config", str(dead_config), "--corpus", corpus,
                      "--predictions", predictions, "--out", str(out)]) == 2

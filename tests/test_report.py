@@ -10,6 +10,7 @@ in the change log.
 """
 
 import json
+import random
 import zlib
 from pathlib import Path
 
@@ -27,10 +28,16 @@ from conftest import (
     write_predictions,
 )
 
+import rpeval.pipeline
 from rpeval.cli import main
-from rpeval.corpus import DEFAULT_EMOTION_LABELS, PredictionRecord, default_taxonomy
+from rpeval.corpus import (
+    DEFAULT_EMOTION_LABELS,
+    PredictionRecord,
+    default_taxonomy,
+    load_corpus,
+)
 from rpeval.judges import MockBackend
-from rpeval.pipeline import SUMMARY_KEYS, evaluate, render_report
+from rpeval.pipeline import SUMMARY_KEYS, assemble, evaluate, render_report
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden_report.json"
@@ -143,6 +150,37 @@ def test_rows_mode_report_matches_the_golden_file(tmp_path):
     _golden_run(tmp_path, divergence_mode="rows")
     written = (tmp_path / "out" / "report.json").read_bytes()
     assert written == (DATA / "golden_report_rows.json").read_bytes()
+
+
+@pytest.mark.parametrize("mode, golden", [("flatten", "golden_report.json"),
+                                          ("rows", "golden_report_rows.json")])
+def test_saved_records_reassemble_to_the_golden_file(tmp_path, monkeypatch,
+                                                     mode, golden):
+    seen = []
+
+    def spy(config, samples, records, evaluators):
+        seen.append((config, records, evaluators))
+        return assemble(config, samples, records, evaluators)
+
+    monkeypatch.setattr(rpeval.pipeline, "assemble", spy)
+    _golden_run(tmp_path, divergence_mode=mode)
+    [(config, records, evaluators)] = seen
+    # the records written to a log in shuffled order and read back
+    lines = [json.dumps({"sample_id": sid, "record": record})
+             for sid, record in records.items()]
+    random.Random(7).shuffle(lines)
+    log = tmp_path / "records.jsonl"
+    log.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    read_back = {}
+    for line in log.read_text(encoding="utf-8").splitlines():
+        entry = json.loads(line)
+        read_back[entry["sample_id"]] = entry["record"]
+    assert list(read_back) != sorted(read_back)
+    assert read_back == records
+    samples = load_corpus(tmp_path / "corpus.jsonl", config.taxonomy(),
+                          config.delimiters)
+    report = assemble(config, samples, read_back, evaluators)
+    assert render_report(report, "json").encode("utf-8") == (DATA / golden).read_bytes()
 
 
 def test_gt_stats_matches_the_golden_file(tmp_path):
