@@ -449,7 +449,8 @@ class ReplyCache:
     WAL mode; each ``put`` is its own transaction, so readers never see a
     partial record, and runs sharing a root wait out each other's writes
     instead of failing.  ``close`` checkpoints the WAL into the database
-    file.
+    file.  A database that fails, on opening or mid-run, is a
+    ``ConfigError`` that names the file.
     """
 
     FILE = "replies.sqlite3"
@@ -458,26 +459,33 @@ class ReplyCache:
         import sqlite3
 
         self.root = Path(root)
-        path = self.root / self.FILE
+        self.path = self.root / self.FILE
         self._lock = threading.Lock()
+        self._errors = (OSError, sqlite3.Error)
         self._db = None
         try:
             self.root.mkdir(parents=True, exist_ok=True)
             # The timeout is how long a write waits out another process's.
-            self._db = sqlite3.connect(path, timeout=30.0, check_same_thread=False)
+            self._db = sqlite3.connect(self.path, timeout=30.0, check_same_thread=False)
             self._db.execute("PRAGMA journal_mode=WAL")
             self._db.execute("PRAGMA synchronous=NORMAL")
             self._db.execute("CREATE TABLE IF NOT EXISTS replies (key TEXT PRIMARY KEY,"
                              " kind TEXT NOT NULL, text TEXT NOT NULL)")
-        except (OSError, sqlite3.DatabaseError) as exc:
+        except self._errors as exc:
             if self._db is not None:
                 self._db.close()
-            raise ConfigError(f"reply cache {path}: {exc}") from exc
+            raise self._unusable(exc) from exc
+
+    def _unusable(self, exc: Exception) -> ConfigError:
+        return ConfigError(f"reply cache {self.path}: {exc}")
 
     def get(self, key: str) -> Optional[str]:
-        with self._lock:
-            row = self._db.execute(
-                "SELECT text FROM replies WHERE key = ?", (key,)).fetchone()
+        try:
+            with self._lock:
+                row = self._db.execute(
+                    "SELECT text FROM replies WHERE key = ?", (key,)).fetchone()
+        except self._errors as exc:
+            raise self._unusable(exc) from exc
         if row is None:
             return None
         if not isinstance(row[0], str):
@@ -486,14 +494,25 @@ class ReplyCache:
         return row[0]
 
     def put(self, key: str, kind: str, text: str) -> None:
-        with self._lock, self._db:
-            self._db.execute("INSERT OR REPLACE INTO replies VALUES (?, ?, ?)",
-                             (key, kind, text))
+        try:
+            with self._lock, self._db:
+                self._db.execute("INSERT OR REPLACE INTO replies VALUES (?, ?, ?)",
+                                 (key, kind, text))
+        except self._errors as exc:
+            raise self._unusable(exc) from exc
 
     def close(self) -> None:
-        """Close the connection; the last one to close folds the WAL back in."""
-        with self._lock:
-            self._db.close()
+        """Close the connection; the last one to close folds the WAL back in.
+
+        A failure while another error is being raised is only logged, so
+        that it never replaces that error."""
+        try:
+            with self._lock:
+                self._db.close()
+        except self._errors as exc:
+            if exc.__context__ is None:
+                raise self._unusable(exc) from exc
+            logger.warning("%s", self._unusable(exc))
 
 
 class RunAborted(Exception):
@@ -615,7 +634,11 @@ class JudgeClient:
             }
 
     def _send(self, request: JudgeRequest) -> str:
-        """One backend attempt: wait out the rate limit, then take a permit."""
+        """One backend attempt: wait out the rate limit, then take a permit.
+
+        A reply that is not UTF-8 text (not a ``str``, or one holding a
+        lone surrogate) is a ``TransportError``: it costs this request,
+        never the run."""
         if self.interval > 0:
             # Holding the pace lock through the permit wait orders this
             # client's sends, so the spacing holds between actual sends.
@@ -629,7 +652,7 @@ class JudgeClient:
         elif self.limiter is not None:
             self.limiter.acquire()
         try:
-            return self.backend.complete(request.prompt, request.sampling)
+            text = self.backend.complete(request.prompt, request.sampling)
         except TransportError:
             raise
         except BaseException:
@@ -641,6 +664,13 @@ class JudgeClient:
         finally:
             if self.limiter is not None:
                 self.limiter.release()
+        if isinstance(text, str):
+            try:
+                text.encode("utf-8")
+                return text
+            except UnicodeEncodeError:
+                pass
+        raise TransportError(f"judge {self.name!r}: reply is not UTF-8 text")
 
     def close(self) -> None:
         """Close the backend's idle connections, if it keeps any."""

@@ -9,6 +9,7 @@ degrade into tallied exclusions instead of aborting the run.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -21,7 +22,6 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from functools import partial
 from pathlib import Path
 from typing import Literal, Mapping, Optional, Sequence, TypedDict, get_args
 
@@ -299,8 +299,7 @@ def write_out_file(out_dir: str | Path, name: str, text: str) -> Path:
 
 
 def _judge_client(obj, config: RunConfig, sampling: Sampling,
-                  cache: Optional[ReplyCache],
-                  limiter: Optional[Permits] = None) -> JudgeClient:
+                  cache: Optional[ReplyCache], limiter: Permits) -> JudgeClient:
     """A client over a backend spec or a backend object."""
     if isinstance(obj, BackendSpec):
         obj = obj.build_backend()
@@ -311,29 +310,31 @@ def _judge_client(obj, config: RunConfig, sampling: Sampling,
                        sampling=sampling, limiter=limiter)
 
 
-def _judge_clients(config: RunConfig, cache: Optional[ReplyCache],
-                   limiter: Permits, experts=None, rc_evaluators=None,
-                   repair=None) -> tuple[list, list, Optional[JudgeClient]]:
-    """(experts, rc_evaluators, repair) clients of a run.
+@contextlib.contextmanager
+def _judging(config: RunConfig, sampling: Sampling, *groups: Sequence):
+    """The judges of a run and the ``Scheduler`` they run on.
 
-    Injected backends override the config-declared ones.
+    Yields ``(scheduler, clients, ...)``: one client list per group of
+    backend specs or objects, all sharing the run's reply cache and
+    permits.  On exit every client and the cache are closed.
     """
-    client = partial(_judge_client, config=config, sampling=config.judge_sampling,
-                     cache=cache, limiter=limiter)
-
-    def panel(injected, specs, what) -> list[JudgeClient]:
-        source = injected if injected is not None else specs
-        if not source:
-            raise ConfigError(f"run config declares no {what}")
-        return [client(item) for item in source]
-
-    experts = panel(experts, config.experts, "experts")
-    rc_evaluators = panel(rc_evaluators, config.rc_evaluators, "rc_evaluators")
-    repair = repair if repair is not None else config.repair
-    repair = client(repair) if repair is not None else None
-    _require_unique_names([c.name for c in experts + rc_evaluators + [repair]
-                           if c is not None])
-    return experts, rc_evaluators, repair
+    cache = ReplyCache(config.cache_dir) if config.cache_dir else None
+    permits = Permits(config.concurrency)
+    judges: list[JudgeClient] = []
+    try:
+        built = []
+        for group in groups:
+            built.append([_judge_client(obj, config, sampling, cache, permits)
+                          for obj in group])
+            judges += built[-1]
+        _require_unique_names([c.name for c in judges])
+        with Scheduler(permits, config.concurrency, judges) as scheduler:
+            yield (scheduler, *built)
+    finally:
+        for client in judges:
+            client.close()
+        if cache is not None:
+            cache.close()
 
 
 def _role_matrices(
@@ -540,23 +541,21 @@ def evaluate(
     if out_dir is not None:
         _make_out_dir(out_dir)  # before the first judge request
 
-    cache = ReplyCache(config.cache_dir) if config.cache_dir else None
-    permits = Permits(config.concurrency)
-    judges: list[JudgeClient] = []
-    try:
-        experts, rc_evaluators, repair = _judge_clients(
-            config, cache, permits, experts, rc_evaluators, repair_judge)
-        judges = experts + rc_evaluators + ([repair] if repair is not None else [])
-        with Scheduler(permits, config.concurrency, judges) as scheduler:
-            judged = scheduler.map(
-                lambda pred: judge_sample(pred, by_id[pred.sample_id], config,
-                                          taxonomy, experts, rc_evaluators, repair),
-                predictions)
-    finally:
-        for client in judges:
-            client.close()
-        if cache is not None:
-            cache.close()
+    experts = experts if experts is not None else config.experts
+    rc_evaluators = rc_evaluators if rc_evaluators is not None else config.rc_evaluators
+    for what, group in (("experts", experts), ("rc_evaluators", rc_evaluators)):
+        if not group:
+            raise ConfigError(f"run config declares no {what}")
+    repair = repair_judge if repair_judge is not None else config.repair
+    with _judging(config, config.judge_sampling, experts, rc_evaluators,
+                  [] if repair is None else [repair]) as (
+                      scheduler, experts, rc_evaluators, repairs):
+        repair = repairs[0] if repairs else None
+        judged = scheduler.map(
+            lambda pred: judge_sample(pred, by_id[pred.sample_id], config,
+                                      taxonomy, experts, rc_evaluators, repair),
+            predictions)
+    judges = experts + rc_evaluators + repairs
 
     judge_stats = {c.name: c.stats() for c in judges}
     if (sum(s["replies"] for s in judge_stats.values()) == 0
@@ -581,7 +580,7 @@ def evaluate(
         "prompt_versions": dict(PROMPT_VERSIONS),
         "judges": judge_stats,
         "cache": {
-            "enabled": cache is not None,
+            "enabled": bool(config.cache_dir),
             "lookups": lookups,
             "hits": hits,
             "hit_ratio": (hits / lookups) if lookups else 0.0,
@@ -720,6 +719,13 @@ def _assemble_ec(config, samples, voted) -> tuple[dict, dict]:
     return metrics, per_class
 
 
+def _generate_prompt(sample: DialogueSample) -> str:
+    return build_generate_prompt(
+        _rc_materials(sample, ["profile", "previous_info"]),
+        render_history(sample.history), sample.role.user_name,
+        sample.user_input.content)
+
+
 def generate(
     config: RunConfig,
     backend_name: str,
@@ -729,10 +735,10 @@ def generate(
 ) -> list[PredictionRecord]:
     """Produce a predictions file by role-playing every corpus sample.
 
-    Uses the generation sampling settings (not the greedy judge ones);
-    the backend is picked by name from the config's ``generators``.
-    ``out_path`` is checked before the first request and written only
-    once every sample has its reply.
+    Uses the generation sampling settings (not the greedy judge ones) and
+    the run's cache, permits and scheduler; the backend is picked by name
+    from the config's ``generators``.  ``out_path`` is checked before the
+    first request and written, in corpus order, after the last reply.
     """
     taxonomy = config.taxonomy()
     samples = load_corpus(corpus_path, taxonomy, config.delimiters)
@@ -746,25 +752,11 @@ def generate(
             (s for s in config.generators if s.name == backend_name), None)
         if generator is None:
             raise ConfigError(f"no generator backend named {backend_name!r}")
-    cache = ReplyCache(config.cache_dir) if config.cache_dir else None
-    client = None
-    records = []
-    try:
-        client = _judge_client(generator, config, config.generation_sampling, cache)
-        for sample in samples:
-            materials = _rc_materials(sample, ["profile", "previous_info"])
-            prompt = build_generate_prompt(
-                materials, render_history(sample.history),
-                sample.role.user_name, sample.user_input.content,
-            )
-            text = client.ask("generate", prompt)
-            records.append(PredictionRecord(sample_id=sample.sample_id,
-                                            raw_output=text))
-    finally:
-        if client is not None:
-            client.close()
-        if cache is not None:
-            cache.close()
+    with _judging(config, config.generation_sampling, [generator]) as (
+            scheduler, (client,)):
+        records = scheduler.map(lambda sample: PredictionRecord(
+            sample_id=sample.sample_id,
+            raw_output=client.ask("generate", _generate_prompt(sample))), samples)
     try:
         save_jsonl(out_path, [r.to_record() for r in records])
     except OSError as exc:

@@ -1,11 +1,13 @@
-"""The one thread pool of an evaluation run.
+"""The one thread pool of a run that sends judge requests.
 
-Every sample runs format gate -> emotion panel -> role-consistency
-questions from start to finish on the worker thread that picked it up,
-sending its judge requests one after another, so no sample waits for
-another and no stage waits for the whole corpus.  How many requests are
-in flight is bounded separately, by ``judges.Permits``; a worker thread
-that waits on a judge's rate limit or on a permit holds no permit.
+``Scheduler.map`` runs any per-sample function: ``evaluate``'s format
+gate -> emotion panel -> role-consistency questions, or ``generate``'s
+one request.  Each sample runs from start to finish on the worker thread
+that picked it up, sending its requests one after another, so no sample
+waits for another and no stage waits for the whole corpus.  How many
+requests are in flight is bounded separately, by ``judges.Permits``; a
+worker thread that waits on a judge's rate limit or on a permit holds no
+permit.
 """
 
 from __future__ import annotations
@@ -72,7 +74,10 @@ class Scheduler:
             raise
 
     def map(self, fn: Callable, items: Iterable) -> list:
-        """``fn`` over ``items``, each on one worker; results in item order."""
+        """``fn`` over ``items``, each on one worker; results in item order.
+
+        ``fn`` is any per-sample function whose requests go through
+        clients of this run's ``permits``."""
         if self._pool is None:
             return [fn(item) for item in items]
         futures = []

@@ -2,6 +2,7 @@
 
 import base64
 import json
+import re
 import sqlite3
 import sys
 import threading
@@ -520,3 +521,42 @@ def test_parse_rc_verdict_drops_nonverbatim_spans():
     })
     verdict = parse_rc_verdict(reply, sources=["then he bows politely and leaves"])
     assert verdict == (["he bows politely"], [])
+
+
+class _FailingDb:
+    """Stands in for the cache's connection once its disk has failed."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def execute(self, *args):
+        raise sqlite3.OperationalError("disk I/O error")
+
+    def close(self):
+        raise sqlite3.OperationalError("disk I/O error")
+
+
+def test_cache_that_fails_mid_run_is_a_config_error(tmp_path, caplog):
+    cache = ReplyCache(tmp_path / "cache")
+    db, cache._db = cache._db, _FailingDb()
+    named = f"reply cache {tmp_path / 'cache' / 'replies.sqlite3'}: disk I/O error"
+    try:
+        for step in (lambda: cache.get("k"), lambda: cache.put("k", "rc", "reply"),
+                     cache.close):
+            with pytest.raises(ConfigError, match=re.escape(named)):
+                step()
+        # a failed close never replaces the error that is being raised
+        with caplog.at_level("WARNING", logger="rpeval.judges"):
+            with pytest.raises(TransportError, match="first"):
+                try:
+                    raise TransportError("first")
+                finally:
+                    cache.close()
+        assert named in caplog.text
+    finally:
+        cache._db = db
+        cache.close()
+

@@ -4,7 +4,11 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import re
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -713,6 +717,64 @@ def test_generate_checks_its_output_before_the_first_request(small_world, tmp_pa
     monkeypatch.setattr(rpeval.pipeline, "save_jsonl", disk_full)
     with pytest.raises(ConfigError, match=re.escape(f"{out}: No space left")):
         generate(fast_config(), "gen", corpus, out, generator=generator)
+
+
+@pytest.mark.parametrize("reply", ["x\ud800", None])
+@pytest.mark.parametrize("cached", [False, True])
+def test_a_reply_that_is_not_utf8_text_costs_that_request(small_world, tmp_path,
+                                                        reply, cached):
+    experts = make_experts()
+    experts[0] = MockBackend("expert0", handler=lambda prompt, sampling: reply)
+    config = fast_config(cache_dir=str(tmp_path / "cache") if cached else "")
+    run = evaluate(config, small_world["corpus"], small_world["predictions"],
+                   experts=experts, rc_evaluators=make_rc_evaluators())
+    assert run.report["counts"]["ec_samples"] == 6
+    failures = {name: stats["transport_failures"]
+                for name, stats in run.manifest["judges"].items()}
+    # a first prompt and a corrective re-prompt per (sample, pass)
+    assert failures.pop("expert0") == 6 * config.passes * 2
+    assert set(failures.values()) == {0}
+
+
+_FSIZE_CLI = """
+import resource, signal, sys
+from rpeval.cli import main
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE,
+                   (65536, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="needs RLIMIT_FSIZE")
+def test_a_reply_cache_that_fails_mid_run_is_exit_2(tmp_path):
+    # Eight replies of 16 KiB take the cache past a 64 KiB file size
+    # limit; the child ignores SIGXFSZ, so that write fails with EFBIG.
+    samples = [make_sample(f"s{i:02d}", history=i) for i in range(8)]
+    corpus = write_corpus(tmp_path / "corpus.jsonl", samples)
+    fixtures = tmp_path / "fixtures"
+    fixtures.mkdir()
+    for sample in rpeval.pipeline.load_corpus(corpus, RunConfig().taxonomy()):
+        prompt = rpeval.pipeline._generate_prompt(sample)
+        (fixtures / f"{prompt_digest(prompt)}.txt").write_text(
+            f"{sample.sample_id} " + "x" * 16384, encoding="utf-8")
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "concurrency": 2, "cache_dir": str(tmp_path / "cache"),
+        "generators": [{"name": "g", "kind": "mock", "fixture_dir": str(fixtures)}],
+    }), encoding="utf-8")
+    out = tmp_path / "preds.jsonl"
+    out.write_text("earlier run\n", encoding="utf-8")
+    src = Path(rpeval.pipeline.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", _FSIZE_CLI, "generate", "--config", str(config),
+         "--corpus", corpus, "--backend", "g", "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert re.search(r"config error: reply cache .*replies\.sqlite3: ", proc.stderr)
+    assert "Traceback" not in proc.stderr
+    assert out.read_text(encoding="utf-8") == "earlier run\n"
 
 
 # -------------------------------------------------------------------- cli

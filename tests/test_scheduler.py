@@ -1,5 +1,6 @@
 """Judge scheduling: permits, per-judge rate limits, per-sample order, aborts."""
 
+import hashlib
 import json
 import os
 import re
@@ -29,7 +30,7 @@ import rpeval.pipeline
 from rpeval.cli import main
 from rpeval.corpus import PredictionRecord
 from rpeval.judges import JudgeClient, MockBackend, Permits, RunAborted
-from rpeval.pipeline import RC_METRICS, ConfigError, evaluate
+from rpeval.pipeline import RC_METRICS, ConfigError, evaluate, generate
 from rpeval.prompts import _RC_QUESTIONS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -486,6 +487,75 @@ def test_rejected_request_costs_one_request_not_the_run(judge_server, tmp_path):
     assert manifest["judges"]["critic0"]["transport_failures"] == 0
     # The corrective re-prompt recovered the verdict: no score moved.
     assert report == clean
+
+
+def _generation_corpus(tmp_path, n):
+    samples = [make_sample(f"g{i:02d}", role_id=f"r{i % 3}", history=i % 4)
+               for i in range(n)]
+    return write_corpus(tmp_path / "corpus.jsonl", samples)
+
+
+def _hashing_generator(on_call=lambda: None):
+    def handler(prompt, sampling):
+        on_call()
+        return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
+    return MockBackend("gen", handler=handler)
+
+
+def test_generate_runs_under_the_permits_in_corpus_order(tmp_path):
+    corpus = _generation_corpus(tmp_path, 20)
+    active, gate = {"now": 0, "peak": 0}, threading.Lock()
+
+    def counted():
+        with gate:
+            active["now"] += 1
+            active["peak"] = max(active["peak"], active["now"])
+        time.sleep(0.005)
+        with gate:
+            active["now"] -= 1
+
+    generate(fast_config(concurrency=1), "gen", corpus, tmp_path / "c1.jsonl",
+             generator=_hashing_generator())
+    records = generate(fast_config(concurrency=2), "gen", corpus,
+                       tmp_path / "c2.jsonl", generator=_hashing_generator(counted))
+    assert active["peak"] == 2
+    assert [r.sample_id for r in records] == [f"g{i:02d}" for i in range(20)]
+    assert ((tmp_path / "c2.jsonl").read_bytes()
+            == (tmp_path / "c1.jsonl").read_bytes())
+
+
+def test_config_error_stops_generate(tmp_path, monkeypatch):
+    corpus = _generation_corpus(tmp_path, 20)
+    concurrency = 3
+    calls, lock = {"n": 0}, threading.Lock()
+
+    def complete(backend, prompt, sampling):
+        with lock:
+            calls["n"] += 1
+            if calls["n"] == 3:
+                raise ConfigError("backend 'gen': authentication rejected")
+        time.sleep(0.005)
+        return "reply"
+
+    out = tmp_path / "preds.jsonl"
+    out.write_text("earlier run\n", encoding="utf-8")
+    monkeypatch.setattr(MockBackend, "complete", complete)
+    with pytest.raises(ConfigError, match="authentication rejected"):
+        generate(fast_config(concurrency=concurrency), "gen", corpus, out,
+                 generator=MockBackend("gen"))
+    # the pool has shut down: no call can start after this
+    assert 3 <= calls["n"] <= 3 + concurrency - 1
+    assert out.read_text(encoding="utf-8") == "earlier run\n"
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "concurrency": concurrency,
+        "generators": [{"name": "gen", "kind": "mock"}],
+    }), encoding="utf-8")
+    calls["n"] = 0
+    assert main(["generate", "--config", str(config), "--corpus", corpus,
+                 "--backend", "gen", "--out", str(out)]) == 2
+    assert _pool_threads() == []
+    assert out.read_text(encoding="utf-8") == "earlier run\n"
 
 
 def _child_env():

@@ -2,7 +2,8 @@
 
 Usage: python3 -B tools/identity.py --base REV
 
-Runs one fixed grid of ``evaluate`` and ``gt-stats`` cells twice: with
+Runs one fixed grid of ``evaluate``, ``gt-stats`` and ``generate`` cells
+twice: with
 the ``src/`` of git revision REV and with the working tree's ``src/``.
 Both sides read the same inputs, written once by the working tree's
 ``bench/gen.py``, and use the same deterministic judges: the bench's
@@ -12,9 +13,9 @@ first on the path.  REV's source is exported with ``git archive`` into a
 temporary directory, so nothing needs the network and no worktree is
 left behind.
 
-Compared per cell: the bytes of ``report.json`` and ``gt_stats.json``,
-the manifest's ``counts``, and each judge's ``replies``,
-``backend_calls``, ``transport_failures`` and ``rejected``.
+Compared per cell: the bytes of ``report.json``, ``gt_stats.json`` and
+the predictions file, the manifest's ``counts``, and each judge's
+``replies``, ``backend_calls``, ``transport_failures`` and ``rejected``.
 
 The grid is fixed here.  Cells may be added, never dropped:
 
@@ -29,7 +30,10 @@ The grid is fixed here.  Cells may be added, never dropped:
 - a run at concurrency 1 that fills a reply cache, and its warm rerun;
 - seed 1 with ``expert0`` rate-limited to 2000 requests per second, at
   concurrency 1 and 2 (a rate-limited judge puts even concurrency 1 on
-  the thread pool).
+  the thread pool);
+- ``generate`` over seed 1 at concurrency 1 and 4, with a generator whose
+  reply is built from the SHA-256 of its prompt, so the predictions file
+  shows whether samples are written in corpus order.
 
 Exit codes: 0 when every cell matches, 1 with the list of cells that
 differ, 2 for a REV that cannot be exported or run.
@@ -39,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import logging
@@ -98,6 +103,9 @@ def grid() -> list[dict]:
                       "corpus": corpus, "config": {}})
     cells.append({"name": "400x8/gt-stats/rows", "command": "gt-stats",
                   "corpus": "400x8", "config": dict(ROWS)})
+    for concurrency in (1, 4):
+        cells.append({"name": f"s1/generate/c{concurrency}", "command": "generate",
+                      "corpus": "s1", "config": {"concurrency": concurrency}})
     return cells
 
 
@@ -143,6 +151,15 @@ def _run_cell(cell: dict, inputs: Path, work: Path) -> dict:
         if code != 0:
             raise RuntimeError(f"rpeval gt-stats exited with {code}")
         return {"files": {"gt_stats.json": str(out / "gt_stats.json")}}
+    if cell["command"] == "generate":
+        def handler(prompt, sampling):
+            return "reply " + hashlib.sha256(prompt.encode("utf-8")).hexdigest()
+
+        out.mkdir(parents=True)
+        rpeval.generate(rpeval.RunConfig.from_dict(config), "gen",
+                        corpus / "corpus.jsonl", out / "predictions.jsonl",
+                        generator=rpeval.MockBackend("gen", handler=handler))
+        return {"files": {"predictions.jsonl": str(out / "predictions.jsonl")}}
     if cell["cache"]:
         config["cache_dir"] = str(work / "caches" / cell["cache"])
     run = rpeval.evaluate(rpeval.RunConfig.from_dict(config), corpus / "corpus.jsonl",
