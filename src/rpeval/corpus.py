@@ -100,14 +100,17 @@ def _check_object(obj, what: str) -> None:
         raise CorpusError(f"{what} must be an object")
 
 
-def _text(obj: Mapping, key: str, what: str = "") -> str:
-    """``obj[key]`` as text.  An absent or null optional field reads as
-    ``""``; a null required field (``what`` names its owner) is an error."""
+def _text(obj: Mapping, key: str, owner: str, required: bool = False) -> str:
+    """``obj[key]`` as text: a string, or a number (not a boolean) so that
+    numeric ids load.  An absent or null optional field reads as ``""``;
+    a null required one, or a value of any other type, is an error."""
     value = obj.get(key)
     if value is None:
-        if what:
-            raise CorpusError(f"{what} field {key!r} must not be null")
+        if required:
+            raise CorpusError(f"{owner} field {key!r} must not be null")
         return ""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise CorpusError(f"{owner} field {key!r} must be a string or a number")
     return str(value)
 
 
@@ -198,14 +201,14 @@ class RoleCard:
         _check_object(obj, "role card")
         if "role_id" not in obj:
             raise CorpusError("role card is missing 'role_id'")
-        role_id = _text(obj, "role_id", "role card")
+        role_id = _text(obj, "role_id", "role card", required=True)
         if not role_id:
             raise CorpusError("role_id must be non-empty")
         return cls(
             role_id=role_id,
-            profile=_text(obj, "profile"),
-            image_ref=_text(obj, "image_ref"),
-            user_name=_text(obj, "user_name"),
+            profile=_text(obj, "profile", "role card"),
+            image_ref=_text(obj, "image_ref", "role card"),
+            user_name=_text(obj, "user_name", "role card"),
         )
 
 
@@ -231,9 +234,9 @@ class UserTurn:
         if "content" not in obj:
             raise CorpusError("user turn is missing 'content'")
         return cls(
-            content=_text(obj, "content", "user turn"),
-            audio_ref=_text(obj, "audio_ref"),
-            video_ref=_text(obj, "video_ref"),
+            content=_text(obj, "content", "user turn", required=True),
+            audio_ref=_text(obj, "audio_ref", "user turn"),
+            video_ref=_text(obj, "video_ref", "user turn"),
         )
 
 
@@ -360,7 +363,7 @@ class DialogueSample:
         for key in ("sample_id", "role", "user_input", "ground_truth", "gt_emotions"):
             if key not in record:
                 raise CorpusError(f"sample is missing field {key!r}")
-        sample_id = _text(record, "sample_id", "sample")
+        sample_id = _text(record, "sample_id", "sample", required=True)
         if not sample_id:
             raise CorpusError("sample_id must be non-empty")
         turns = record.get("history", [])
@@ -384,16 +387,16 @@ class DialogueSample:
             isinstance(x, str) for x in gt_emotions
         ):
             raise CorpusError("gt_emotions must be a list of strings")
-        dialogue_id = record.get("dialogue_id")
         return cls(
             sample_id=sample_id,
             role=RoleCard.from_dict(record["role"]),
-            previous_info=_text(record, "previous_info"),
+            previous_info=_text(record, "previous_info", "sample"),
             history=history,
             user_input=UserTurn.from_dict(record["user_input"]),
             ground_truth=MultimodalResponse.from_short_dict(record["ground_truth"]),
             gt_emotions=list(gt_emotions),
-            dialogue_id=None if dialogue_id is None else str(dialogue_id),
+            dialogue_id=(None if record.get("dialogue_id") is None
+                         else _text(record, "dialogue_id", "sample")),
         )
 
     def validate_against(
@@ -429,7 +432,7 @@ class PredictionRecord:
         for key in ("sample_id", "raw_output"):
             if key not in record:
                 raise CorpusError(f"prediction is missing field {key!r}")
-        sample_id = _text(record, "sample_id", "prediction")
+        sample_id = _text(record, "sample_id", "prediction", required=True)
         if not sample_id:
             raise CorpusError("prediction sample_id must be non-empty")
         if not isinstance(record["raw_output"], str):

@@ -526,7 +526,8 @@ class Permits:
     free permit ahead of every other waiter (``ahead=True``), so queueing
     behind unthrottled judges does not slow its send rate below its
     limit.  After ``close`` every acquire raises ``RunAborted``, waiting
-    ones included, so no request starts once the run has failed.
+    ones included, so no request starts once the run has failed, and so
+    does ``sleep``, so no retry backoff outlasts the run.
     """
 
     def __init__(self, n: int):
@@ -540,6 +541,9 @@ class Permits:
                         threading.Condition(self._lock))
         self._waiting = [0, 0]
         self.closed = False
+        # Backoff sleepers wait here, never on a queue: a wake-up meant
+        # for a permit waiter cannot be taken by one of them.
+        self._aborted = threading.Event()
 
     def acquire(self, ahead: bool = False) -> None:
         with self._lock:
@@ -566,6 +570,12 @@ class Permits:
             self.closed = True
             for queue in self._queues:
                 queue.notify_all()
+        self._aborted.set()
+
+    def sleep(self, seconds: float) -> None:
+        """Wait out a retry backoff, or raise ``RunAborted`` once closed."""
+        if self._aborted.wait(seconds):
+            raise RunAborted()
 
     def _wake(self) -> None:
         if self._waiting[True]:
@@ -578,9 +588,10 @@ class JudgeClient:
     """Backend wrapper adding rate limiting, cache lookup, retries and counters.
 
     ``backend`` is anything with a ``name`` and ``complete(prompt,
-    sampling)``.  ``sleep`` is injectable so retry schedules are testable
-    without wall clock time; ``limiter`` bounds in-flight backend calls
-    across the run's worker threads.  The backend's
+    sampling)``.  ``sleep`` waits out each retry backoff: a run passes its
+    ``Permits.sleep``, which ends when the run fails, and tests pass one
+    that takes no wall clock time.  ``limiter`` bounds in-flight backend
+    calls across the run's worker threads.  The backend's
     ``rate_limit`` (requests per second, if it has one) is waited out
     *before* taking a permit from ``limiter``, so a throttled judge never
     holds a permit while it waits; consecutive sends of this client are

@@ -307,7 +307,7 @@ def _judge_client(obj, config: RunConfig, sampling: Sampling,
         raise ConfigError(f"cannot build a judge from {type(obj).__name__}: "
                           "pass a BackendSpec or a backend")
     return JudgeClient(backend=obj, policy=config.retry, cache=cache,
-                       sampling=sampling, limiter=limiter)
+                       sampling=sampling, limiter=limiter, sleep=limiter.sleep)
 
 
 @contextlib.contextmanager
@@ -328,8 +328,7 @@ def _judging(config: RunConfig, sampling: Sampling, *groups: Sequence):
                           for obj in group])
             judges += built[-1]
         _require_unique_names([c.name for c in judges])
-        with Scheduler(permits, config.concurrency, judges) as scheduler:
-            yield (scheduler, *built)
+        yield (Scheduler(permits, config.concurrency, judges), *built)
     finally:
         for client in judges:
             client.close()

@@ -306,6 +306,80 @@ def test_null_fields_read_as_absent_or_are_named(tmp_path, capsys, where, path,
     assert error in capsys.readouterr().err
 
 
+# A text field holds a string or a number (numeric ids load as text); an
+# object, a list or a boolean is a corpus error naming its owner and field.
+_NOT_TEXT = [
+    ("corpus", ("role", "profile"), {"likes": "tea"}, "role card field 'profile'"),
+    ("corpus", ("role", "role_id"), ["r", 1], "role card field 'role_id'"),
+    ("corpus", ("role", "user_name"), True, "role card field 'user_name'"),
+    ("corpus", ("role", "image_ref"), False, "role card field 'image_ref'"),
+    ("corpus", ("previous_info",), ["earlier"], "sample field 'previous_info'"),
+    ("corpus", ("sample_id",), {"id": 1}, "sample field 'sample_id'"),
+    ("corpus", ("dialogue_id",), ["d", 1], "sample field 'dialogue_id'"),
+    ("corpus", ("user_input", "content"), {"text": "hi"},
+     "user turn field 'content'"),
+    ("corpus", ("history", 0, "user", "audio_ref"), True,
+     "user turn field 'audio_ref'"),
+    ("predictions", ("sample_id",), ["a"], "prediction field 'sample_id'"),
+]
+
+
+def _not_text_files(tmp_path, where, path, value):
+    sample = make_sample("a", history=1)
+    records = {"corpus": sample.to_record(),
+               "predictions": PredictionRecord("a", sample.ground_truth.to_json())
+               .to_record()}
+    _parent(records[where], path)[path[-1]] = value
+    files = {}
+    for name, record in records.items():
+        files[name] = tmp_path / f"{name}.jsonl"
+        files[name].write_text(json.dumps(record) + "\n", encoding="utf-8")
+    return files
+
+
+@pytest.mark.parametrize("where, path, value, owner", _NOT_TEXT,
+                         ids=[".".join(map(str, row[1])) + "@" + row[0]
+                              for row in _NOT_TEXT])
+def test_text_fields_refuse_objects_lists_and_booleans(tmp_path, where, path,
+                                                        value, owner):
+    files = _not_text_files(tmp_path, where, path, value)
+    load = load_corpus if where == "corpus" else load_predictions
+    with pytest.raises(CorpusError, match=f"{where}.jsonl:1: {owner} "
+                                          "must be a string or a number"):
+        load(files[where])
+
+
+def test_numeric_text_fields_load_as_text(tmp_path):
+    record = make_sample("a").to_record()
+    record.update(sample_id=7, dialogue_id=12, previous_info=1.5)
+    record["role"].update(role_id=3, user_name=0)
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    (sample,) = load_corpus(path)
+    assert (sample.sample_id, sample.dialogue_id, sample.previous_info) == (
+        "7", "12", "1.5")
+    assert (sample.role.role_id, sample.role.user_name) == ("3", "0")
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text(json.dumps({"sample_id": 7, "raw_output": "x"}) + "\n",
+                     encoding="utf-8")
+    assert load_predictions(preds) == [PredictionRecord("7", "x")]
+
+
+def test_cli_exits_3_on_a_role_card_field_that_is_an_object(tmp_path, capsys):
+    files = _not_text_files(tmp_path, "corpus", ("role", "profile"),
+                            {"likes": "tea"})
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experts": [{"name": "e", "kind": "mock"}],
+                                  "rc_evaluators": [{"name": "r", "kind": "mock"}]}),
+                      encoding="utf-8")
+    assert main(["evaluate", "--config", str(config),
+                 "--corpus", str(files["corpus"]),
+                 "--predictions", str(files["predictions"]),
+                 "--out", str(tmp_path / "out")]) == 3
+    assert ("role card field 'profile' must be a string or a number"
+            in capsys.readouterr().err)
+
+
 def test_custom_taxonomy_validates_corpus(tmp_path):
     tax = EmotionTaxonomy(
         labels=("up", "down"),

@@ -4,10 +4,12 @@ import hashlib
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -29,9 +31,17 @@ import rpeval.judges
 import rpeval.pipeline
 from rpeval.cli import main
 from rpeval.corpus import PredictionRecord
-from rpeval.judges import JudgeClient, MockBackend, Permits, RunAborted
+from rpeval.judges import (
+    JudgeClient,
+    MockBackend,
+    Permits,
+    RetryPolicy,
+    RunAborted,
+    TransportError,
+)
 from rpeval.pipeline import RC_METRICS, ConfigError, evaluate, generate
 from rpeval.prompts import _RC_QUESTIONS
+from rpeval.scheduler import Scheduler
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -487,6 +497,135 @@ def test_rejected_request_costs_one_request_not_the_run(judge_server, tmp_path):
     assert manifest["judges"]["critic0"]["transport_failures"] == 0
     # The corrective re-prompt recovered the verdict: no score moved.
     assert report == clean
+
+
+def test_map_keeps_no_state_per_item():
+    items, shared = list(range(20_000)), object()
+    scheduler = Scheduler(Permits(2), 2, [])
+    tracemalloc.start()
+    try:
+        results = scheduler.map(lambda item: shared, items)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(results) == len(items)
+    assert all(result is shared for result in results)
+    # The result list itself is 8 bytes per item.
+    assert peak / len(items) < 100, peak
+
+
+def test_map_runs_each_item_once_in_order_under_thread_stress():
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        runs, lock = Counter(), threading.Lock()
+
+        def fn(item):
+            with lock:
+                runs[item] += 1
+            return 2 * item
+
+        # 4 permits: 8 workers on fewer cores, all taking from one counter.
+        results = Scheduler(Permits(4), 4, []).map(fn, list(range(5000)))
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert results == [2 * i for i in range(5000)]
+    assert set(runs.values()) == {1} and len(runs) == 5000
+    assert _pool_threads() == []
+
+
+def test_interrupt_in_a_sample_is_reraised_with_the_permits_closed():
+    permits = Permits(2)
+
+    def fn(item):
+        if item == 5:
+            raise KeyboardInterrupt
+        time.sleep(0.001)
+        return item
+
+    with pytest.raises(KeyboardInterrupt):
+        Scheduler(permits, 2, []).map(fn, list(range(200)))
+    assert permits.closed
+    assert _pool_threads() == []
+
+
+_INTERRUPTED_RUN = """
+import json, signal, threading, time
+from rpeval.judges import JudgeClient, MockBackend, Permits
+from rpeval.scheduler import Scheduler
+
+signal.signal(signal.SIGINT, signal.default_int_handler)
+started = threading.Event()
+
+def slow(prompt, sampling):
+    if not started.is_set():
+        started.set()
+        print("started", flush=True)
+    time.sleep(0.02)
+    return "ok"
+
+permits = Permits(2)
+client = JudgeClient(MockBackend("j", handler=slow), limiter=permits,
+                     sleep=permits.sleep)
+try:
+    Scheduler(permits, 2, [client]).map(
+        lambda i: [client.ask("erc", f"{i}-{k}") for k in range(3)],
+        range(100_000))
+except KeyboardInterrupt:
+    print(json.dumps({"closed": permits.closed, "threads": [
+        t.name for t in threading.enumerate() if t.name.startswith("rpeval")]}))
+"""
+
+
+def test_sigint_to_the_main_thread_ends_the_run():
+    child = subprocess.Popen([sys.executable, "-B", "-c", _INTERRUPTED_RUN],
+                             stdout=subprocess.PIPE, text=True, env=_child_env())
+    try:
+        assert child.stdout.readline().strip() == "started"
+        child.send_signal(signal.SIGINT)
+        sent = time.monotonic()
+        out, _ = child.communicate(timeout=5)
+        assert time.monotonic() - sent < 5
+    finally:
+        child.kill()
+        child.wait()
+    assert child.returncode == 0
+    assert json.loads(out.splitlines()[-1]) == {"closed": True, "threads": []}
+
+
+def test_failed_run_ends_every_retry_backoff(tmp_path, monkeypatch):
+    # Three transient failures put three workers into a 4 s backoff; the
+    # fourth request's configuration error must not wait for them.
+    samples = [make_sample(f"b{i}", role_id=f"r{i % 2}") for i in range(8)]
+    corpus = write_corpus(tmp_path / "corpus.jsonl", samples)
+    predictions = write_predictions(
+        tmp_path / "preds.jsonl", [echo_prediction(s) for s in samples])
+    complete, calls, lock = MockBackend.complete, {"n": 0}, threading.Lock()
+
+    def failing(backend, prompt, sampling):
+        with lock:
+            calls["n"] += 1
+            n = calls["n"]
+        if n <= 3:
+            raise TransportError(f"{backend.name}: connection reset")
+        if n == 4:
+            raise ConfigError(f"{backend.name}: authentication rejected")
+        return complete(backend, prompt, sampling)
+
+    monkeypatch.setattr(MockBackend, "complete", failing)
+    config = fast_config(concurrency=2,
+                         retry=RetryPolicy(max_attempts=3, base_delay=4.0))
+    started = time.monotonic()
+    with pytest.raises(ConfigError, match="authentication rejected"):
+        evaluate(config, corpus, predictions, experts=make_experts(),
+                 rc_evaluators=make_rc_evaluators())
+    assert time.monotonic() - started < 2.0
+    assert calls["n"] == 4
+    assert _pool_threads() == []
+    permits = Permits(1)
+    permits.close()
+    with pytest.raises(RunAborted):
+        permits.sleep(30.0)
 
 
 def _generation_corpus(tmp_path, n):

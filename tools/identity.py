@@ -29,8 +29,8 @@ The grid is fixed here.  Cells may be added, never dropped:
 - ``gt-stats`` on each corpus (and in rows mode on the 400-sample one);
 - a run at concurrency 1 that fills a reply cache, and its warm rerun;
 - seed 1 with ``expert0`` rate-limited to 2000 requests per second, at
-  concurrency 1 and 2 (a rate-limited judge puts even concurrency 1 on
-  the thread pool);
+  concurrency 1, 2 and 4 (a rate-limited judge puts even concurrency 1 on
+  worker threads; concurrency 4 runs 9 of them);
 - ``generate`` over seed 1 at concurrency 1 and 4, with a generator whose
   reply is built from the SHA-256 of its prompt, so the predictions file
   shows whether samples are written in corpus order.
@@ -96,7 +96,7 @@ def grid() -> list[dict]:
                          "rel": ["profile"]})
     evaluate("s1", concurrency=1, cache="warm-s1", tag="cold-cache")
     evaluate("s1", concurrency=1, cache="warm-s1", tag="warm-cache")
-    for concurrency in (1, 2):
+    for concurrency in (1, 2, 4):
         evaluate("s1", concurrency=concurrency, tag="expert0-2000rps", limit=2000.0)
     for corpus in CORPORA:
         cells.append({"name": f"{corpus}/gt-stats", "command": "gt-stats",
