@@ -10,6 +10,7 @@ from rpeval import (
     JudgeClient,
     MockBackend,
     RetryPolicy,
+    drive,
     format_response,
     validate,
 )
@@ -17,7 +18,9 @@ from rpeval import (
 # -------------------------------------------------------------- clean output
 # A prediction is one JSON object with exactly four string fields.
 # Fenced code blocks, surrounding prose, aliased keys, and mixed case
-# are tolerated; anything else needs repair.
+# are tolerated; anything else needs repair.  format_response is a flow:
+# it yields the requests it needs a judge to answer, and drive() runs
+# flows to their results.
 
 clean = json.dumps({
     "facial_expression": "soft smile",
@@ -26,11 +29,11 @@ clean = json.dumps({
     "content": "坐吧。茶还热着。",
 }, ensure_ascii=False)
 
-outcome = format_response(clean)
+(outcome,) = drive([format_response(clean)])
 print("clean output:", outcome.status)
 
 fenced = f"Sure! Here is the response:\n```json\n{clean}\n```"
-print("fenced output:", format_response(fenced).status)
+print("fenced output:", drive([format_response(fenced)])[0].status)
 
 aliased = json.dumps({
     "Face": "soft smile",
@@ -38,7 +41,7 @@ aliased = json.dumps({
     "tone": "low and even",
     "text": "坐吧。",
 }, ensure_ascii=False)
-print("aliased keys:", format_response(aliased).status,
+print("aliased keys:", drive([format_response(aliased)])[0].status,
       "->", sorted(validate(aliased).to_dict()))
 
 # ------------------------------------------------------------ broken output
@@ -46,7 +49,7 @@ print("aliased keys:", format_response(aliased).status,
 # exclusion is visible in the outcome.
 
 broken = "face: smiling / body: pouring tea / she says: sit down"
-dropped = format_response(broken)
+(dropped,) = drive([format_response(broken)])
 print("\nbroken output, no judge:", dropped.status, "-", dropped.diagnostic)
 
 # With a judge the gate sends the raw text out for a rewrite and
@@ -60,7 +63,7 @@ def rewrite(prompt, sampling):
 
 judge = JudgeClient(backend=MockBackend("fixer", handler=rewrite),
                     policy=RetryPolicy(max_attempts=2, base_delay=0.0))
-repaired = format_response(broken, judge)
+(repaired,) = drive([format_response(broken, judge)])
 print("broken output, judge present:", repaired.status,
       "after", repaired.repair_attempts, "attempt(s)")
 print("repaired content:", repaired.response.content)
@@ -68,5 +71,5 @@ print("repaired content:", repaired.response.content)
 # A judge that never produces valid JSON exhausts its attempts and the
 # sample stays excluded; scoring later counts it under dropped_format.
 
-hopeless = format_response("%%%% static noise %%%%", judge)
+(hopeless,) = drive([format_response("%%%% static noise %%%%", judge)])
 print("\nunfixable output:", hopeless.status, "-", hopeless.diagnostic)

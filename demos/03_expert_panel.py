@@ -14,6 +14,7 @@ from rpeval import (
     RetryPolicy,
     aggregate,
     default_taxonomy,
+    drive,
     run_panel,
     segment_utterances,
     select_label,
@@ -59,7 +60,9 @@ experts.append(expert("expert4", minority_view))
 
 # One plain dict per (expert, pass), in (expert, pass) order: each
 # channel's labels, or None where the expert's reply was unusable.
-results = run_panel(response, utterances, experts, taxonomy, passes=2)
+# run_panel asks all ten (expert, pass) questions in one batch; drive()
+# sends them and hands the replies back.
+(results,) = drive([run_panel(response, utterances, experts, taxonomy, passes=2)])
 print("panel returned", len(results), "expert-pass vote dicts")
 print("expert4, pass 1:", results[8])
 

@@ -9,9 +9,9 @@ arithmetic.
 
 The package root is lazy: ``import rpeval`` loads no submodule, and
 each name in ``__all__`` imports its submodule on first use.  numpy and
-the pipeline load only when a name that needs them is read (the
-metrics, ``evaluate`` and the other pipeline entry points); ``corpus``,
-``prompts``, ``judges``, ``formatter`` and ``erc`` do not import numpy.
+the pipeline load only when a name that needs them is read (the metrics,
+``evaluate`` and the other pipeline entry points); ``corpus``, ``prompts``,
+``judges``, ``formatter``, ``erc`` and ``scheduler`` do not import numpy.
 """
 
 import importlib
@@ -65,6 +65,7 @@ _EXPORTS = {
         "rc_score_from_verdict",
         "rcd",
     ),
+    "scheduler": ("drive",),
     "pipeline": (
         "EvaluationRun",
         "RunConfig",
@@ -76,7 +77,7 @@ _EXPORTS = {
         "render_report",
     ),
 }
-_SUBMODULES = frozenset(_EXPORTS) | {"cli", "prompts", "scheduler"}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli", "prompts"}
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = sorted(_ORIGIN)

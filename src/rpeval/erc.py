@@ -69,67 +69,58 @@ def run_panel(
     experts: Sequence,
     taxonomy: EmotionTaxonomy,
     passes: int = DEFAULT_PASSES,
-) -> list[dict[str, Optional[list[str]]]]:
+):
     """Query every expert ``passes`` times over one response.
 
-    Each (expert, pass) yields one ``{modality: labels or None}`` dict.
-    A modality whose reply could not be coerced to valid labels is
+    A flow for ``scheduler.drive`` that returns one ``{modality: labels
+    or None}`` dict per (expert, pass), in (expert, pass) order.  A
+    modality whose reply could not be coerced to valid labels is
     ``None``: its votes are simply absent, shrinking the denominators
     for the affected cells.
 
-    Experts are ``JudgeClient``-shaped (``name`` attribute plus
-    ``ask(kind, prompt, pass_index)``).  A malformed reply earns one
+    The first queries go out in one batch.  A malformed reply earns one
     corrective re-prompt restating the closed label set and the exact
-    list length; modalities still invalid after that are dropped for
-    that (expert, pass) with a logged shortfall.  Transport failures are
-    treated the same way.  The queries go out one after another, in
-    (expert, pass) order, which is also the order of the results.
+    list length, all in a second batch; modalities still invalid after
+    that are dropped for that (expert, pass) with a logged shortfall.
+    Transport failures are treated the same way.
     """
     if not experts:
         raise ValueError("panel needs at least one expert")
     if passes < 1:
         raise ValueError("passes must be at least 1")
     response_json = response.to_json()
-    prompts = (
+    prompt, retry_prompt = (
         build_erc_prompt(response_json, utterances, taxonomy.labels),
         build_erc_prompt(response_json, utterances, taxonomy.labels, retry=True),
     )
-    return [
-        _expert_pass(expert, prompts, pass_index, len(utterances), taxonomy)
-        for expert in experts
-        for pass_index in range(1, passes + 1)
-    ]
-
-
-def _expert_pass(expert, prompts, pass_index, n_utterances, taxonomy):
-    prompt, retry_prompt = prompts
-    votes = _query_once(expert, prompt, pass_index, n_utterances, taxonomy)
-    if any(votes[m] is None for m in MODALITIES):
-        retried = _query_once(
-            expert, retry_prompt, pass_index, n_utterances, taxonomy
-        )
-        for m in MODALITIES:
-            if votes[m] is None:
-                votes[m] = retried[m]
-    dropped = [m for m in MODALITIES if votes[m] is None]
-    if dropped:
-        logger.warning(
-            "expert %s pass %d: dropping modalities %s",
-            getattr(expert, "name", "?"),
-            pass_index,
-            dropped,
-        )
+    cells = [(expert, pass_index) for expert in experts
+             for pass_index in range(1, passes + 1)]
+    replies = yield [(expert, "erc", prompt, p) for expert, p in cells]
+    votes = [_votes(cell, reply, len(utterances), taxonomy)
+             for cell, reply in zip(cells, replies)]
+    again = [i for i, v in enumerate(votes) if any(v[m] is None for m in MODALITIES)]
+    if again:
+        replies = yield [(cells[i][0], "erc", retry_prompt, cells[i][1]) for i in again]
+        for i, reply in zip(again, replies):
+            retried = _votes(cells[i], reply, len(utterances), taxonomy)
+            for m in MODALITIES:
+                if votes[i][m] is None:
+                    votes[i][m] = retried[m]
+    for (expert, pass_index), v in zip(cells, votes):
+        dropped = [m for m in MODALITIES if v[m] is None]
+        if dropped:
+            logger.warning("expert %s pass %d: dropping modalities %s",
+                           getattr(expert, "name", "?"), pass_index, dropped)
     return votes
 
 
-def _query_once(expert, prompt, pass_index, n_utterances, taxonomy):
-    try:
-        text = expert.ask("erc", prompt, pass_index=pass_index)
-    except TransportError as exc:
+def _votes(cell, reply, n_utterances, taxonomy):
+    if isinstance(reply, TransportError):
+        expert, pass_index = cell
         logger.warning("expert %s pass %d: %s", getattr(expert, "name", "?"),
-                       pass_index, exc)
+                       pass_index, reply)
         return {m: None for m in MODALITIES}
-    return parse_erc_reply(text, n_utterances, taxonomy)
+    return parse_erc_reply(reply, n_utterances, taxonomy)
 
 
 def select_label(counts: Mapping[str, int], total: int, tau: float = DEFAULT_TAU) -> str:

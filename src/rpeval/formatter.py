@@ -96,11 +96,12 @@ def validate(raw: str) -> Optional[MultimodalResponse]:
     return MultimodalResponse(**cleaned)
 
 
-def format_response(raw: str, judge=None, max_attempts: int = 2) -> FormatOutcome:
+def format_response(raw: str, judge=None, max_attempts: int = 2):
     """Full gate: direct validation, then up to ``max_attempts`` repairs.
 
-    ``judge`` is any object with ``ask(kind, prompt, pass_index) -> str``
-    (a ``JudgeClient`` fits); without one, invalid output is unrepairable.
+    A flow for ``scheduler.drive`` that returns a ``FormatOutcome``; each
+    repair attempt is one ask of ``judge`` (a ``JudgeClient``).  Without
+    a judge, invalid output is unrepairable.
     """
     response = validate(raw)
     if response is not None:
@@ -116,10 +117,9 @@ def format_response(raw: str, judge=None, max_attempts: int = 2) -> FormatOutcom
     diagnostic = "invalid format"
     for attempt in range(1, max_attempts + 1):
         prompt = build_repair_prompt(raw, attempt=attempt)
-        try:
-            reply = judge.ask("repair", prompt, pass_index=attempt)
-        except TransportError as exc:
-            diagnostic = f"repair attempt {attempt}: {exc}"
+        (reply,) = yield [(judge, "repair", prompt, attempt)]
+        if isinstance(reply, TransportError):
+            diagnostic = f"repair attempt {attempt}: {reply}"
             logger.warning(diagnostic)
             continue
         response = validate(reply)

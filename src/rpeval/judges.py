@@ -1,10 +1,10 @@
-"""Judge backends and the retrying, caching client that drives them.
+"""Judge backends, the client that describes a judge of a run, and reply parsing.
 
 A judge is anything that turns a prompt into text: a remote
 OpenAI-compatible endpoint in production, a fixture-backed mock in
-tests.  ``JudgeClient`` layers per-judge rate limiting, retry with
-exponential backoff, an on-disk reply cache keyed by request digest, and
-simple call counters on top of any backend.
+tests.  ``JudgeClient`` gives a backend the retry policy, on-disk reply
+cache (keyed by request digest), rate limit and counters that
+``scheduler.drive`` applies when it sends the client's requests.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import os
 import re
 import select
 import threading
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (Callable, Literal, Mapping, Optional, Sequence, Union,
@@ -207,8 +206,8 @@ class MockBackend:
     ``<digest>.txt`` files in a fixture directory, keyed by prompt
     digest.  A prompt with no fixture raises
     ``TransportError`` so exhaustion paths stay testable.  ``rate_limit``
-    (requests per second) is honoured by the ``JudgeClient`` that drives
-    it, as for HTTP backends.
+    (requests per second) is kept by ``scheduler.drive``, as for HTTP
+    backends.
     """
 
     def __init__(
@@ -287,7 +286,7 @@ class HttpBackend:
     Credentials come from the environment variable named by
     ``credential_env``; a missing credential or an auth rejection is a
     configuration error, not a transient fault.  ``rate_limit``
-    (requests per second) is enforced by the driving ``JudgeClient``.
+    (requests per second) is kept by ``scheduler.drive``.
     Connections are kept alive for reuse when the server allows it; each
     call checks one out, so no more stay open than calls ever overlapped.
     Proxies come from the environment, and TLS verifies against the
@@ -450,7 +449,8 @@ class ReplyCache:
     partial record, and runs sharing a root wait out each other's writes
     instead of failing.  ``close`` checkpoints the WAL into the database
     file.  A database that fails, on opening or mid-run, is a
-    ``ConfigError`` that names the file.
+    ``ConfigError`` that names the file.  Only the thread that opened a
+    cache uses it: in a run, that is the driver.
     """
 
     FILE = "replies.sqlite3"
@@ -460,13 +460,12 @@ class ReplyCache:
 
         self.root = Path(root)
         self.path = self.root / self.FILE
-        self._lock = threading.Lock()
         self._errors = (OSError, sqlite3.Error)
         self._db = None
         try:
             self.root.mkdir(parents=True, exist_ok=True)
             # The timeout is how long a write waits out another process's.
-            self._db = sqlite3.connect(self.path, timeout=30.0, check_same_thread=False)
+            self._db = sqlite3.connect(self.path, timeout=30.0)
             self._db.execute("PRAGMA journal_mode=WAL")
             self._db.execute("PRAGMA synchronous=NORMAL")
             self._db.execute("CREATE TABLE IF NOT EXISTS replies (key TEXT PRIMARY KEY,"
@@ -481,9 +480,8 @@ class ReplyCache:
 
     def get(self, key: str) -> Optional[str]:
         try:
-            with self._lock:
-                row = self._db.execute(
-                    "SELECT text FROM replies WHERE key = ?", (key,)).fetchone()
+            row = self._db.execute(
+                "SELECT text FROM replies WHERE key = ?", (key,)).fetchone()
         except self._errors as exc:
             raise self._unusable(exc) from exc
         if row is None:
@@ -495,7 +493,7 @@ class ReplyCache:
 
     def put(self, key: str, kind: str, text: str) -> None:
         try:
-            with self._lock, self._db:
+            with self._db:
                 self._db.execute("INSERT OR REPLACE INTO replies VALUES (?, ?, ?)",
                                  (key, kind, text))
         except self._errors as exc:
@@ -507,96 +505,25 @@ class ReplyCache:
         A failure while another error is being raised is only logged, so
         that it never replaces that error."""
         try:
-            with self._lock:
-                self._db.close()
+            self._db.close()
         except self._errors as exc:
             if exc.__context__ is None:
                 raise self._unusable(exc) from exc
             logger.warning("%s", self._unusable(exc))
 
 
-class RunAborted(Exception):
-    """Raised instead of starting a judge request once the run has failed."""
-
-
-class Permits:
-    """Semaphore over a run's in-flight backend requests.
-
-    A rate-limited judge that has waited out its limit takes the next
-    free permit ahead of every other waiter (``ahead=True``), so queueing
-    behind unthrottled judges does not slow its send rate below its
-    limit.  After ``close`` every acquire raises ``RunAborted``, waiting
-    ones included, so no request starts once the run has failed, and so
-    does ``sleep``, so no retry backoff outlasts the run.
-    """
-
-    def __init__(self, n: int):
-        # A fractional count would never reach 0, so it would never block.
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise ValueError(f"permit count must be a positive integer, got {n!r}")
-        self._free = n
-        self._lock = threading.Lock()
-        # Waiters, indexed by ``ahead``: [in turn, ahead of the others].
-        self._queues = (threading.Condition(self._lock),
-                        threading.Condition(self._lock))
-        self._waiting = [0, 0]
-        self.closed = False
-        # Backoff sleepers wait here, never on a queue: a wake-up meant
-        # for a permit waiter cannot be taken by one of them.
-        self._aborted = threading.Event()
-
-    def acquire(self, ahead: bool = False) -> None:
-        with self._lock:
-            self._waiting[ahead] += 1
-            try:
-                while not self.closed and (
-                        self._free == 0 or (not ahead and self._waiting[True])):
-                    self._queues[ahead].wait()
-            finally:
-                self._waiting[ahead] -= 1
-            if self.closed:
-                raise RunAborted()
-            self._free -= 1
-            if self._free:
-                self._wake()
-
-    def release(self) -> None:
-        with self._lock:
-            self._free += 1
-            self._wake()
-
-    def close(self) -> None:
-        with self._lock:
-            self.closed = True
-            for queue in self._queues:
-                queue.notify_all()
-        self._aborted.set()
-
-    def sleep(self, seconds: float) -> None:
-        """Wait out a retry backoff, or raise ``RunAborted`` once closed."""
-        if self._aborted.wait(seconds):
-            raise RunAborted()
-
-    def _wake(self) -> None:
-        if self._waiting[True]:
-            self._queues[True].notify()
-        elif self._waiting[False]:
-            self._queues[False].notify()
+_COUNTERS = ("cache_hits", "cache_misses", "backend_calls", "replies",
+             "transport_failures", "rejected")
 
 
 class JudgeClient:
-    """Backend wrapper adding rate limiting, cache lookup, retries and counters.
+    """A judge of a run: a backend with its retry policy, reply cache,
+    sampling, pacing and counters.
 
     ``backend`` is anything with a ``name`` and ``complete(prompt,
-    sampling)``.  ``sleep`` waits out each retry backoff: a run passes its
-    ``Permits.sleep``, which ends when the run fails, and tests pass one
-    that takes no wall clock time.  ``limiter`` bounds in-flight backend
-    calls across the run's worker threads.  The backend's
-    ``rate_limit`` (requests per second, if it has one) is waited out
-    *before* taking a permit from ``limiter``, so a throttled judge never
-    holds a permit while it waits; consecutive sends of this client are
-    at least ``1 / rate_limit`` seconds apart, and the client then takes
-    the next permit ahead of the other waiters.
+    sampling)``.  ``scheduler.drive`` sends the client's requests and
+    keeps its ``counts`` and ``last_send``; only ``attempt`` runs on a
+    sender thread.
     """
 
     def __init__(
@@ -605,76 +532,38 @@ class JudgeClient:
         policy: RetryPolicy = RetryPolicy(),
         cache: Optional[ReplyCache] = None,
         sampling: Sampling = Sampling(),
-        limiter: Optional[Permits] = None,
-        sleep: Callable[[float], None] = time.sleep,
     ):
         self.backend = backend
         self.policy = policy
         self.cache = cache
         self.sampling = sampling
-        self.limiter = limiter
-        self.sleep = sleep
         self.identity = tuple(getattr(backend, "identity", None)
                               or (type(backend).__name__, backend.name))
         rate = getattr(backend, "rate_limit", 0.0) or 0.0
-        # Minimum seconds between two sends; 0 for an unlimited backend.
+        # Least seconds between two sends; 0 for an unlimited backend.
         self.interval = 1.0 / rate if rate > 0 else 0.0
-        self._pace = threading.Lock()
-        self._last_send = float("-inf")
-        self._lock = threading.Lock()
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.backend_calls = 0
-        self.replies = 0
-        self.transport_failures = 0
-        self.rejected = 0
+        self.last_send = float("-inf")
+        self.counts = dict.fromkeys(_COUNTERS, 0)
 
     @property
     def name(self) -> str:
         return self.backend.name
 
     def stats(self) -> dict:
-        with self._lock:
-            return {
-                "cache_hits": self.cache_hits,
-                "cache_misses": self.cache_misses,
-                "backend_calls": self.backend_calls,
-                "replies": self.replies,
-                "transport_failures": self.transport_failures,
-                "rejected": self.rejected,
-            }
+        return dict(self.counts)
 
-    def _send(self, request: JudgeRequest) -> str:
-        """One backend attempt: wait out the rate limit, then take a permit.
+    def request(self, kind: str, prompt: str, pass_index: int = 1) -> JudgeRequest:
+        return JudgeRequest(kind=kind, prompt=prompt, sampling=self.sampling,
+                            pass_index=pass_index, judge=self.name,
+                            backend=self.identity)
+
+    def attempt(self, request: JudgeRequest) -> str:
+        """One backend attempt.
 
         A reply that is not UTF-8 text (not a ``str``, or one holding a
         lone surrogate) is a ``TransportError``: it costs this request,
         never the run."""
-        if self.interval > 0:
-            # Holding the pace lock through the permit wait orders this
-            # client's sends, so the spacing holds between actual sends.
-            with self._pace:
-                wait = self._last_send + self.interval - time.monotonic()
-                if wait > 0:
-                    time.sleep(wait)
-                if self.limiter is not None:
-                    self.limiter.acquire(ahead=True)
-                self._last_send = time.monotonic()
-        elif self.limiter is not None:
-            self.limiter.acquire()
-        try:
-            text = self.backend.complete(request.prompt, request.sampling)
-        except TransportError:
-            raise
-        except BaseException:
-            # Any other failure ends the run: close the permits before
-            # this one is handed on, so no request starts after it.
-            if self.limiter is not None:
-                self.limiter.close()
-            raise
-        finally:
-            if self.limiter is not None:
-                self.limiter.release()
+        text = self.backend.complete(request.prompt, request.sampling)
         if isinstance(text, str):
             try:
                 text.encode("utf-8")
@@ -689,67 +578,14 @@ class JudgeClient:
             self.backend.close()
 
     def call(self, request: JudgeRequest) -> str:
-        """The reply text, from the cache or the backend."""
-        if self.cache is not None:
-            # Only the cache reads the key, and it hashes the whole prompt.
-            if not request.backend:
-                request = dataclasses.replace(request, backend=self.identity)
-            key = request.idempotency_key
-            cached = self.cache.get(key)
-            if cached is not None:
-                with self._lock:
-                    self.cache_hits += 1
-                    self.replies += 1
-                return cached
-            with self._lock:
-                self.cache_misses += 1
-        last_error: Optional[TransportError] = None
-        for attempt in range(1, self.policy.max_attempts + 1):
-            try:
-                text = self._send(request)
-            except RequestRejected:
-                with self._lock:
-                    self.rejected += 1
-                raise
-            except TransportError as exc:
-                last_error = exc
-                logger.warning(
-                    "judge %s attempt %d/%d failed: %s",
-                    self.name,
-                    attempt,
-                    self.policy.max_attempts,
-                    exc,
-                )
-                if attempt < self.policy.max_attempts:
-                    self.sleep(self.policy.delay(attempt))
-                continue
-            finally:
-                with self._lock:
-                    self.backend_calls += 1
-            if self.cache is not None:
-                self.cache.put(key, request.kind, text)
-            with self._lock:
-                self.replies += 1
-            return text
-        with self._lock:
-            self.transport_failures += 1
-        raise TransportError(
-            f"judge {self.name!r} exhausted {self.policy.max_attempts} attempts: "
-            f"{last_error}",
-            attempts=self.policy.max_attempts,
-        )
+        """The reply to ``request``'s kind, prompt and pass, asked with this
+        client's sampling and identity through ``scheduler.drive``."""
+        return self.ask(request.kind, request.prompt, request.pass_index)
 
     def ask(self, kind: str, prompt: str, pass_index: int = 1) -> str:
-        """Convenience wrapper: build a request, return the reply text."""
-        request = JudgeRequest(
-            kind=kind,
-            prompt=prompt,
-            sampling=self.sampling,
-            pass_index=pass_index,
-            judge=self.name,
-            backend=self.identity,
-        )
-        return self.call(request)
+        from .scheduler import ask_once, drive
+
+        return drive([ask_once(self, kind, prompt, pass_index)])[0]
 
 
 _FENCE_RE = re.compile(r"```(?:json)?\s*(.*?)```", re.DOTALL)
@@ -788,33 +624,77 @@ def extract_json_object(text: str) -> Optional[dict]:
     return None if blob is None else json_object(blob)
 
 
+# The only characters that move the scan; it skips the others.
+_SCAN_STOPS = re.compile(r'[{}"\\]')
+
+
 def _scan_json_object(candidates: Sequence[str]) -> Optional[str]:
     """The first balanced ``{...}`` in the first candidate that has one."""
     for candidate in candidates:
-        start = candidate.find("{")
-        while start != -1:
-            depth = 0
-            in_string = False
-            escaped = False
-            for i in range(start, len(candidate)):
-                ch = candidate[i]
-                if in_string:
-                    if escaped:
-                        escaped = False
-                    elif ch == "\\":
-                        escaped = True
-                    elif ch == '"':
-                        in_string = False
-                elif ch == '"':
-                    in_string = True
-                elif ch == "{":
-                    depth += 1
-                elif ch == "}":
-                    depth -= 1
-                    if depth == 0:
-                        return candidate[start : i + 1]
-            start = candidate.find("{", start + 1)
+        blob = _first_balanced(candidate)
+        if blob is not None:
+            return blob
     return None
+
+
+def _merge(a: Optional[list], b: Optional[list]) -> Optional[list]:
+    """Two stacks of open braces that from now on see the same characters:
+    their tops close together, so each level keeps the earlier start."""
+    if a is None or b is None:
+        return a if b is None else b
+    if len(a) < len(b):
+        a, b = b, a
+    for k in range(1, len(b) + 1):
+        a[-k] = min(a[-k], b[-k])
+    return a
+
+
+def _first_balanced(text: str) -> Optional[str]:
+    """``text[s:e + 1]`` for the first ``{`` at ``s`` whose scan closes, at ``e``.
+
+    A scan starts outside a string at its ``{`` and counts braces outside
+    string literals until the count is back at 0.  Rescanning from each
+    ``{`` in turn takes time quadratic in the length; this pass runs every
+    scan at once.  The scans that are in the same string state at some
+    character see the same characters from then on, so at most three
+    groups remain (outside a string, in one, just after a backslash in
+    one).  Each group is a stack of open braces, one level per depth,
+    which holds the earliest start at that depth: the scans at one level
+    close together.
+    """
+    first = text.find("{")
+    if first < 0:
+        return None
+    out = inside = escaped = None  # the groups, by string state
+    best = None  # (start, end) of the earliest start closed so far
+    last = first - 1
+    for match in _SCAN_STOPS.finditer(text, first):
+        i = match.start()
+        if escaped is not None and i > last + 1:  # an escaped plain character
+            inside, escaped = _merge(inside, escaped), None
+        last = i
+        ch = text[i]
+        if ch == '"':
+            out, inside, escaped = inside, _merge(out, escaped), None
+        elif ch == "\\":
+            inside, escaped = escaped, inside
+        else:
+            if escaped is not None:
+                inside, escaped = _merge(inside, escaped), None
+            if ch == "{":
+                if out is None:
+                    out = []
+                out.append(i)
+            elif out is not None:
+                start = out.pop()
+                if not out:
+                    out = None
+                if best is None or start < best[0]:
+                    best = (start, i)
+                if start == first or (out is None and inside is None
+                                       and escaped is None):
+                    break  # no scan still open started before ``best``
+    return None if best is None else text[best[0]:best[1] + 1]
 
 
 def _coerce_spans(value: object) -> Optional[list[str]]:

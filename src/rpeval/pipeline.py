@@ -52,7 +52,6 @@ from .judges import (
     HttpBackend,
     JudgeClient,
     MockBackend,
-    Permits,
     ReplyCache,
     RetryPolicy,
     Sampling,
@@ -80,7 +79,7 @@ from .prompts import (
     build_rc_prompt,
     render_history,
 )
-from .scheduler import Scheduler
+from .scheduler import ask_once, drive
 
 logger = logging.getLogger(__name__)
 
@@ -298,37 +297,31 @@ def write_out_file(out_dir: str | Path, name: str, text: str) -> Path:
     return path
 
 
-def _judge_client(obj, config: RunConfig, sampling: Sampling,
-                  cache: Optional[ReplyCache], limiter: Permits) -> JudgeClient:
-    """A client over a backend spec or a backend object."""
+def _backend(obj):
+    """The backend of a backend spec, or a backend object itself."""
     if isinstance(obj, BackendSpec):
-        obj = obj.build_backend()
-    elif not hasattr(obj, "complete"):
+        return obj.build_backend()
+    if not hasattr(obj, "complete"):
         raise ConfigError(f"cannot build a judge from {type(obj).__name__}: "
                           "pass a BackendSpec or a backend")
-    return JudgeClient(backend=obj, policy=config.retry, cache=cache,
-                       sampling=sampling, limiter=limiter, sleep=limiter.sleep)
+    return obj
 
 
 @contextlib.contextmanager
 def _judging(config: RunConfig, sampling: Sampling, *groups: Sequence):
-    """The judges of a run and the ``Scheduler`` they run on.
-
-    Yields ``(scheduler, clients, ...)``: one client list per group of
-    backend specs or objects, all sharing the run's reply cache and
-    permits.  On exit every client and the cache are closed.
-    """
+    """The judges of a run: one client list per group of backend specs or
+    objects, all sharing the run's retry policy and reply cache.  On exit
+    every client and the cache are closed."""
     cache = ReplyCache(config.cache_dir) if config.cache_dir else None
-    permits = Permits(config.concurrency)
     judges: list[JudgeClient] = []
     try:
         built = []
         for group in groups:
-            built.append([_judge_client(obj, config, sampling, cache, permits)
+            built.append([JudgeClient(_backend(obj), config.retry, cache, sampling)
                           for obj in group])
             judges += built[-1]
         _require_unique_names([c.name for c in judges])
-        yield (Scheduler(permits, config.concurrency, judges), *built)
+        yield built
     finally:
         for client in judges:
             client.close()
@@ -423,14 +416,15 @@ def _rc_materials(sample: DialogueSample, fields: Sequence[str]) -> str:
 def _rc_judge_sample(sample, response, rc_evaluators, config):
     """All three role-consistency questions for one sample.
 
-    Returns ``{metric: {evaluator: score or None}}``.  An evaluator with
-    no usable verdict is absent; one that abstained is present with
-    ``None``.  The (question, evaluator) queries go out one after
-    another; each corrective re-prompt follows its own first reply.
+    A flow for ``scheduler.drive`` that returns ``{metric: {evaluator:
+    score or None}}``.  An evaluator with no usable verdict is absent;
+    one that abstained is present with ``None``.  Every (question,
+    evaluator) query goes out in one batch, then every corrective
+    re-prompt that a failed or unusable reply earns in a second.
     """
     history_text = render_history(sample.history)
     response_json = response.to_json()
-    scores: dict[str, dict] = {}
+    cells = []  # (metric, evaluator, prompts, sources), metric-major
     for metric in RC_METRICS:
         routing = config.rc_routing.get(metric, DEFAULT_RC_ROUTING[metric])
         materials = _rc_materials(sample, routing)
@@ -441,27 +435,22 @@ def _rc_judge_sample(sample, response, rc_evaluators, config):
                             retry=retry)
             for retry in (False, True)
         ]
-        scores[metric] = {}
-        for evaluator in rc_evaluators:
-            verdict = _rc_verdict(evaluator, prompts, sources, metric,
-                                  sample.sample_id)
-            if verdict is not None:
-                scores[metric][evaluator.name] = rc_score_from_verdict(*verdict)
+        cells += [(metric, evaluator, prompts, sources) for evaluator in rc_evaluators]
+    verdicts: list = [None] * len(cells)
+    for attempt in range(2):
+        waiting = [i for i, verdict in enumerate(verdicts) if verdict is None]
+        replies = yield [(cells[i][1], "rc", cells[i][2][attempt], 1) for i in waiting]
+        for i, reply in zip(waiting, replies):
+            if not isinstance(reply, TransportError):
+                verdicts[i] = parse_rc_verdict(reply, sources=cells[i][3])
+    scores: dict[str, dict] = {metric: {} for metric in RC_METRICS}
+    for (metric, evaluator, _, _), verdict in zip(cells, verdicts):
+        if verdict is None:
+            logger.warning("rc %s: evaluator %s unusable for sample %s",
+                           metric, evaluator.name, sample.sample_id)
+        else:
+            scores[metric][evaluator.name] = rc_score_from_verdict(*verdict)
     return scores
-
-
-def _rc_verdict(evaluator, prompts, sources, metric, sample_id):
-    for prompt in prompts:
-        try:
-            text = evaluator.ask("rc", prompt)
-        except TransportError:
-            continue
-        verdict = parse_rc_verdict(text, sources=sources)
-        if verdict is not None:
-            return verdict
-    logger.warning("rc %s: evaluator %s unusable for sample %s",
-                   metric, evaluator.name, sample_id)
-    return None
 
 
 class SampleRecord(TypedDict):
@@ -478,20 +467,21 @@ class SampleRecord(TypedDict):
 
 def judge_sample(pred: PredictionRecord, sample: DialogueSample,
                  config: RunConfig, taxonomy: EmotionTaxonomy, experts,
-                 rc_evaluators, repair) -> SampleRecord:
+                 rc_evaluators, repair):
     """One prediction through format gate -> emotion panel -> role
-    consistency, its judge requests one after another on the calling
-    thread.  The response text and the vote histograms end here."""
-    outcome = format_response(pred.raw_output, repair,
-                              max_attempts=config.max_repair_attempts)
+    consistency: a flow for ``scheduler.drive``, each stage's independent
+    requests in one batch.  The response text and the vote histograms
+    end here."""
+    outcome = yield from format_response(pred.raw_output, repair,
+                                         max_attempts=config.max_repair_attempts)
     record: SampleRecord = {"status": outcome.status, "labels": None,
                             "entropy": None, "rc": None}
     response = outcome.response
     if response is None:
         return record
     utterances = segment_utterances(response.content, config.delimiters)
-    votes = run_panel(response, utterances, experts, taxonomy,
-                      passes=config.passes)
+    votes = yield from run_panel(response, utterances, experts, taxonomy,
+                                 passes=config.passes)
     labels, counts = aggregate(votes, tau=config.tau,
                                n_utterances=len(utterances))
     if any(hist for row in counts.values() for hist in row):
@@ -499,7 +489,8 @@ def judge_sample(pred: PredictionRecord, sample: DialogueSample,
         record["entropy"] = {
             m: [normalized_entropy(hist, taxonomy.size) for hist in row]
             for m, row in counts.items()}
-    record["rc"] = _rc_judge_sample(sample, response, rc_evaluators, config)
+    record["rc"] = yield from _rc_judge_sample(sample, response, rc_evaluators,
+                                               config)
     return record
 
 
@@ -518,7 +509,8 @@ def evaluate(
     objects (anything with ``name`` and ``complete``) or ``BackendSpec``s
     and override the config-declared backends, which keeps the whole
     pipeline drivable from tests without HTTP.  Each gets a client of
-    this run: its permits, retry policy and reply cache.
+    this run, with its retry policy and reply cache; ``scheduler.drive``
+    sends every request.
     """
     t0 = time.monotonic()
     taxonomy = config.taxonomy()
@@ -548,12 +540,11 @@ def evaluate(
     repair = repair_judge if repair_judge is not None else config.repair
     with _judging(config, config.judge_sampling, experts, rc_evaluators,
                   [] if repair is None else [repair]) as (
-                      scheduler, experts, rc_evaluators, repairs):
+                      experts, rc_evaluators, repairs):
         repair = repairs[0] if repairs else None
-        judged = scheduler.map(
-            lambda pred: judge_sample(pred, by_id[pred.sample_id], config,
-                                      taxonomy, experts, rc_evaluators, repair),
-            predictions)
+        judged = drive((judge_sample(pred, by_id[pred.sample_id], config, taxonomy,
+                                     experts, rc_evaluators, repair)
+                        for pred in predictions), config.concurrency)
     judges = experts + rc_evaluators + repairs
 
     judge_stats = {c.name: c.stats() for c in judges}
@@ -734,8 +725,8 @@ def generate(
 ) -> list[PredictionRecord]:
     """Produce a predictions file by role-playing every corpus sample.
 
-    Uses the generation sampling settings (not the greedy judge ones) and
-    the run's cache, permits and scheduler; the backend is picked by name
+    Uses the generation sampling settings (not the greedy judge ones), the
+    run's cache and ``scheduler.drive``; the backend is picked by name
     from the config's ``generators``.  ``out_path`` is checked before the
     first request and written, in corpus order, after the last reply.
     """
@@ -751,11 +742,11 @@ def generate(
             (s for s in config.generators if s.name == backend_name), None)
         if generator is None:
             raise ConfigError(f"no generator backend named {backend_name!r}")
-    with _judging(config, config.generation_sampling, [generator]) as (
-            scheduler, (client,)):
-        records = scheduler.map(lambda sample: PredictionRecord(
-            sample_id=sample.sample_id,
-            raw_output=client.ask("generate", _generate_prompt(sample))), samples)
+    with _judging(config, config.generation_sampling, [generator]) as ((client,),):
+        replies = drive((ask_once(client, "generate", _generate_prompt(sample))
+                         for sample in samples), config.concurrency)
+    records = [PredictionRecord(sample_id=sample.sample_id, raw_output=reply)
+               for sample, reply in zip(samples, replies)]
     try:
         save_jsonl(out_path, [r.to_record() for r in records])
     except OSError as exc:

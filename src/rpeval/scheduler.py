@@ -1,86 +1,267 @@
-"""The worker threads of a run that send judge requests.
+"""The one loop that sends a run's judge requests.
 
-``Scheduler.map`` runs any per-sample function: ``evaluate``'s format
-gate -> emotion panel -> role-consistency questions, or ``generate``'s
-one request.  Each sample runs from start to finish on the worker thread
-that picked it up, sending its requests one after another, so no sample
-waits for another and no stage waits for the whole corpus.  How many
-requests are in flight is bounded separately, by ``judges.Permits``; a
-worker thread that waits on a judge's rate limit or on a permit holds no
-permit.  Beside each sample's result, a run keeps no state per sample.
+A sample is a flow: a generator that yields batches of independent asks,
+each ``(judge, kind, prompt, pass_index)``, is sent each batch's replies
+in order (the text, or the ``TransportError`` that ended the ask) and
+returns its result.  ``drive`` runs a run's flows on the calling thread,
+which owns the reply cache, pacing, retries, counters and the bound on
+requests in flight; up to ``concurrency`` sender threads (none at 1)
+only make backend attempts.  At most ``2 * concurrency`` flows are open.
+An ask whose request is already on its way waits for its reply and
+counts as a cache hit.  A rate-limited judge's ask goes out ``interval``
+after that judge's last send at the earliest and, once due, takes the
+next free slot first; a transient failure is queued again
+``policy.delay(attempt)`` later; neither holds a slot while it waits.
+The first exception that is not a ``TransportError``, Ctrl-C included,
+stops dispatch and is re-raised once the senders have stopped.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
+import logging
+import math
+import queue
 import threading
-from typing import Callable, Sequence
+import time
+from collections import deque
+from typing import Generator, Iterable
 
-from .judges import Permits, RunAborted
+from .judges import RequestRejected, TransportError
+
+logger = logging.getLogger(__name__)
+
+Flow = Generator[list, list, object]  # yields asks, is sent replies
 
 
-class Scheduler:
-    """Samples on ``2 * concurrency`` worker threads plus one per paced judge.
+def drive(flows: Iterable[Flow], concurrency: int = 1) -> list:
+    """The result of each flow, in order, with at most ``concurrency``
+    backend attempts in flight; ``flows`` is read lazily."""
+    return _Driver(concurrency).run(flows)
 
-    The count holds whatever the corpus size: ``concurrency`` workers
-    hold the run's permits while their requests are in flight,
-    ``concurrency`` more do the work between requests (parsing replies,
-    voting, building the next prompt) so that work idles no permit, and
-    a worker waiting out a judge's rate limit holds no permit, so each
-    such judge gets a worker of its own.  More threads would not put more
-    requests in flight, which ``permits`` bounds, but each one that
-    allocates gets a glibc malloc arena of its own that stays resident:
-    over eight passes of 40 samples, 18 threads held about 1.5 MiB more
-    RSS than 4, and the gap grew with every pass.  The first exception
-    that escapes a sample closes ``permits`` and is re-raised by ``map``.
-    With one permit and no rate-limited judge no two requests can
-    overlap, so every sample runs on the calling thread: workers would
-    add only thread switches, which make a run of a few samples about a
-    third slower.
-    """
 
-    def __init__(self, permits: Permits, concurrency: int, judges: Sequence):
-        self.permits = permits
-        paced = sum(1 for judge in judges if judge.interval > 0)
-        self.workers = 2 * concurrency + paced if concurrency > 1 or paced else 0
+def ask_once(judge, kind: str, prompt: str, pass_index: int = 1):
+    """A flow of one ask: its reply text, or the ``TransportError`` raised."""
+    (reply,) = yield [(judge, kind, prompt, pass_index)]
+    if isinstance(reply, TransportError):
+        raise reply
+    return reply
 
-    def map(self, fn: Callable, items: Sequence) -> list:
-        """``fn`` over ``items``, each on one worker; results in item order.
 
-        ``fn`` sends its requests through this run's ``permits``.  An
-        interrupt of the calling thread (Ctrl-C, a thread that cannot
-        start) closes them and is re-raised once every worker stopped."""
-        if not self.workers:
-            return [fn(item) for item in items]
-        results, errors = [None] * len(items), []
-        pending, lock = iter(range(len(items))), threading.Lock()
+class _Sample:
+    """An open flow, its place in the results and its current batch."""
 
-        def work():
-            while not self.permits.closed:
-                with lock:
-                    i = next(pending, None)
-                if i is None:
-                    return
-                try:
-                    results[i] = fn(items[i])
-                except BaseException as exc:
-                    if not isinstance(exc, RunAborted):
-                        errors.append(exc)  # the first one is re-raised
-                        self.permits.close()
-                    return
+    __slots__ = ("flow", "slot", "replies", "missing")
 
-        threads = []
+    def __init__(self, flow: Flow, slot: int):
+        self.flow, self.slot, self.replies, self.missing = flow, slot, [], 0
+
+
+class _Job:
+    """A request on its way; ``askers`` holds (judge, sample, index) of
+    the ask that sent it, then of each identical ask that waits on it."""
+
+    __slots__ = ("judge", "request", "key", "askers", "attempt")
+
+    def __init__(self, request, key, asker):
+        self.judge, self.request, self.key = asker[0], request, key
+        self.askers, self.attempt = [asker], 0
+
+
+def _attempt(job: _Job):
+    """One backend attempt: the reply text, or the exception it raised."""
+    try:
+        return job.judge.attempt(job.request)
+    except BaseException as exc:
+        return exc
+
+
+class _Driver:
+    """The state of one ``drive`` call."""
+
+    def __init__(self, concurrency: int):
+        # A fractional bound would never be reached, so it would bound nothing.
+        if (isinstance(concurrency, bool) or not isinstance(concurrency, int)
+                or concurrency < 1):
+            raise ValueError(
+                f"concurrency must be a positive integer, got {concurrency!r}")
+        self.concurrency, self.results, self.open = concurrency, [], 0
+        self.resumable: deque[_Sample] = deque()  # their batch is answered
+        self.ready: deque[_Job] = deque()  # unpaced, in turn
+        self.paced: dict = {}  # judge -> deque of its jobs
+        self.timers: list = []  # (due, seq, job): retries waiting out a backoff
+        self.seq = itertools.count()  # orders timers that fall due together
+        self.flying: dict[str, _Job] = {}  # cache key -> its job
+        self.in_flight, self.stopped = 0, False
+        self.senders: list[threading.Thread] = []
+        self.jobs, self.done = queue.SimpleQueue(), queue.SimpleQueue()
+
+    def run(self, flows: Iterable[Flow]) -> list:
+        pending = iter(flows)
         try:
-            for n in range(min(self.workers, len(items))):
-                thread = threading.Thread(target=work, name=f"rpeval-{n}")
-                thread.start()
-                threads.append(thread)
-            for thread in threads:
-                thread.join()
+            while True:
+                while self.resumable:
+                    sample = self.resumable.popleft()
+                    self._step(sample, sample.replies)
+                flow = next(pending, None) if self.open < 2 * self.concurrency else None
+                if flow is not None:
+                    self.results.append(None)
+                    self.open += 1
+                    self._step(_Sample(flow, len(self.results) - 1), None)
+                    continue
+                self._dispatch()
+                if not self.resumable and not self._wait():
+                    return self.results
         except BaseException:
-            self.permits.close()
-            for thread in threads:
-                thread.join()
+            self.stopped = True
             raise
-        if errors or self.permits.closed:
-            raise errors[0] if errors else RunAborted()
-        return results
+        finally:
+            for _ in self.senders:
+                self.jobs.put(None)
+            for sender in self.senders:
+                if sender.ident is not None:  # it started
+                    sender.join()
+
+    def _step(self, sample: _Sample, replies) -> None:
+        """Send ``replies`` to ``sample`` and submit the batch it yields next."""
+        while True:
+            try:
+                batch = sample.flow.send(replies)
+            except StopIteration as stop:
+                self.results[sample.slot] = stop.value
+                self.open -= 1
+                return
+            if batch:
+                break
+            replies = []
+        sample.replies, sample.missing = [None] * len(batch), len(batch)
+        for index, (judge, kind, prompt, pass_index) in enumerate(batch):
+            self._submit(judge.request(kind, prompt, pass_index), (judge, sample, index))
+
+    def _submit(self, request, asker) -> None:
+        judge, key = asker[0], None
+        if judge.cache is not None:
+            key = request.idempotency_key
+            if key in self.flying:
+                self.flying[key].askers.append(asker)
+                return
+            cached = judge.cache.get(key)
+            judge.counts["cache_misses" if cached is None else "cache_hits"] += 1
+            if cached is not None:
+                judge.counts["replies"] += 1
+                self._deliver(asker, cached)
+                return
+        job = _Job(request, key, asker)
+        if key is not None:
+            self.flying[key] = job
+        self._queue(job)
+
+    def _queue(self, job: _Job) -> None:
+        if job.judge.interval > 0:
+            self.paced.setdefault(job.judge, deque()).append(job)
+        else:
+            self.ready.append(job)
+
+    def _deliver(self, asker, value) -> None:
+        _, sample, index = asker
+        sample.replies[index] = value
+        sample.missing -= 1
+        if not sample.missing:
+            self.resumable.append(sample)
+
+    def _paced(self) -> tuple[float, deque | None]:
+        """The queued jobs of the paced judge due first, and when it is due."""
+        return min(((judge.last_send + judge.interval, jobs)
+                    for judge, jobs in self.paced.items() if jobs),
+                   key=lambda pair: pair[0], default=(math.inf, None))
+
+    def _dispatch(self) -> None:
+        now = time.monotonic()
+        while self.timers and self.timers[0][0] <= now:
+            self._queue(heapq.heappop(self.timers)[2])
+        while self.in_flight < self.concurrency and not self.stopped:
+            due, jobs = self._paced()
+            if due <= time.monotonic():
+                job = jobs.popleft()
+                job.judge.last_send = time.monotonic()
+            elif self.ready:
+                job = self.ready.popleft()
+            else:
+                return
+            job.attempt += 1
+            if self.concurrency == 1:
+                self._finish(job, _attempt(job))
+                continue
+            if self.in_flight == len(self.senders):
+                sender = threading.Thread(target=self._send,
+                                          name=f"rpeval-sender-{len(self.senders)}")
+                self.senders.append(sender)  # before it starts: it is joined
+                sender.start()
+            self.in_flight += 1
+            self.jobs.put(job)
+
+    def _send(self) -> None:
+        while True:
+            job = self.jobs.get()
+            if job is None or self.stopped:
+                return
+            outcome = _attempt(job)
+            if not isinstance(outcome, (str, TransportError)):
+                self.stopped = True  # no attempt starts after this one
+            self.done.put((job, outcome))
+
+    def _wait(self) -> bool:
+        """Wait for a reply or the next due time; ``False`` once all is done."""
+        due = math.inf
+        if self.in_flight < self.concurrency:  # else only a reply frees a slot
+            due = min(self._paced()[0], self.timers[0][0] if self.timers else math.inf)
+        if self.in_flight:
+            try:
+                job, outcome = self.done.get(
+                    timeout=None if due == math.inf else max(0.0, due - time.monotonic()))
+            except queue.Empty:
+                return True
+            self.in_flight -= 1
+            self._dispatch()  # refill the slot before the reply's own work
+            self._finish(job, outcome)
+        elif due < math.inf:
+            time.sleep(max(0.0, due - time.monotonic()))
+        elif self.open:
+            raise RuntimeError("open samples wait on no request")
+        return bool(self.open)
+
+    def _finish(self, job: _Job, outcome) -> None:
+        judge, policy = job.judge, job.judge.policy
+        judge.counts["backend_calls"] += 1
+        if isinstance(outcome, RequestRejected):
+            judge.counts["rejected"] += 1
+        elif isinstance(outcome, TransportError):
+            logger.warning("judge %s attempt %d/%d failed: %s", judge.name,
+                           job.attempt, policy.max_attempts, outcome)
+            if job.attempt < policy.max_attempts:
+                due = time.monotonic() + policy.delay(job.attempt)
+                heapq.heappush(self.timers, (due, next(self.seq), job))
+                return
+            judge.counts["transport_failures"] += 1
+            outcome = TransportError(
+                f"judge {judge.name!r} exhausted {policy.max_attempts} attempts: "
+                f"{outcome}", attempts=policy.max_attempts)
+        elif not isinstance(outcome, str):
+            raise outcome
+        elif job.key is not None:
+            judge.cache.put(job.key, job.request.kind, outcome)
+        if job.key is not None:
+            del self.flying[job.key]
+        if isinstance(outcome, str):
+            for n, asker in enumerate(job.askers):
+                asker[0].counts["replies"] += 1
+                asker[0].counts["cache_hits"] += n > 0
+                self._deliver(asker, outcome)
+            return
+        # The error is the first asker's; each waiting ask is asked again,
+        # as it would have been had it come after this one ended.
+        first, *waiting = job.askers
+        self._deliver(first, outcome)
+        for asker in waiting:
+            self._submit(job.request, asker)

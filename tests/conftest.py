@@ -19,7 +19,7 @@ from rpeval.corpus import (
     UserTurn,
     save_jsonl,
 )
-from rpeval.judges import MockBackend, ReplyCache, RetryPolicy
+from rpeval.judges import MockBackend, ReplyCache, RetryPolicy, TransportError
 from rpeval.pipeline import RunConfig
 
 LABEL_SET = set(DEFAULT_EMOTION_LABELS)
@@ -184,6 +184,24 @@ def make_repair_judge(table: dict[str, str], name: str = "fixer") -> MockBackend
         return "no idea"
 
     return MockBackend(name, handler=handler)
+
+
+def answer(flow, reply):
+    """Run ``flow`` on the calling thread with no thread, cache or retry:
+    each ask is answered by ``reply(judge, kind, prompt, pass_index)``,
+    and a ``TransportError`` it raises is sent in place of its reply."""
+    replies = None
+    while True:
+        try:
+            batch = flow.send(replies)
+        except StopIteration as stop:
+            return stop.value
+        replies = []
+        for ask in batch:
+            try:
+                replies.append(reply(*ask))
+            except TransportError as exc:
+                replies.append(exc)
 
 
 def fast_config(**overrides) -> RunConfig:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from conftest import label_echo_expert, make_experts, make_response
+from conftest import answer, label_echo_expert, make_experts, make_response
 
 from rpeval.corpus import AMBIGUOUS, default_taxonomy, segment_utterances
 from rpeval.erc import (
@@ -15,6 +15,7 @@ from rpeval.erc import (
     select_label,
 )
 from rpeval.judges import JudgeClient, MockBackend, RetryPolicy, TransportError
+from rpeval.scheduler import drive
 
 TAX = default_taxonomy()
 
@@ -25,6 +26,12 @@ def _reply(labels):
 
 def _client(backend):
     return JudgeClient(backend, policy=RetryPolicy(max_attempts=1, base_delay=0.0))
+
+
+def _panel(*args, **kwargs):
+    """``run_panel``'s result, its requests sent by ``drive``."""
+    (result,) = drive([run_panel(*args, **kwargs)])
+    return result
 
 
 def _votes(labels):
@@ -75,7 +82,7 @@ def test_run_panel_full_vote_matrix():
     response = make_response("happy。sadness。")
     utterances = segment_utterances(response.content)
     experts = [_client(b) for b in make_experts(5)]
-    results = run_panel(response, utterances, experts, TAX, passes=2)
+    results = _panel(response, utterances, experts, TAX, passes=2)
     assert results == [_votes(["happy", "sadness"])] * 10
 
 
@@ -84,17 +91,12 @@ def test_run_panel_results_come_in_expert_pass_order():
     utterances = segment_utterances(response.content)
     labels = ["happy", "sadness", "anger"]
 
-    class Expert:
+    def expert_pass(expert, kind, prompt, pass_index):
         """Expert i answers labels[i] on pass 1 and labels[i + 1] on pass 2."""
+        return _reply([labels[int(expert[1]) + pass_index - 1]])
 
-        def __init__(self, i):
-            self.name, self.i = f"e{i}", i
-
-        def ask(self, kind, prompt, pass_index):
-            return _reply([labels[self.i + pass_index - 1]])
-
-    results = run_panel(response, utterances, [Expert(0), Expert(1)], TAX,
-                        passes=2)
+    results = answer(run_panel(response, utterances, ["e0", "e1"], TAX, passes=2),
+                     expert_pass)
     # (e0, 1), (e0, 2), (e1, 1), (e1, 2)
     assert [r["fusion"] for r in results] == [["happy"], ["sadness"],
                                               ["sadness"], ["anger"]]
@@ -109,8 +111,8 @@ def test_run_panel_retry_corrects_bad_reply():
             return _reply(["anger"])
         return "not json"
 
-    results = run_panel(response, utterances,
-                        [_client(MockBackend("e", handler=handler))], TAX, passes=1)
+    results = _panel(response, utterances,
+                     [_client(MockBackend("e", handler=handler))], TAX, passes=1)
     assert results[0]["fusion"] == ["anger"]
 
 
@@ -124,8 +126,8 @@ def test_run_panel_drops_modalities_that_stay_invalid():
             "emos_s": ["anger"], "emos_fusion": ["anger", "anger"],
         })
 
-    results = run_panel(response, utterances,
-                        [_client(MockBackend("e", handler=handler))], TAX, passes=1)
+    results = _panel(response, utterances,
+                     [_client(MockBackend("e", handler=handler))], TAX, passes=1)
     assert results == [{"f": ["anger"], "b": ["anger"], "s": ["anger"],
                         "fusion": None}]
 
@@ -137,8 +139,8 @@ def test_run_panel_transport_failure_records_empty_result():
     def handler(prompt, sampling):
         raise TransportError("offline")
 
-    results = run_panel(response, utterances,
-                        [_client(MockBackend("e", handler=handler))], TAX, passes=2)
+    results = _panel(response, utterances,
+                     [_client(MockBackend("e", handler=handler))], TAX, passes=2)
     assert results == [{m: None for m in MODALITIES}] * 2
 
 
@@ -146,10 +148,10 @@ def test_run_panel_requires_experts_and_passes():
     response = make_response("anger。")
     utterances = segment_utterances(response.content)
     with pytest.raises(ValueError):
-        run_panel(response, utterances, [], TAX)
+        _panel(response, utterances, [], TAX)
     with pytest.raises(ValueError):
-        run_panel(response, utterances, [_client(label_echo_expert("e"))], TAX,
-                  passes=0)
+        _panel(response, utterances, [_client(label_echo_expert("e"))], TAX,
+               passes=0)
 
 
 def test_select_label_threshold_boundary():

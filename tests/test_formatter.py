@@ -15,6 +15,7 @@ from rpeval.formatter import (
     validate,
 )
 from rpeval.judges import JudgeClient, MockBackend, RetryPolicy, TransportError
+from rpeval.scheduler import drive
 
 GOOD = json.dumps({
     "facial_expression": "raised eyebrows",
@@ -22,6 +23,12 @@ GOOD = json.dumps({
     "speech_prompt": "hushed",
     "content": "别担心。",
 }, ensure_ascii=False)
+
+
+def _format(*args, **kwargs):
+    """``format_response``'s outcome, its requests sent by ``drive``."""
+    (outcome,) = drive([format_response(*args, **kwargs)])
+    return outcome
 
 
 def _client(backend):
@@ -89,7 +96,7 @@ def test_validate_rejects(raw):
 
 
 def test_format_response_direct():
-    outcome = format_response(GOOD)
+    outcome = _format(GOOD)
     assert outcome.status == VALID_DIRECT
     assert outcome.repair_attempts == 0
     assert outcome.response.speech_prompt == "hushed"
@@ -98,7 +105,7 @@ def test_format_response_direct():
 def test_repair_fixes_on_first_attempt():
     raw = "content: hello there. face: smiling"
     judge = _client(make_repair_judge({raw: GOOD}))
-    outcome = format_response(raw, judge)
+    outcome = _format(raw, judge)
     assert outcome.status == REPAIRED
     assert outcome.repair_attempts == 1
     assert outcome.response == validate(GOOD)
@@ -114,8 +121,8 @@ def test_repair_second_attempt_uses_corrective_prompt():
             return GOOD
         return "nope"
 
-    outcome = format_response(raw, _client(MockBackend("fix", handler=handler)),
-                              max_attempts=2)
+    outcome = _format(raw, _client(MockBackend("fix", handler=handler)),
+                      max_attempts=2)
     assert outcome.status == REPAIRED
     assert outcome.repair_attempts == 2
     assert len(seen) == 2
@@ -124,7 +131,7 @@ def test_repair_second_attempt_uses_corrective_prompt():
 
 def test_repair_gives_up_after_max_attempts():
     judge = _client(MockBackend("fix", handler=lambda p, s: "garbage"))
-    outcome = format_response("broken", judge, max_attempts=2)
+    outcome = _format("broken", judge, max_attempts=2)
     assert outcome.status == UNREPAIRABLE
     assert outcome.response is None
     assert outcome.repair_attempts == 2
@@ -135,21 +142,21 @@ def test_repair_survives_transport_failures():
     def handler(prompt, sampling):
         raise TransportError("down")
 
-    outcome = format_response("broken", _client(MockBackend("fix", handler=handler)),
-                              max_attempts=2)
+    outcome = _format("broken", _client(MockBackend("fix", handler=handler)),
+                      max_attempts=2)
     assert outcome.status == UNREPAIRABLE
     assert "down" in outcome.diagnostic
 
 
 def test_max_attempts_is_checked_only_when_repairing():
     judge = _client(MockBackend("fix", handler=lambda p, s: GOOD))
-    assert format_response(GOOD, judge, max_attempts=0).status == VALID_DIRECT
+    assert _format(GOOD, judge, max_attempts=0).status == VALID_DIRECT
     with pytest.raises(ValueError, match="max_attempts"):
-        format_response("broken", judge, max_attempts=0)
+        _format("broken", judge, max_attempts=0)
 
 
 def test_format_without_judge_cannot_repair():
-    outcome = format_response("broken")
+    outcome = _format("broken")
     assert outcome.status == UNREPAIRABLE
     assert "no repair judge" in outcome.diagnostic
 

@@ -2,6 +2,7 @@
 
 import base64
 import json
+import random
 import re
 import sqlite3
 import sys
@@ -10,6 +11,7 @@ import time
 
 import pytest
 
+import rpeval.scheduler
 from rpeval.judges import (
     _FENCE_RE,
     ConfigError,
@@ -17,7 +19,6 @@ from rpeval.judges import (
     JudgeClient,
     JudgeRequest,
     MockBackend,
-    Permits,
     ReplyCache,
     RequestRejected,
     RetryPolicy,
@@ -65,12 +66,14 @@ def test_cacheless_client_never_computes_the_key(monkeypatch, tmp_path):
         patch.setattr(JudgeRequest, "idempotency_key", property(no_key))
         assert client.call(JudgeRequest(kind="erc", prompt="p")) == "reply"
         assert client.ask("rc", "p") == "reply"
-    # With a cache, the reply is stored under the key of the request with
-    # the client's identity filled in, as before.
+    # With a cache, the reply is stored under the key of the request the
+    # client asks: its kind, prompt and pass with the client's sampling,
+    # name and identity.
     cache = ReplyCache(tmp_path / "cache")
     client = JudgeClient(MockBackend("m", handler=lambda p, s: "reply"), cache=cache)
     client.call(JudgeRequest(kind="erc", prompt="p"))
-    key = JudgeRequest(kind="erc", prompt="p", backend=client.identity).idempotency_key
+    key = JudgeRequest(kind="erc", prompt="p", judge="m",
+                       backend=client.identity).idempotency_key
     assert cache.get(key) == "reply"
     cache.close()
 
@@ -97,7 +100,21 @@ def test_retry_policy_backoff_doubles_and_caps():
     assert RetryPolicy(max_attempts=2000, base_delay=1e-300).delay(1100) == 30.0
 
 
-def test_client_retries_then_succeeds_with_attempt_count():
+class _Clock:
+    """A monotonic clock that only sleeps move, recording each sleep."""
+
+    def __init__(self):
+        self.now, self.slept = 0.0, []
+
+    def monotonic(self):
+        return self.now
+
+    def sleep(self, seconds):
+        self.slept.append(seconds)
+        self.now += seconds
+
+
+def test_client_retries_then_succeeds_with_attempt_count(monkeypatch):
     failures = {"left": 2}
 
     def handler(prompt, sampling):
@@ -106,16 +123,16 @@ def test_client_retries_then_succeeds_with_attempt_count():
             raise TransportError("flaky")
         return "finally"
 
-    slept = []
+    clock = _Clock()
+    monkeypatch.setattr(rpeval.scheduler, "time", clock)
     client = JudgeClient(
         MockBackend("m", handler=handler),
         policy=RetryPolicy(max_attempts=3, base_delay=0.5),
-        sleep=slept.append,
     )
     assert client.call(JudgeRequest(kind="erc", prompt="p")) == "finally"
     assert client.stats()["backend_calls"] == 3
     assert client.stats()["replies"] == 1
-    assert slept == [0.5, 1.0]
+    assert clock.slept == [0.5, 1.0]
 
 
 def test_client_exhaustion_raises_with_attempts():
@@ -127,7 +144,6 @@ def test_client_exhaustion_raises_with_attempts():
         client = JudgeClient(
             MockBackend("m", handler=down),
             policy=RetryPolicy(max_attempts=attempts, base_delay=0.0, max_delay=0.0),
-            sleep=lambda s: None,
         )
         with pytest.raises(TransportError) as err:
             client.call(JudgeRequest(kind="erc", prompt="p"))
@@ -204,21 +220,31 @@ def test_cache_file_that_is_not_a_database_is_a_config_error(tmp_path):
 
 
 def test_cache_is_shared_by_threads_and_a_second_cache(tmp_path):
-    first, second = ReplyCache(tmp_path / "cache"), ReplyCache(tmp_path / "cache")
+    # One cache per thread, as each run's driver opens its own: eight
+    # threads write through caches over one root while a ninth reads and
+    # writes, so each waits out the others' writes.
     errors = []
 
     def write(worker):
         try:
-            for i in range(200):
-                first.put(f"{worker:02x}{i:062x}", "erc", f"reply {worker} {i}")
+            cache = ReplyCache(tmp_path / "cache")
+            try:
+                for i in range(200):
+                    cache.put(f"{worker:02x}{i:062x}", "erc", f"reply {worker} {i}")
+            finally:
+                cache.close()
         except Exception as exc:  # re-raised on the main thread below
             errors.append(exc)
 
     def read_and_write():
         try:
-            for i in range(200):
-                second.get(f"{i % 8:02x}{i:062x}")
-                second.put(f"08{i:062x}", "rc", f"reply 8 {i}")
+            cache = ReplyCache(tmp_path / "cache")
+            try:
+                for i in range(200):
+                    cache.get(f"{i % 8:02x}{i:062x}")
+                    cache.put(f"08{i:062x}", "rc", f"reply 8 {i}")
+            finally:
+                cache.close()
         except Exception as exc:
             errors.append(exc)
 
@@ -235,6 +261,7 @@ def test_cache_is_shared_by_threads_and_a_second_cache(tmp_path):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
+    first, second = ReplyCache(tmp_path / "cache"), ReplyCache(tmp_path / "cache")
     for w in range(9):
         for i in range(200):
             key = f"{w:02x}{i:062x}"
@@ -265,6 +292,7 @@ def test_mock_backend_fixture_sources(tmp_path):
 
 
 def test_limiter_bounds_concurrent_backend_calls():
+    # The run's limiter is the driver's bound on attempts in flight.
     active = {"now": 0, "peak": 0}
     gate = threading.Lock()
 
@@ -272,24 +300,19 @@ def test_limiter_bounds_concurrent_backend_calls():
         with gate:
             active["now"] += 1
             active["peak"] = max(active["peak"], active["now"])
-        import time
         time.sleep(0.01)
         with gate:
             active["now"] -= 1
         return "ok"
 
-    client = JudgeClient(MockBackend("m", handler=handler),
-                         limiter=Permits(2))
-    threads = [
-        threading.Thread(target=client.call,
-                         args=(JudgeRequest(kind="erc", prompt=f"p{i}"),))
-        for i in range(8)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert active["peak"] <= 2
+    client = JudgeClient(MockBackend("m", handler=handler))
+
+    def one(i):
+        (reply,) = yield [(client, "erc", f"p{i}", 1)]
+        return reply
+
+    assert rpeval.scheduler.drive((one(i) for i in range(8)), 2) == ["ok"] * 8
+    assert active["peak"] == 2
 
 
 def test_http_backend_requires_credential(monkeypatch):
@@ -484,6 +507,59 @@ def test_extract_json_object_fast_path_matches_the_scan():
         expected = json_object(text) or (None if blob is None else json_object(blob))
         assert extract_json_object(text) == expected, text[:60]
     assert extract_json_object('{"note": "``` {} ```"}') == {"note": "``` {} ```"}
+
+
+def _rescanning_scan(candidates):
+    """The scanner as it was: a new scan from each ``{`` in turn."""
+    for candidate in candidates:
+        start = candidate.find("{")
+        while start != -1:
+            depth = 0
+            in_string = False
+            escaped = False
+            for i in range(start, len(candidate)):
+                ch = candidate[i]
+                if in_string:
+                    if escaped:
+                        escaped = False
+                    elif ch == "\\":
+                        escaped = True
+                    elif ch == '"':
+                        in_string = False
+                elif ch == '"':
+                    in_string = True
+                elif ch == "{":
+                    depth += 1
+                elif ch == "}":
+                    depth -= 1
+                    if depth == 0:
+                        return candidate[start : i + 1]
+            start = candidate.find("{", start + 1)
+    return None
+
+
+def test_scan_finds_what_a_rescan_from_each_brace_finds():
+    rng = random.Random(20260)
+    pieces = ["{", "}", '"', "\\", '\\"', "a", " ", ":", ",", "1", "```", "```json\n",
+              '{"a": ', '"x"', "}}", "{{", "\n"]
+    for _ in range(20_000):
+        text = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 30)))
+        candidates = [m.group(1) for m in _FENCE_RE.finditer(text)] + [text]
+        assert _scan_json_object(candidates) == _rescanning_scan(candidates), text
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("{" * 16_000, id="16000-braces"),
+    pytest.param("```json\n" + '{"a": ' * 9_400 + "\n```", id="56kb-fenced"),
+])
+def test_scan_is_linear_in_the_reply(text):
+    # A rescan from each brace took 2.5 s on 8000 braces.
+    def seconds():
+        started = time.perf_counter()
+        assert extract_json_object(text) is None
+        return time.perf_counter() - started
+
+    assert min(seconds() for _ in range(3)) < 0.05
 
 
 def test_extract_json_object_prefers_the_whole_reply_to_a_quoted_fence():

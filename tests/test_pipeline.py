@@ -60,6 +60,7 @@ from rpeval.pipeline import (
     write_report_files,
 )
 from rpeval.prompts import build_erc_prompt, build_rc_prompt, render_history
+from rpeval.scheduler import drive
 
 
 # ------------------------------------------------------------------ config
@@ -443,8 +444,8 @@ def test_assemble_rc_drops_abstaining_and_unusable(small_world):
     evaluators = [replying("alpha", '{"agree_evidence": [], "disagree_evidence": []}'),
                   replying("beta", "no verdict")]
     sample = small_world["samples"][0]
-    scores = _rc_judge_sample(sample, sample.ground_truth, evaluators,
-                              fast_config())
+    (scores,) = drive([_rc_judge_sample(sample, sample.ground_truth, evaluators,
+                                        fast_config())])
     assert scores == {m: {"alpha": None} for m in RC_METRICS}
     # a sample where only beta scores is kept; one floored sample adds 1.0
     records = _rc_records(
@@ -523,9 +524,10 @@ def test_judge_keeps_one_plain_record_per_sample():
     config = fast_config()
     experts = [JudgeClient(guarded(f"e{i}"), config.retry) for i in range(5)]
     critics = [JudgeClient(b, config.retry) for b in make_rc_evaluators()]
-    records = {pred.sample_id: judge_sample(pred, sample, config, config.taxonomy(),
-                                            experts, critics, None)
-               for pred, sample in zip(predictions, samples)}
+    judged = drive(judge_sample(pred, sample, config, config.taxonomy(),
+                                experts, critics, None)
+                   for pred, sample in zip(predictions, samples))
+    records = {pred.sample_id: record for pred, record in zip(predictions, judged)}
     assert json.loads(json.dumps(records)) == records
     assert all(list(r) == ["status", "labels", "entropy", "rc"]
                for r in records.values())

@@ -1,4 +1,4 @@
-"""Judge scheduling: permits, per-judge rate limits, per-sample order, aborts."""
+"""Judge scheduling: the driver's slots, pacing, retries, single flight, aborts."""
 
 import hashlib
 import json
@@ -12,11 +12,11 @@ import time
 import tracemalloc
 from collections import Counter
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from conftest import (
     _response_content,
+    answer,
     echo_prediction,
     fast_config,
     make_experts,
@@ -27,174 +27,189 @@ from conftest import (
     write_predictions,
 )
 
-import rpeval.judges
 import rpeval.pipeline
+import rpeval.scheduler
 from rpeval.cli import main
 from rpeval.corpus import PredictionRecord
+from rpeval.erc import MODALITIES
 from rpeval.judges import (
     JudgeClient,
     MockBackend,
-    Permits,
     RetryPolicy,
-    RunAborted,
     TransportError,
 )
-from rpeval.pipeline import RC_METRICS, ConfigError, evaluate, generate
+from rpeval.pipeline import RC_METRICS, ConfigError, evaluate, generate, judge_sample
 from rpeval.prompts import _RC_QUESTIONS
-from rpeval.scheduler import Scheduler
+from rpeval.scheduler import drive
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def _run_all(targets):
-    threads = [threading.Thread(target=fn, args=args) for fn, args in targets]
-    for t in threads:
-        t.start()
-    return threads
+def _asking(*asks):
+    """A flow that sends ``asks`` in one batch and returns their replies."""
+    return (yield list(asks))
+
+
+def _in_turn(judge, prompts):
+    """A flow that asks ``judge`` each prompt after the last one's reply."""
+    replies = []
+    for prompt in prompts:
+        (reply,) = yield [(judge, "erc", prompt, 1)]
+        replies.append(reply)
+    return replies
+
+
+class _Active:
+    """Counts the backend attempts in flight and their peak."""
+
+    def __init__(self):
+        self.now = self.peak = 0
+        self.lock = threading.Lock()
+
+    def __enter__(self):
+        with self.lock:
+            self.now += 1
+            self.peak = max(self.peak, self.now)
+
+    def __exit__(self, *exc):
+        with self.lock:
+            self.now -= 1
+
+
+def _sender_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("rpeval")]
 
 
 def test_rate_limited_judge_does_not_starve_the_others():
-    permits = Permits(2)
-    # A's ten sends take 0.225 s; a B queued behind A's waits would too.
-    limited = JudgeClient(MockBackend("A", handler=lambda p, s: "a", rate_limit=40.0),
-                          limiter=permits)
+    # A's ten sends take 0.225 s; B's asks, queued in the same batch,
+    # use both slots meanwhile.
+    limited = JudgeClient(MockBackend("A", handler=lambda p, s: "a", rate_limit=40.0))
+    b_done = []
 
     def ten_ms(prompt, sampling):
         time.sleep(0.01)
+        b_done.append(time.monotonic())
         return "b"
 
-    free = JudgeClient(MockBackend("B", handler=ten_ms), limiter=permits)
-    a_threads = _run_all([(limited.ask, ("erc", f"a{i}")) for i in range(10)])
+    free = JudgeClient(MockBackend("B", handler=ten_ms))
     started = time.monotonic()
-    b_threads = _run_all([(free.ask, ("erc", f"b{i}")) for i in range(10)])
-    for t in b_threads:
-        t.join()
-    b_elapsed = time.monotonic() - started
-    for t in a_threads:
-        t.join()
-    assert b_elapsed < 0.15  # about 0.05 s: ten 10 ms calls on two permits
+    (replies,) = drive([_asking(*[(limited, "erc", f"a{i}", 1) for i in range(10)],
+                                *[(free, "erc", f"b{i}", 1) for i in range(10)])], 2)
+    assert replies == ["a"] * 10 + ["b"] * 10
+    assert max(b_done) - started < 0.15  # about 0.05 s: ten 10 ms calls on two slots
+    assert time.monotonic() - started >= 9 / 40.0
     assert limited.stats()["replies"] == free.stats()["replies"] == 10
+
+
+class _Stamped(JudgeClient):
+    """Records each time the driver sends one of this judge's requests."""
+
+    def __init__(self, *args, **kwargs):
+        self.sends = []
+        super().__init__(*args, **kwargs)
+
+    @property
+    def last_send(self):
+        return self.sends[-1] if self.sends else float("-inf")
+
+    @last_send.setter
+    def last_send(self, value):
+        if value != float("-inf"):
+            self.sends.append(value)
 
 
 def test_rate_limited_sends_are_spaced_under_contention():
     rate = 200.0
-    sends, handled = [], []
-
-    class StampedPermits(Permits):
-        # A rate-limited client takes its permit ahead, under its pace
-        # lock, as it decides a send: that is when the send is stamped.
-        def acquire(self, ahead=False):
-            super().acquire(ahead)
-            if ahead:
-                sends.append(time.monotonic())
+    handled = []
 
     def record(prompt, sampling):
         handled.append(prompt)
         return "ok"
 
-    client = JudgeClient(MockBackend("A", handler=record, rate_limit=rate),
-                         limiter=StampedPermits(3))
-
-    def burst(worker):
-        for i in range(4):
-            client.ask("erc", f"{worker}-{i}")
-
-    for t in _run_all([(burst, (w,)) for w in range(5)]):
-        t.join()
-    assert len(handled) == len(sends) == 20
-    assert min(b - a for a, b in zip(sends, sends[1:])) >= 1.0 / rate
+    client = _Stamped(MockBackend("A", handler=record, rate_limit=rate))
+    flows = [_asking(*[(client, "erc", f"{w}-{i}", 1) for i in range(4)])
+             for w in range(5)]
+    assert drive(flows, 3) == [["ok"] * 4] * 5
+    assert len(handled) == len(client.sends) == 20
+    assert min(b - a for a, b in zip(client.sends, client.sends[1:])) >= 1.0 / rate
 
 
 def test_permits_and_counters_hold_under_thread_stress():
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        permits = Permits(3)
-        active = {"now": 0, "peak": 0}
-        gate = threading.Lock()
+        active = _Active()
 
         def handler(prompt, sampling):
-            with gate:
-                active["now"] += 1
-                active["peak"] = max(active["peak"], active["now"])
-            time.sleep(0)
-            with gate:
-                active["now"] -= 1
+            with active:
+                time.sleep(0)
             return "ok"
 
         backends = [MockBackend(f"j{i}", handler=handler,
                                 rate_limit=5000.0 if i == 0 else 0.0)
                     for i in range(3)]
-        clients = [JudgeClient(b, limiter=permits) for b in backends]
+        clients = [JudgeClient(b) for b in backends]
 
         def work(worker):
-            for k in range(30):
-                clients[k % 3].ask("erc", f"{worker}-{k}")
+            replies = []
+            for k in range(0, 30, 3):  # three judges per batch, ten batches
+                replies += yield [(clients[(k + j) % 3], "erc", f"{worker}-{k + j}", 1)
+                                  for j in range(3)]
+            return replies
 
-        threads = _run_all([(work, (w,)) for w in range(8)])
-        for t in threads:
-            t.join(timeout=30)
-        assert not any(t.is_alive() for t in threads)
+        results = drive((work(w) for w in range(8)), 3)
+        assert _sender_threads() == []
     finally:
         sys.setswitchinterval(old_interval)
-    assert active["peak"] <= 3
+    assert results == [["ok"] * 30] * 8
+    assert active.peak <= 3
     assert sum(b.calls for b in backends) == 240
     assert sum(c.stats()["replies"] for c in clients) == 240
     assert sum(c.stats()["backend_calls"] for c in clients) == 240
 
 
-def _until(condition):
-    deadline = time.monotonic() + 5
-    while not condition() and time.monotonic() < deadline:
-        time.sleep(0.001)
+class _Clock:
+    """A monotonic clock that only sleeps and ``advance`` move."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def monotonic(self):
+        return self.now
+
+    def sleep(self, seconds):
+        self.now += seconds
+
+    advance = sleep
 
 
-def test_paced_waiter_takes_the_next_permit_first():
-    permits = Permits(1)
-    permits.acquire()
+def test_paced_waiter_takes_the_next_permit_first(monkeypatch):
+    # At concurrency 1 every attempt runs inline, so a fake clock that
+    # only the attempts move makes the order exact: the paced judge P
+    # (one send per 30 ms) goes first whenever it is due, ahead of the
+    # unpaced asks queued before it, and U's 20 ms asks fill its waits.
+    clock = _Clock()
+    monkeypatch.setattr(rpeval.scheduler, "time", clock)
     order = []
 
-    def take(tag, ahead):
-        permits.acquire(ahead=ahead)
-        order.append(tag)
-        permits.release()
+    def judge(name, rate):
+        def handler(prompt, sampling):
+            order.append(name)
+            clock.advance(0.02 if name == "U" else 0.0)
+            return name
+        return JudgeClient(MockBackend(name, handler=handler, rate_limit=rate))
 
-    queued = _run_all([(take, (f"in turn {i}", False)) for i in range(3)])
-    _until(lambda: permits._waiting == [3, 0])
-    queued += _run_all([(take, ("paced", True))])
-    _until(lambda: permits._waiting == [3, 1])
-    permits.release()
-    for t in queued:
-        t.join()
-    assert order[0] == "paced"
-    assert len(order) == 4
+    paced, free = judge("P", 1 / 0.03), judge("U", 0.0)
+    drive([_asking(*[(free, "erc", f"u{i}", 1) for i in range(4)],
+                   *[(paced, "erc", f"p{i}", 1) for i in range(2)])])
+    # P at 0; U at 0-20 and 20-40; P due at 30, sent at 40; U, U.
+    assert order == ["P", "U", "U", "P", "U", "U"]
 
 
 def test_permits_need_a_positive_integer_count():
     for count in (2.5, True, 0, "2"):
-        with pytest.raises(ValueError):
-            Permits(count)
-
-
-def test_closed_permits_refuse_waiting_and_new_acquires():
-    permits = Permits(1)
-    permits.acquire()
-    refused = []
-
-    def take():
-        try:
-            permits.acquire()
-        except RunAborted:
-            refused.append(True)
-
-    waiters = _run_all([(take, ())] * 2)
-    _until(lambda: permits._waiting == [2, 0])
-    permits.close()
-    for t in waiters:
-        t.join(timeout=5)
-    assert refused == [True, True]
-    with pytest.raises(RunAborted):
-        permits.acquire()
+        with pytest.raises(ValueError, match="concurrency"):
+            drive([], count)
 
 
 def test_single_permit_run_over_many_samples_completes(tmp_path):
@@ -227,19 +242,14 @@ def test_evaluate_runs_injected_backends_under_its_permits(tmp_path):
     corpus = write_corpus(tmp_path / "corpus.jsonl", samples)
     predictions = write_predictions(
         tmp_path / "preds.jsonl", [echo_prediction(s) for s in samples])
-    active = {"now": 0, "peak": 0}
-    gate = threading.Lock()
+    active = _Active()
 
     def counted(backend):
         handler = backend.handler
 
         def counting(prompt, sampling):
-            with gate:
-                active["now"] += 1
-                active["peak"] = max(active["peak"], active["now"])
-            time.sleep(0.002)
-            with gate:
-                active["now"] -= 1
+            with active:
+                time.sleep(0.002)
             return handler(prompt, sampling)
 
         backend.handler = counting
@@ -251,18 +261,14 @@ def test_evaluate_runs_injected_backends_under_its_permits(tmp_path):
                    experts=experts, rc_evaluators=critics)
     assert run.report["counts"]["ec_samples"] == 6
     assert sum(b.calls for b in experts + critics) == 6 * (3 * 2 + 3 * 2)
-    assert active["peak"] <= 2
-    # A ready-made client would bypass the run's permits, retries and cache.
+    assert active.peak == 2
+    # A ready-made client would bypass the run's retries and cache.
     cache = tmp_path / "cache"
     with pytest.raises(ConfigError, match="JudgeClient"):
         evaluate(fast_config(concurrency=2, cache_dir=str(cache)), corpus,
                  predictions, experts=[JudgeClient(b) for b in make_experts(3)],
                  rc_evaluators=make_rc_evaluators())
     assert [p.name for p in cache.iterdir()] == ["replies.sqlite3"]  # closed
-
-
-def _pool_threads():
-    return [t for t in threading.enumerate() if t.name.startswith("rpeval")]
 
 
 def _slowed(backend, seconds, on_call=lambda: None):
@@ -277,7 +283,8 @@ def _slowed(backend, seconds, on_call=lambda: None):
     return backend
 
 
-def test_pool_has_two_threads_per_permit_and_one_per_paced_judge(tmp_path):
+@pytest.mark.parametrize("concurrency", [1, 2, 4])
+def test_run_starts_at_most_concurrency_sender_threads(tmp_path, concurrency):
     samples = [make_sample(f"t{i}", role_id=f"r{i % 2}") for i in range(8)]
     corpus = write_corpus(tmp_path / "corpus.jsonl", samples)
     records = [echo_prediction(s) for s in samples]
@@ -288,7 +295,7 @@ def test_pool_has_two_threads_per_permit_and_one_per_paced_judge(tmp_path):
 
     def count_threads():
         with gate:
-            seen["peak"] = max(seen["peak"], len(_pool_threads()))
+            seen["peak"] = max(seen["peak"], len(_sender_threads()))
 
     experts = make_experts(5)
     experts[0].rate_limit = 500.0
@@ -296,69 +303,97 @@ def test_pool_has_two_threads_per_permit_and_one_per_paced_judge(tmp_path):
     judges = experts + make_rc_evaluators() + [repair]
     for backend in judges:
         _slowed(backend, 0.002, count_threads)
-    run = evaluate(fast_config(concurrency=2), corpus, predictions,
+    run = evaluate(fast_config(concurrency=concurrency), corpus, predictions,
                    experts=judges[:5], rc_evaluators=judges[5:7],
                    repair_judge=repair)
     assert run.report["counts"]["repaired"] == 1
     assert run.report["counts"]["ec_samples"] == 8
-    # 2 x concurrency + 1 paced judge, not concurrency x (judges + 1) = 18
-    assert 1 <= seen["peak"] <= 2 * 2 + 1
-    assert _pool_threads() == []
+    # Senders only: none at concurrency 1, where each attempt runs inline.
+    assert seen["peak"] == (0 if concurrency == 1 else concurrency)
+    assert _sender_threads() == []
+
+
+class _Recording(JudgeClient):
+    """Records, per paced judge, when each ask was queued and when sent."""
+
+    events = []  # (time, judge name, "queued" | "sent")
+
+    def request(self, kind, prompt, pass_index=1):
+        if self.interval > 0:
+            self.events.append((time.monotonic(), self.name, "queued"))
+        return super().request(kind, prompt, pass_index)
+
+    @property
+    def last_send(self):
+        return getattr(self, "_sent", float("-inf"))
+
+    @last_send.setter
+    def last_send(self, value):
+        self._sent = value
+        if value != float("-inf"):
+            self.events.append((value, self.name, "sent"))
 
 
 def test_paced_judge_leaves_the_others_their_concurrency(tmp_path, monkeypatch):
-    # A paced judge waits out its rate limit before it takes a permit, so
-    # its wait never idles one of the run's permits.  Checked on the
-    # events themselves, not on wall time: the run's permits record which
-    # threads hold one, and the pacing sleep records whether its thread does.
-    holders = Counter()
-    seen = {"peak": 0, "waits": 0, "waits_holding": 0}
-    lock = threading.Lock()
+    # A paced ask waits on the driver for its due time, not in a slot:
+    # while it waits, the other judges' attempts fill every slot.
+    # Checked on the driver's events, not on wall time: each paced ask's
+    # wait runs from when it was queued to when it was sent, and the
+    # backends record each attempt's start and end.
+    monkeypatch.setattr(_Recording, "events", [])
+    monkeypatch.setattr(rpeval.pipeline, "JudgeClient", _Recording)
+    attempts, lock = [], threading.Lock()
 
-    class RecordingPermits(Permits):
-        def acquire(self, ahead=False):
-            super().acquire(ahead)
+    def timed(backend):
+        handler = backend.handler
+
+        def run(prompt, sampling):
+            start = time.monotonic()
+            time.sleep(latency)
             with lock:
-                holders[threading.get_ident()] += 1
-                seen["peak"] = max(seen["peak"], sum(holders.values()))
+                attempts.append((start, time.monotonic(), backend.name))
+            return handler(prompt, sampling)
 
-        def release(self):
-            with lock:
-                holders[threading.get_ident()] -= 1
-            super().release()
+        backend.handler = run
+        return backend
 
-    def pacing_sleep(seconds):
-        with lock:
-            seen["waits"] += 1
-            seen["waits_holding"] += holders[threading.get_ident()] > 0
-        time.sleep(seconds)
-
-    monkeypatch.setattr(rpeval.pipeline, "Permits", RecordingPermits)
-    monkeypatch.setattr(rpeval.judges, "time",
-                        SimpleNamespace(monotonic=time.monotonic, sleep=pacing_sleep))
     samples = [make_sample(f"w{i}", role_id=f"r{i % 2}") for i in range(8)]
     corpus = write_corpus(tmp_path / "corpus.jsonl", samples)
     predictions = write_predictions(
         tmp_path / "preds.jsonl", [echo_prediction(s) for s in samples])
     latency, rate, concurrency = 0.01, 40.0, 2
-    experts = [_slowed(b, latency) for b in make_experts(5)]
+    experts = [timed(b) for b in make_experts(5)]
     experts[0].rate_limit = rate
-    critics = [_slowed(b, latency) for b in make_rc_evaluators()]
+    critics = [timed(b) for b in make_rc_evaluators()]
     evaluate(fast_config(concurrency=concurrency), corpus, predictions,
              experts=experts, rc_evaluators=critics)
     assert sum(b.calls for b in experts + critics) == 8 * (5 * 2 + 2 * 3)
-    # Each sample asks the paced judge twice within its 25 ms interval
-    # (10 ms apart), so it waited.
-    assert seen["waits"] >= 8
-    assert seen["waits_holding"] == 0, seen
-    assert seen["peak"] == concurrency
-    assert sum(holders.values()) == 0
+    queued = [t for t, _, what in _Recording.events if what == "queued"]
+    sent = [t for t, _, what in _Recording.events if what == "sent"]
+    assert len(queued) == len(sent) == 8 * 2
+    waits = [(q, s) for q, s in zip(queued, sent) if s - q > latency]
+    # Each sample asks the paced judge twice in one batch, so one of the
+    # two waits out the 25 ms interval.
+    assert len(waits) >= 8
+
+    def peak_of_others(start, end):
+        # Attempts of the unpaced judges in flight at some point of the wait.
+        points = [a for a, b, name in attempts if name != "expert0" and start <= a < end]
+        return max((sum(1 for a, b, name in attempts
+                        if name != "expert0" and a <= t < b) for t in points),
+                   default=0)
+
+    assert max(peak_of_others(q, s) for q, s in waits) == concurrency
+    overall = max(sum(1 for a, b, _ in attempts if a <= t < b)
+                  for t, _, _ in attempts)
+    assert overall == concurrency
 
 
-def test_each_sample_sends_its_requests_in_order_from_one_thread(tmp_path):
+def test_each_sample_sends_its_requests_in_dependency_order(tmp_path):
     # Every request names its sample through the role id, which the
     # panel prompts carry in the response and the others in the role
-    # materials or the raw output.
+    # materials or the raw output.  Some first replies are malformed, so
+    # those asks earn a corrective re-prompt.
     golds = [("happy", "grateful"), ("anger",), ("worried", "sadness"), ("fear",)]
     samples = [make_sample(f"t{i}", role_id=f"sample-{i}", gt=golds[i % 4])
                for i in range(8)]
@@ -371,27 +406,31 @@ def test_each_sample_sends_its_requests_in_order_from_one_thread(tmp_path):
         records[i] = PredictionRecord(sample_id=f"t{i}", raw_output=broken)
         table[broken] = samples[i].ground_truth.to_json()
     predictions = write_predictions(tmp_path / "preds.jsonl", records)
-    seen, in_flight, lock = [], Counter(), threading.Lock()
+    seen, lock, active = [], threading.Lock(), _Active()
+    malformed = {("expert1", "2"), ("expert2", "5"), ("critic0", "3")}
 
     def step(name, prompt):
+        again = "Reminder:" in prompt
         if name == "fixer":
             return ("format",)
         if name.startswith("expert"):
-            return ("panel", name)
-        return ("rc", next(m for m, q in _RC_QUESTIONS.items() if q in prompt), name)
+            return ("panel", name, again)
+        metric = next(m for m, q in _RC_QUESTIONS.items() if q in prompt)
+        return ("rc", metric, name, again)
 
     def recorded(backend):
         handler = backend.handler
 
         def record(prompt, sampling):
             (sid,) = set(re.findall(r"\bsample-(\d+)\b", prompt))
+            with active:
+                start = time.monotonic()
+                time.sleep(0.002)
+                end = time.monotonic()
             with lock:
-                in_flight[sid] += 1
-                seen.append((sid, threading.get_ident(), in_flight[sid],
-                             step(backend.name, prompt)))
-            time.sleep(0.002)
-            with lock:
-                in_flight[sid] -= 1
+                seen.append((sid, start, end, step(backend.name, prompt)))
+            if (backend.name, sid) in malformed and "Reminder:" not in prompt:
+                return "not a verdict"
             return handler(prompt, sampling)
 
         backend.handler = record
@@ -405,14 +444,165 @@ def test_each_sample_sends_its_requests_in_order_from_one_thread(tmp_path):
                    experts=experts, rc_evaluators=critics, repair_judge=repair)
     assert run.report["counts"]["repaired"] == len(repaired)
     assert run.report["counts"]["ec_samples"] == 8
-    panel = [("panel", b.name) for b in experts for _ in range(2)]
-    judged = panel + [("rc", m, b.name) for m in RC_METRICS for b in critics]
+    assert active.peak == 2
+    overlapped = 0
     for i in range(8):
-        mine = [entry for entry in seen if entry[0] == str(i)]
-        assert len({thread for _, thread, _, _ in mine}) == 1, i
-        assert max(count for _, _, count, _ in mine) == 1, i
-        expected = [("format",)] * (i in repaired) + judged
-        assert [step for _, _, _, step in mine] == expected, i
+        mine = sorted((entry for entry in seen if entry[0] == str(i)),
+                      key=lambda entry: entry[1])
+        kinds = [s[0] for _, _, _, s in mine]
+        assert kinds.count("format") == (i in repaired), i
+        formats = [e for e in mine if e[3][0] == "format"]
+        panel = [e for e in mine if e[3][0] == "panel"]
+        rc = [e for e in mine if e[3][0] == "rc"]
+        assert len(panel) == 3 * 2 + 2 * sum(1 for n, s in malformed
+                                             if s == str(i) and n.startswith("expert"))
+        assert len(rc) == 3 * 2 + 3 * sum(1 for n, s in malformed
+                                          if s == str(i) and n.startswith("critic"))
+        # repair comes before any panel ask, the panel before any RC ask
+        assert max((e[2] for e in formats), default=0) <= min(e[1] for e in panel)
+        assert max(e[2] for e in panel) <= min(e[1] for e in rc)
+        # each re-prompt comes after its own first reply
+        for entry in panel + rc:
+            *who, again = entry[3]
+            if again:
+                first = [e for e in panel + rc if e[3] == (*who, False)]
+                assert max(e[2] for e in first) <= entry[1], (i, who)
+        # a batch puts several of one sample's asks in flight at once
+        overlapped += any(b[1] < a[2] for a, b in zip(panel, panel[1:]))
+    assert overlapped > 0
+
+
+def test_a_transient_failure_does_not_delay_other_judges(tmp_path):
+    # The failed ask waits out its 0.5 s backoff off the slots; the
+    # other judges' asks go on being sent meanwhile.
+    failed, sends = [], []
+
+    def flaky(prompt, sampling):
+        if not failed:
+            failed.append(time.monotonic())
+            raise TransportError("connection reset")
+        sends.append(("F", time.monotonic()))
+        return "f"
+
+    def steady(prompt, sampling):
+        time.sleep(0.005)
+        sends.append(("S", time.monotonic()))
+        return "s"
+
+    policy = RetryPolicy(max_attempts=2, base_delay=0.5)
+    f = JudgeClient(MockBackend("F", handler=flaky), policy=policy)
+    s = JudgeClient(MockBackend("S", handler=steady), policy=policy)
+    started = time.monotonic()
+    results = drive([_asking((f, "erc", "f", 1))]
+                    + [_in_turn(s, [f"s{i}-{k}" for k in range(4)]) for i in range(3)], 2)
+    assert results == [["f"]] + [["s"] * 4] * 3
+    steady_done = max(t for who, t in sends if who == "S")
+    (retried,) = [t for who, t in sends if who == "F"]
+    assert steady_done - started < 0.3
+    assert retried - failed[0] >= 0.5
+    assert f.stats() == {"cache_hits": 0, "cache_misses": 0, "backend_calls": 2,
+                         "replies": 1, "transport_failures": 0, "rejected": 0}
+
+
+class _NamedJudge:
+    """All a flow reads of a judge: its name."""
+
+    def __init__(self, name):
+        self.name = name
+
+
+def test_a_sample_can_be_driven_from_canned_replies():
+    # No thread, no backend: each ask is answered from a dict keyed by
+    # (judge, kind, pass), whatever the prompt.
+    sample = make_sample("c1", gt=("happy", "anger"))
+    pred = echo_prediction(sample)
+    panel_reply = json.dumps({f"emos_{m}": ["happy", "anger"] for m in MODALITIES})
+    rc_reply = json.dumps({"agree_evidence": [sample.ground_truth.content],
+                           "disagree_evidence": []})
+    experts = [_NamedJudge(f"expert{i}") for i in range(5)]
+    critics = [_NamedJudge(f"critic{i}") for i in range(2)]
+    canned = {**{(e.name, "erc", p): panel_reply for e in experts for p in (1, 2)},
+              **{(c.name, "rc", 1): rc_reply for c in critics}}
+    batches, threads = [], threading.active_count()
+
+    def reply(judge, kind, prompt, pass_index):
+        batches.append((judge.name, kind, pass_index))
+        return canned[judge.name, kind, pass_index]
+
+    config = fast_config()
+    record = answer(judge_sample(pred, sample, config, config.taxonomy(),
+                                 experts, critics, None), reply)
+    assert threading.active_count() == threads
+    assert record == {
+        "status": "valid_direct",
+        "labels": {m: ["happy", "anger"] for m in MODALITIES},
+        "entropy": {m: [0.0, 0.0] for m in MODALITIES},
+        "rc": {m: {"critic0": 5, "critic1": 5} for m in RC_METRICS}}
+    assert batches == ([(e.name, "erc", p) for e in experts for p in (1, 2)]
+                       + [(c.name, "rc", 1) for _ in RC_METRICS for c in critics])
+
+
+def test_report_is_identical_at_any_concurrency_with_or_without_pacing(tmp_path):
+    golds = [("happy", "grateful"), ("anger",), ("worried", "sadness"), ("fear",)]
+    samples = [make_sample(f"r{i:02d}", role_id=f"r{i % 3}", gt=golds[i % 4])
+               for i in range(12)]
+    corpus = write_corpus(tmp_path / "corpus.jsonl", samples)
+    records = [echo_prediction(s) for s in samples]
+    broken = "face: calm / says anger"
+    records[1] = PredictionRecord(sample_id="r01", raw_output=broken)
+    predictions = write_predictions(tmp_path / "preds.jsonl", records)
+    def judges(rate):
+        experts = make_experts()
+        experts[0].rate_limit = rate
+        handler = experts[2].handler
+
+        def sometimes_malformed(prompt, sampling):
+            # a malformed first reply for every other sample: a re-prompt
+            if "Reminder:" not in prompt and "grateful" in prompt:
+                return "no idea"
+            return handler(prompt, sampling)
+
+        experts[2].handler = sometimes_malformed
+        critics = make_rc_evaluators(drop_marker="fear")
+        repair = make_repair_judge({broken: samples[1].ground_truth.to_json()})
+        return dict(experts=experts, rc_evaluators=critics, repair_judge=repair)
+
+    reports = set()
+    for rate in (0.0, 400.0):
+        for concurrency in (1, 2, 4):
+            out = tmp_path / f"out-{rate}-{concurrency}"
+            evaluate(fast_config(concurrency=concurrency), corpus, predictions,
+                     out_dir=out, **judges(rate))
+            reports.add((out / "report.json").read_bytes())
+    assert len(reports) == 1
+
+
+def test_identical_asks_in_flight_coalesce_under_a_cache(tmp_path):
+    # Duplicate predictions of identical samples ask the same requests;
+    # under a cache the concurrent copies wait for one reply, so the
+    # backend sees what it sees at concurrency 1, however they overlap.
+    samples = [make_sample(f"d{i}") for i in range(6)]
+    corpus = write_corpus(tmp_path / "corpus.jsonl", samples)
+    predictions = write_predictions(
+        tmp_path / "preds.jsonl", [echo_prediction(s) for s in samples])
+
+    def run(concurrency, index):
+        judges = [_slowed(b, 0.001) for b in make_experts(3) + make_rc_evaluators()]
+        config = fast_config(concurrency=concurrency,
+                             cache_dir=str(tmp_path / f"cache-{concurrency}-{index}"))
+        result = evaluate(config, corpus, predictions, experts=judges[:3],
+                          rc_evaluators=judges[3:])
+        calls = {name: stats["backend_calls"]
+                 for name, stats in result.manifest["judges"].items()}
+        assert sum(b.calls for b in judges) == sum(calls.values())
+        return calls, result.manifest["cache"]
+
+    once, cache = run(1, 0)
+    assert sum(once.values()) == 3 * 2 + 3 * 2
+    for index in range(20):
+        calls, shared = run(4, index)
+        assert calls == once, index
+        assert shared == cache, index
 
 
 def test_auth_failure_in_a_worker_aborts_the_run(judge_server, tmp_path):
@@ -420,8 +610,8 @@ def test_auth_failure_in_a_worker_aborts_the_run(judge_server, tmp_path):
     corpus = write_corpus(tmp_path / "corpus.jsonl", samples)
     predictions = write_predictions(
         tmp_path / "preds.jsonl", [echo_prediction(s) for s in samples])
-    # Replies other than the 401 take 50 ms, so the client has handled
-    # the 401 before the request beside it in flight returns its permit.
+    # Replies other than the 401 take 50 ms, so the driver has stopped
+    # dispatch before the request beside it in flight returns its slot.
     ok = (200, {"choices": [{"message": {"content": "{}"}}]}, 0.05)
     judge_server.script.extend([ok] * 4 + [(401, None)] + [ok] * 100)
 
@@ -439,7 +629,7 @@ def test_auth_failure_in_a_worker_aborts_the_run(judge_server, tmp_path):
     code = main(["evaluate", "--config", str(config), "--corpus", corpus,
                  "--predictions", predictions, "--out", str(tmp_path / "out")])
     assert code == 2
-    assert _pool_threads() == []  # the pool is shut down on the way out
+    assert _sender_threads() == []  # the senders are joined on the way out
     # The 401 was the fifth request; at most one other was then in flight.
     assert 5 <= len(judge_server.seen) <= 6
     time.sleep(0.05)
@@ -457,7 +647,7 @@ def test_rejected_request_costs_one_request_not_the_run(judge_server, tmp_path):
     judges = {b.name: b.handler for b in make_experts(3) + make_rc_evaluators()}
     rejected, lock = [], threading.Lock()
 
-    def answer(request, reject=False):
+    def answer_request(request, reject=False):
         model, prompt = request["model"], request["messages"][0]["content"]
         with lock:
             if (reject and not rejected and model == "critic0"
@@ -479,7 +669,7 @@ def test_rejected_request_costs_one_request_not_the_run(judge_server, tmp_path):
     }), encoding="utf-8")
 
     def run(out, reject):
-        judge_server.answer = lambda request: answer(request, reject)
+        judge_server.answer = lambda request: answer_request(request, reject)
         code = main(["evaluate", "--config", str(config), "--corpus", corpus,
                      "--predictions", predictions, "--out", str(out)])
         assert code == 0
@@ -499,12 +689,16 @@ def test_rejected_request_costs_one_request_not_the_run(judge_server, tmp_path):
     assert report == clean
 
 
+def _returns(value):
+    return value
+    yield  # a flow that asks nothing
+
+
 def test_map_keeps_no_state_per_item():
-    items, shared = list(range(20_000)), object()
-    scheduler = Scheduler(Permits(2), 2, [])
+    items, shared = range(20_000), object()
     tracemalloc.start()
     try:
-        results = scheduler.map(lambda item: shared, items)
+        results = drive((_returns(shared) for _ in items), 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -520,59 +714,80 @@ def test_map_runs_each_item_once_in_order_under_thread_stress():
     try:
         runs, lock = Counter(), threading.Lock()
 
-        def fn(item):
+        def handler(prompt, sampling):
             with lock:
-                runs[item] += 1
-            return 2 * item
+                runs[prompt] += 1
+            return str(2 * int(prompt))
 
-        # 4 permits: 8 workers on fewer cores, all taking from one counter.
-        results = Scheduler(Permits(4), 4, []).map(fn, list(range(5000)))
+        client = JudgeClient(MockBackend("j", handler=handler))
+
+        def flow(item):
+            (reply,) = yield [(client, "erc", str(item), 1)]
+            return int(reply)
+
+        # 4 slots: 4 senders on fewer cores, all answering one driver.
+        results = drive((flow(i) for i in range(2000)), 4)
     finally:
         sys.setswitchinterval(old_interval)
-    assert results == [2 * i for i in range(5000)]
-    assert set(runs.values()) == {1} and len(runs) == 5000
-    assert _pool_threads() == []
+    assert results == [2 * i for i in range(2000)]
+    assert set(runs.values()) == {1} and len(runs) == 2000
+    assert _sender_threads() == []
 
 
 def test_interrupt_in_a_sample_is_reraised_with_the_permits_closed():
-    permits = Permits(2)
+    calls = {"n": 0}
 
-    def fn(item):
+    def slow(prompt, sampling):
+        calls["n"] += 1
+        time.sleep(0.001)
+        return "ok"
+
+    client = JudgeClient(MockBackend("j", handler=slow))
+
+    def flow(item):
+        (reply,) = yield [(client, "erc", str(item), 1)]
         if item == 5:
             raise KeyboardInterrupt
-        time.sleep(0.001)
-        return item
+        return reply
 
     with pytest.raises(KeyboardInterrupt):
-        Scheduler(permits, 2, []).map(fn, list(range(200)))
-    assert permits.closed
-    assert _pool_threads() == []
+        drive((flow(i) for i in range(200)), 2)
+    assert _sender_threads() == []
+    stopped = calls["n"]
+    assert stopped < 200
+    time.sleep(0.01)
+    assert calls["n"] == stopped  # no attempt starts after the interrupt
 
 
 _INTERRUPTED_RUN = """
 import json, signal, threading, time
-from rpeval.judges import JudgeClient, MockBackend, Permits
-from rpeval.scheduler import Scheduler
+from rpeval.judges import JudgeClient, MockBackend
+from rpeval.scheduler import drive
 
 signal.signal(signal.SIGINT, signal.default_int_handler)
 started = threading.Event()
+calls = [0]
 
 def slow(prompt, sampling):
+    calls[0] += 1
     if not started.is_set():
         started.set()
         print("started", flush=True)
     time.sleep(0.02)
     return "ok"
 
-permits = Permits(2)
-client = JudgeClient(MockBackend("j", handler=slow), limiter=permits,
-                     sleep=permits.sleep)
+client = JudgeClient(MockBackend("j", handler=slow))
+
+def flow(i):
+    for k in range(3):
+        yield [(client, "erc", f"{i}-{k}", 1)]
+
 try:
-    Scheduler(permits, 2, [client]).map(
-        lambda i: [client.ask("erc", f"{i}-{k}") for k in range(3)],
-        range(100_000))
+    drive((flow(i) for i in range(100_000)), 2)
 except KeyboardInterrupt:
-    print(json.dumps({"closed": permits.closed, "threads": [
+    stopped = calls[0]
+    time.sleep(0.05)
+    print(json.dumps({"stopped": calls[0] == stopped, "threads": [
         t.name for t in threading.enumerate() if t.name.startswith("rpeval")]}))
 """
 
@@ -590,11 +805,11 @@ def test_sigint_to_the_main_thread_ends_the_run():
         child.kill()
         child.wait()
     assert child.returncode == 0
-    assert json.loads(out.splitlines()[-1]) == {"closed": True, "threads": []}
+    assert json.loads(out.splitlines()[-1]) == {"stopped": True, "threads": []}
 
 
 def test_failed_run_ends_every_retry_backoff(tmp_path, monkeypatch):
-    # Three transient failures put three workers into a 4 s backoff; the
+    # Three transient failures put three asks into a 4 s backoff; the
     # fourth request's configuration error must not wait for them.
     samples = [make_sample(f"b{i}", role_id=f"r{i % 2}") for i in range(8)]
     corpus = write_corpus(tmp_path / "corpus.jsonl", samples)
@@ -621,11 +836,31 @@ def test_failed_run_ends_every_retry_backoff(tmp_path, monkeypatch):
                  rc_evaluators=make_rc_evaluators())
     assert time.monotonic() - started < 2.0
     assert calls["n"] == 4
-    assert _pool_threads() == []
-    permits = Permits(1)
-    permits.close()
-    with pytest.raises(RunAborted):
-        permits.sleep(30.0)
+    assert _sender_threads() == []
+
+
+def test_a_paced_wait_ends_with_the_run(tmp_path):
+    # expert0 sends once per 5 s; expert1 answers its first request, 0.2 s
+    # later, with a configuration error, which must end the run then, not
+    # after every queued paced ask has waited out its turn.
+    samples = [make_sample(f"q{i:02d}", role_id=f"r{i % 2}") for i in range(16)]
+    corpus = write_corpus(tmp_path / "corpus.jsonl", samples)
+    predictions = write_predictions(
+        tmp_path / "preds.jsonl", [echo_prediction(s) for s in samples])
+    experts = make_experts()
+    experts[0].rate_limit = 0.2
+
+    def revoked(prompt, sampling):
+        time.sleep(0.2)
+        raise ConfigError("backend 'expert1': authentication rejected")
+
+    experts[1].handler = revoked
+    started = time.monotonic()
+    with pytest.raises(ConfigError, match="authentication rejected"):
+        evaluate(fast_config(concurrency=2), corpus, predictions, experts=experts,
+                 rc_evaluators=make_rc_evaluators())
+    assert time.monotonic() - started < 1.0
+    assert _sender_threads() == []
 
 
 def _generation_corpus(tmp_path, n):
@@ -643,21 +878,17 @@ def _hashing_generator(on_call=lambda: None):
 
 def test_generate_runs_under_the_permits_in_corpus_order(tmp_path):
     corpus = _generation_corpus(tmp_path, 20)
-    active, gate = {"now": 0, "peak": 0}, threading.Lock()
+    active = _Active()
 
     def counted():
-        with gate:
-            active["now"] += 1
-            active["peak"] = max(active["peak"], active["now"])
-        time.sleep(0.005)
-        with gate:
-            active["now"] -= 1
+        with active:
+            time.sleep(0.005)
 
     generate(fast_config(concurrency=1), "gen", corpus, tmp_path / "c1.jsonl",
              generator=_hashing_generator())
     records = generate(fast_config(concurrency=2), "gen", corpus,
                        tmp_path / "c2.jsonl", generator=_hashing_generator(counted))
-    assert active["peak"] == 2
+    assert active.peak == 2
     assert [r.sample_id for r in records] == [f"g{i:02d}" for i in range(20)]
     assert ((tmp_path / "c2.jsonl").read_bytes()
             == (tmp_path / "c1.jsonl").read_bytes())
@@ -682,7 +913,7 @@ def test_config_error_stops_generate(tmp_path, monkeypatch):
     with pytest.raises(ConfigError, match="authentication rejected"):
         generate(fast_config(concurrency=concurrency), "gen", corpus, out,
                  generator=MockBackend("gen"))
-    # the pool has shut down: no call can start after this
+    # dispatch has stopped: no call can start after this
     assert 3 <= calls["n"] <= 3 + concurrency - 1
     assert out.read_text(encoding="utf-8") == "earlier run\n"
     config = tmp_path / "run.json"
@@ -693,7 +924,7 @@ def test_config_error_stops_generate(tmp_path, monkeypatch):
     calls["n"] = 0
     assert main(["generate", "--config", str(config), "--corpus", corpus,
                  "--backend", "gen", "--out", str(out)]) == 2
-    assert _pool_threads() == []
+    assert _sender_threads() == []
     assert out.read_text(encoding="utf-8") == "earlier run\n"
 
 

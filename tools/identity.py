@@ -29,8 +29,10 @@ The grid is fixed here.  Cells may be added, never dropped:
 - ``gt-stats`` on each corpus (and in rows mode on the 400-sample one);
 - a run at concurrency 1 that fills a reply cache, and its warm rerun;
 - seed 1 with ``expert0`` rate-limited to 2000 requests per second, at
-  concurrency 1, 2 and 4 (a rate-limited judge puts even concurrency 1 on
-  worker threads; concurrency 4 runs 9 of them);
+  concurrency 1, 2 and 4 (its asks wait for their due time on the driver
+  while the other judges' asks go out);
+- seed 1 at concurrency 4 with a retry backoff of 5 ms, so the planted
+  transient failures are queued again behind other requests;
 - ``generate`` over seed 1 at concurrency 1 and 4, with a generator whose
   reply is built from the SHA-256 of its prompt, so the predictions file
   shows whether samples are written in corpus order.
@@ -98,6 +100,8 @@ def grid() -> list[dict]:
     evaluate("s1", concurrency=1, cache="warm-s1", tag="warm-cache")
     for concurrency in (1, 2, 4):
         evaluate("s1", concurrency=concurrency, tag="expert0-2000rps", limit=2000.0)
+    evaluate("s1", tag="backoff-5ms",
+             retry={"max_attempts": 3, "base_delay": 0.005, "max_delay": 0.01})
     for corpus in CORPORA:
         cells.append({"name": f"{corpus}/gt-stats", "command": "gt-stats",
                       "corpus": corpus, "config": {}})
