@@ -10,8 +10,10 @@ arithmetic.
 The package root is lazy: ``import rpeval`` loads no submodule, and
 each name in ``__all__`` imports its submodule on first use.  numpy and
 the pipeline load only when a name that needs them is read (the metrics,
-``evaluate`` and the other pipeline entry points); ``corpus``, ``prompts``,
-``judges``, ``formatter``, ``erc`` and ``scheduler`` do not import numpy.
+``evaluate`` and the other pipeline entry points); ``corpus``, ``config``,
+``prompts``, ``judges``, ``formatter``, ``erc`` and ``scheduler`` do not
+import numpy, and reading a ``RunConfig`` loads only ``config`` and
+``corpus``.
 """
 
 import importlib
@@ -37,17 +39,15 @@ _EXPORTS = {
         "save_jsonl",
         "segment_utterances",
     ),
+    "config": ("ConfigError", "RetryPolicy", "RunConfig", "Sampling"),
     "erc": ("aggregate", "run_panel", "select_label"),
     "formatter": ("FormatOutcome", "format_response", "validate"),
     "judges": (
-        "ConfigError",
         "HttpBackend",
         "JudgeClient",
         "JudgeRequest",
         "MockBackend",
         "ReplyCache",
-        "RetryPolicy",
-        "Sampling",
         "TransportError",
         "parse_rc_verdict",
     ),
@@ -68,7 +68,6 @@ _EXPORTS = {
     "scheduler": ("drive",),
     "pipeline": (
         "EvaluationRun",
-        "RunConfig",
         "agreement",
         "evaluate",
         "flatten_report",

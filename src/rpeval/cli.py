@@ -11,10 +11,10 @@ import json
 import logging
 import sys
 
+from .config import ConfigError, RunConfig
 from .corpus import CorpusError, parse_json, read_lines
-from .judges import ConfigError, TransportError
+from .judges import TransportError
 from .pipeline import (
-    RunConfig,
     agreement,
     evaluate,
     generate,

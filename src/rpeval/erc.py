@@ -13,6 +13,7 @@ from __future__ import annotations
 import logging
 from typing import Mapping, Optional, Sequence
 
+from .config import DEFAULT_PASSES, DEFAULT_TAU
 from .corpus import AMBIGUOUS, EmotionTaxonomy, MultimodalResponse
 from .judges import TransportError, extract_json_object
 from .prompts import build_erc_prompt
@@ -23,9 +24,6 @@ logger = logging.getLogger(__name__)
 MODALITIES = ("f", "b", "s", "fusion")
 
 _REPLY_KEYS = {m: f"emos_{m}" for m in MODALITIES}
-
-DEFAULT_TAU = 0.7
-DEFAULT_PASSES = 2
 
 # Guards the vote-share comparison against float artifacts such as
 # 7/10 < 0.7 * 10 / 10 evaluating the wrong way after division.

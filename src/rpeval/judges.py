@@ -10,27 +10,21 @@ cache (keyed by request digest), rate limit and counters that
 from __future__ import annotations
 
 import base64
-import dataclasses
-import functools
 import hashlib
 import json
 import logging
-import math
 import os
 import re
 import select
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (Callable, Literal, Mapping, Optional, Sequence, Union,
-                    get_args, get_origin, get_type_hints)
+from typing import Callable, Optional, Sequence
 from urllib.parse import unquote, urlsplit
 
+from .config import _SAMPLING_FIELDS, ConfigError, RetryPolicy, Sampling
+
 logger = logging.getLogger(__name__)
-
-
-class ConfigError(ValueError):
-    """Bad configuration (values, backend set-up, credentials, cache); never retried."""
 
 
 class TransportError(RuntimeError):
@@ -44,93 +38,6 @@ class TransportError(RuntimeError):
 class RequestRejected(TransportError):
     """The backend refused this one request (HTTP 400/413/422); never retried."""
 
-
-# Config annotations are strings until resolved; resolve each class once.
-_type_hints = functools.cache(get_type_hints)
-
-
-def _checked(tp, value, where: str):
-    """``value`` checked against annotation ``tp``; JSON objects become dataclasses."""
-    if get_origin(tp) is Union:  # Optional[X]
-        if value is None:
-            return None
-        (tp,) = [arg for arg in get_args(tp) if arg is not type(None)]
-    if dataclasses.is_dataclass(tp):
-        return value if isinstance(value, tp) else build_config(tp, value, where)
-    origin = get_origin(tp) or tp
-    if origin is Literal:  # of strings
-        if not isinstance(value, str) or value not in get_args(tp):
-            raise ConfigError(f"{where} must be one of {', '.join(get_args(tp))}, "
-                              f"got {value!r}")
-        return value
-    if origin in (list, tuple):
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{where} must be a list")
-        return origin(_checked(get_args(tp)[0], v, f"{where}[{i}]")
-                      for i, v in enumerate(value))
-    if origin is dict:
-        if not isinstance(value, Mapping):
-            raise ConfigError(f"{where} must be an object")
-        key_tp, value_tp = get_args(tp)
-        return {_checked(key_tp, k, f"{where} key"): _checked(value_tp, v, f"{where}.{k}")
-                for k, v in value.items()}
-    # JSON 1 is a valid float; bool is an int subclass but no number here.
-    allowed = (int, float) if tp is float else tp
-    if not isinstance(value, allowed) or (isinstance(value, bool) and tp is not bool):
-        raise ConfigError(f"{where} must be {tp.__name__}, got {type(value).__name__}")
-    if tp is float and not math.isfinite(value):
-        raise ConfigError(f"{where} must be a finite number, got {value}")
-    return value
-
-
-def check_fields(obj) -> None:
-    """Check (and convert) each field of config dataclass ``obj`` by its annotation."""
-    hints = _type_hints(type(obj))
-    for f in dataclasses.fields(obj):
-        value = _checked(hints[f.name], getattr(obj, f.name), f.name)
-        object.__setattr__(obj, f.name, value)  # frozen dataclasses too
-
-
-def build_config(cls, obj, where: str):
-    """Build ``cls`` from JSON object ``obj``; errors name the path from ``where``."""
-    if not isinstance(obj, Mapping):
-        raise ConfigError(f"{where} must be an object")
-    names = tuple(f.name for f in dataclasses.fields(cls))
-    unknown = set(obj) - set(names)
-    if unknown:
-        raise ConfigError(f"{where} has unknown keys: {sorted(unknown)}")
-    try:
-        return cls(**obj)
-    except (TypeError, ValueError) as exc:
-        sep = "." if str(exc).startswith(names) else ": "  # a field continues the path
-        raise ConfigError(f"{where}{sep}{exc}") from None
-
-
-@dataclass(frozen=True)
-class Sampling:
-    """Decoding parameters sent with every judge request.
-
-    Judges default to greedy decoding so runs are reproducible; the
-    higher-temperature settings used to *generate* role-play responses
-    live in the run config, not here.
-    """
-
-    temperature: float = 0.0
-    top_p: float = 1.0
-    max_tokens: int = 1024
-
-    def __post_init__(self) -> None:
-        check_fields(self)
-        if self.temperature < 0:
-            raise ConfigError("temperature must not be negative")
-        if not 0 <= self.top_p <= 1:
-            raise ConfigError("top_p must be in [0, 1]")
-        if self.max_tokens < 1:
-            raise ConfigError("max_tokens must be at least 1")
-
-
-# Sampling values go into cache keys and request bodies in field order.
-_SAMPLING_FIELDS = tuple(f.name for f in dataclasses.fields(Sampling))
 
 # Version of the reply-cache key layout; bumping it orphans old entries.
 CACHE_SCHEMA = 2
@@ -170,29 +77,6 @@ class JudgeRequest:
             ensure_ascii=False,
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    max_attempts: int = 3
-    base_delay: float = 0.5
-    max_delay: float = 30.0
-
-    def __post_init__(self) -> None:
-        check_fields(self)
-        if self.max_attempts < 1:
-            raise ConfigError("max_attempts must be at least 1")
-        for name in ("base_delay", "max_delay"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must not be negative")
-
-    def delay(self, attempt: int) -> float:
-        """Backoff before retry number ``attempt`` (attempt counts from 1):
-        ``base_delay`` doubled per retry, capped at ``max_delay``."""
-        try:
-            return min(self.max_delay, math.ldexp(self.base_delay, attempt - 1))
-        except OverflowError:  # far past the cap
-            return self.max_delay
 
 
 def prompt_digest(prompt: str) -> str:
@@ -237,6 +121,11 @@ class MockBackend:
                 return path.read_text(encoding="utf-8")
         raise TransportError(f"{self.name}: no fixture for prompt digest {key[:12]}")
 
+
+# Most bytes of a reply body read; a longer body is a ``TransportError``.
+# A 1024-token completion is tens of KB, and a reply of this size parses
+# in well under a second.
+MAX_REPLY_BYTES = 1 << 20
 
 # HTTP statuses worth retrying.
 _RETRIABLE_STATUSES = {408, 409, 425, 429, 500, 502, 503, 504}
@@ -401,7 +290,15 @@ class HttpBackend:
                 conn.request("POST", self._target, body=body, headers=headers)
                 resp = conn.getresponse()
             with resp:
-                status, data = resp.status, resp.read()
+                status = resp.status
+                # A Content-Length over the bound fails before any byte is read.
+                too_long = (resp.length or 0) > MAX_REPLY_BYTES
+                if not too_long:
+                    data = resp.read(MAX_REPLY_BYTES + 1)
+                    too_long = len(data) > MAX_REPLY_BYTES
+            if too_long:  # the connection is closed below, never pooled
+                raise TransportError(f"backend {self.name!r}: reply body is "
+                                     f"longer than {MAX_REPLY_BYTES} bytes")
         except (OSError, http.client.HTTPException) as exc:
             conn.close()
             raise TransportError(f"backend {self.name!r}: {exc}") from exc
@@ -548,9 +445,6 @@ class JudgeClient:
     @property
     def name(self) -> str:
         return self.backend.name
-
-    def stats(self) -> dict:
-        return dict(self.counts)
 
     def request(self, kind: str, prompt: str, pass_index: int = 1) -> JudgeRequest:
         return JudgeRequest(kind=kind, prompt=prompt, sampling=self.sampling,

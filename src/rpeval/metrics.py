@@ -16,16 +16,12 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
+from .config import DEFAULT_SMOOTHING
 from .corpus import AMBIGUOUS, CorpusError, EmotionTaxonomy
 
 logger = logging.getLogger(__name__)
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
-# Smoothing added per cell before comparing flattened transition
-# distributions, so a category unseen on one side cannot zero out the
-# Bhattacharyya overlap entirely.
-DEFAULT_SMOOTHING = 1e-9
 
 
 def hellinger(p: Sequence[float], q: Sequence[float]) -> float:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -23,16 +22,22 @@ from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Literal, Mapping, Optional, Sequence, TypedDict, get_args
+from typing import Mapping, Optional, Sequence, TypedDict
 
 import numpy as np
 
 from . import __version__
+from .config import (
+    DEFAULT_RC_ROUTING,
+    RC_METRICS,
+    BackendSpec,
+    ConfigError,
+    RunConfig,
+    Sampling,
+    _require_unique_names,
+)
 from .corpus import (
     AMBIGUOUS,
-    DEFAULT_DELIMITERS,
-    DEFAULT_EMOTION_LABELS,
-    DEFAULT_TENDENCY_MAP,
     CorpusError,
     DialogueSample,
     EmotionTaxonomy,
@@ -45,23 +50,17 @@ from .corpus import (
     save_jsonl,
     segment_utterances,
 )
-from .erc import DEFAULT_PASSES, DEFAULT_TAU, MODALITIES, aggregate, run_panel
+from .erc import MODALITIES, aggregate, run_panel
 from .formatter import REPAIRED, UNREPAIRABLE, VALID_DIRECT, format_response
 from .judges import (
-    ConfigError,
     HttpBackend,
     JudgeClient,
     MockBackend,
     ReplyCache,
-    RetryPolicy,
-    Sampling,
     TransportError,
-    build_config,
-    check_fields,
     parse_rc_verdict,
 )
 from .metrics import (
-    DEFAULT_SMOOTHING,
     build_transition_matrices,
     cec,
     character_distinctiveness,
@@ -83,17 +82,6 @@ from .scheduler import ask_once, drive
 
 logger = logging.getLogger(__name__)
 
-RcMetric = Literal["exp", "cha", "rel"]
-RC_METRICS = get_args(RcMetric)
-
-# Role material fields each role-consistency question is grounded in.
-RcField = Literal["profile", "previous_info"]
-DEFAULT_RC_ROUTING = {
-    "exp": ["previous_info"],
-    "cha": ["profile"],
-    "rel": ["profile", "previous_info"],
-}
-
 # Report column -> panel modality, for the indecision metric.
 _ED_COLUMNS = {"all": "fusion", "spe": "s", "fac": "f", "bod": "b"}
 
@@ -108,118 +96,6 @@ SUMMARY_KEYS = (
     "ed.all", "ed.spe", "ed.fac", "ed.bod",
     "rc.exp", "rc.cha", "rc.rel",
 )
-
-
-def _require_unique_names(names: Sequence[str]) -> None:
-    """Refuse judges that share a name: the manifest keys their counters by it."""
-    dupes = sorted({name for name in names if names.count(name) > 1})
-    if dupes:
-        raise ConfigError(f"judge names must be unique within a run: {dupes}")
-
-
-@dataclass
-class BackendSpec:
-    """Declarative judge backend description from the run config."""
-
-    name: str
-    kind: Literal["http", "mock"]
-    endpoint: str = ""
-    model: str = ""
-    credential_env: str = ""
-    rate_limit: float = 0.0
-    timeout: float = 60.0
-    fixture_dir: str = ""
-
-    def __post_init__(self) -> None:
-        check_fields(self)
-        if not self.name:
-            raise ConfigError("name must not be empty")
-        if self.timeout <= 0:
-            raise ConfigError("timeout must be positive")
-        if self.rate_limit < 0:  # a negative rate limit would mean no limit
-            raise ConfigError("rate_limit must not be negative")
-
-    def build_backend(self):
-        if self.kind == "mock":
-            return MockBackend(self.name, fixture_dir=self.fixture_dir or None,
-                               rate_limit=self.rate_limit)
-        return HttpBackend(
-            name=self.name,
-            endpoint=self.endpoint,
-            model=self.model,
-            credential_env=self.credential_env,
-            rate_limit=self.rate_limit,
-            timeout=self.timeout,
-        )
-
-
-@dataclass
-class RunConfig:
-    """Everything a run needs besides the corpus and predictions paths."""
-
-    labels: tuple[str, ...] = DEFAULT_EMOTION_LABELS
-    tendency_map: dict[str, str] = field(
-        default_factory=lambda: dict(DEFAULT_TENDENCY_MAP))
-    delimiters: str = DEFAULT_DELIMITERS
-    tau: float = DEFAULT_TAU
-    passes: int = DEFAULT_PASSES
-    max_repair_attempts: int = 2
-    concurrency: int = 4
-    seed: int = 0
-    sample_limit: Optional[int] = None
-    cache_dir: str = ""
-    smoothing: float = DEFAULT_SMOOTHING
-    divergence_mode: Literal["flatten", "rows"] = "flatten"
-    rc_floor_unrepairable: bool = False
-    rc_routing: dict[RcMetric, list[RcField]] = field(default_factory=lambda: {
-        k: list(v) for k, v in DEFAULT_RC_ROUTING.items()
-    })
-    judge_sampling: Sampling = Sampling()
-    generation_sampling: Sampling = Sampling(temperature=0.7, top_p=0.95)
-    retry: RetryPolicy = RetryPolicy()
-    experts: list[BackendSpec] = field(default_factory=list)
-    rc_evaluators: list[BackendSpec] = field(default_factory=list)
-    repair: Optional[BackendSpec] = None
-    generators: list[BackendSpec] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        check_fields(self)
-        if not 0.0 < self.tau <= 1.0:
-            raise ConfigError("tau must be in (0, 1]")
-        for name in ("passes", "max_repair_attempts", "concurrency", "sample_limit"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ConfigError(f"{name} must be at least 1")
-        if self.smoothing < 0:
-            raise ConfigError("smoothing must be non-negative")
-        _require_unique_names([s.name for s in self.experts + self.rc_evaluators
-                               + [self.repair] if s is not None])
-        _require_unique_names([s.name for s in self.generators])  # never beside judges
-        self.taxonomy()  # fail fast on a bad label scheme
-
-    def taxonomy(self) -> EmotionTaxonomy:
-        try:
-            return EmotionTaxonomy(labels=self.labels,
-                                   tendency_map=dict(self.tendency_map))
-        except CorpusError as exc:
-            raise ConfigError(f"bad taxonomy: {exc}") from None
-
-    @classmethod
-    def from_dict(cls, obj: Mapping) -> "RunConfig":
-        return build_config(cls, obj, "config")
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "RunConfig":
-        text = "".join(read_lines(path, ConfigError))
-        return cls.from_dict(parse_json(text, f"config {path}", ConfigError))
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @property
-    def digest(self) -> str:
-        payload = json.dumps(self.to_dict(), sort_keys=True, ensure_ascii=False)
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def group_role_dialogues(
@@ -300,7 +176,12 @@ def write_out_file(out_dir: str | Path, name: str, text: str) -> Path:
 def _backend(obj):
     """The backend of a backend spec, or a backend object itself."""
     if isinstance(obj, BackendSpec):
-        return obj.build_backend()
+        if obj.kind == "mock":
+            return MockBackend(obj.name, fixture_dir=obj.fixture_dir or None,
+                               rate_limit=obj.rate_limit)
+        return HttpBackend(name=obj.name, endpoint=obj.endpoint, model=obj.model,
+                           credential_env=obj.credential_env,
+                           rate_limit=obj.rate_limit, timeout=obj.timeout)
     if not hasattr(obj, "complete"):
         raise ConfigError(f"cannot build a judge from {type(obj).__name__}: "
                           "pass a BackendSpec or a backend")
@@ -346,6 +227,14 @@ def _role_matrices(
     return intra, inter
 
 
+def _ground_truth(samples: Sequence[DialogueSample], taxonomy: EmotionTaxonomy):
+    """``(threads, intra, inter)``: the samples' role threads and the ground
+    truth's per-role transition counts over them."""
+    threads = group_role_dialogues(samples)
+    intra, inter = _role_matrices(threads, lambda s: s.gt_emotions, taxonomy)
+    return threads, intra, inter
+
+
 def gt_statistics(config: RunConfig, corpus_path: str | Path) -> dict:
     """Ground-truth-side statistics: per-role transitions, distinctiveness.
 
@@ -354,8 +243,7 @@ def gt_statistics(config: RunConfig, corpus_path: str | Path) -> dict:
     """
     taxonomy = config.taxonomy()
     samples = load_corpus(corpus_path, taxonomy, config.delimiters)
-    intra, inter = _role_matrices(group_role_dialogues(samples),
-                                  lambda s: s.gt_emotions, taxonomy)
+    _, intra, inter = _ground_truth(samples, taxonomy)
     roles = sorted(intra)
     cd_intra = cd_inter = None
     if len(roles) >= 2:
@@ -547,7 +435,7 @@ def evaluate(
                         for pred in predictions), config.concurrency)
     judges = experts + rc_evaluators + repairs
 
-    judge_stats = {c.name: c.stats() for c in judges}
+    judge_stats = {c.name: dict(c.counts) for c in judges}
     if (sum(s["replies"] for s in judge_stats.values()) == 0
             and sum(s["transport_failures"] + s["rejected"]
                     for s in judge_stats.values()) > 0):
@@ -680,9 +568,7 @@ def _assemble_ec(config, samples, voted) -> tuple[dict, dict]:
         cells = [e for record in voted.values() for e in record["entropy"][modality]]
         ed_values[column] = ed(cells) if cells else None
 
-    threads = group_role_dialogues(samples)
-    gt_intra, gt_inter = _role_matrices(threads, lambda s: s.gt_emotions,
-                                        taxonomy)
+    threads, gt_intra, gt_inter = _ground_truth(samples, taxonomy)
     # An absent or dropped prediction breaks the transition chains.
     rpa_intra, rpa_inter = _role_matrices(
         threads,

@@ -14,6 +14,7 @@ import pytest
 import rpeval.scheduler
 from rpeval.judges import (
     _FENCE_RE,
+    MAX_REPLY_BYTES,
     ConfigError,
     HttpBackend,
     JudgeClient,
@@ -88,7 +89,7 @@ def test_same_prompt_different_judges_do_not_share_cache(tmp_path):
     replies = [j.ask("erc", "same prompt") for j in judges]
     cache.close()
     assert replies == ["expert0", "expert1"]
-    assert all(j.stats()["cache_hits"] == 0 for j in judges)
+    assert all(j.counts["cache_hits"] == 0 for j in judges)
 
 
 def test_retry_policy_backoff_doubles_and_caps():
@@ -130,8 +131,8 @@ def test_client_retries_then_succeeds_with_attempt_count(monkeypatch):
         policy=RetryPolicy(max_attempts=3, base_delay=0.5),
     )
     assert client.call(JudgeRequest(kind="erc", prompt="p")) == "finally"
-    assert client.stats()["backend_calls"] == 3
-    assert client.stats()["replies"] == 1
+    assert client.counts["backend_calls"] == 3
+    assert client.counts["replies"] == 1
     assert clock.slept == [0.5, 1.0]
 
 
@@ -148,7 +149,7 @@ def test_client_exhaustion_raises_with_attempts():
         with pytest.raises(TransportError) as err:
             client.call(JudgeRequest(kind="erc", prompt="p"))
         assert err.value.attempts == attempts
-        assert client.stats()["backend_calls"] == attempts
+        assert client.counts["backend_calls"] == attempts
 
 
 def test_config_errors_are_not_retried():
@@ -174,7 +175,7 @@ def test_cache_second_call_is_served_locally(tmp_path):
     assert client.call(request) == "reply!"
     cache.close()
     assert backend.calls == 1
-    assert client.stats() == {
+    assert client.counts == {
         "cache_hits": 1, "cache_misses": 1, "backend_calls": 1,
         "replies": 2, "transport_failures": 0, "rejected": 0}
 
@@ -376,6 +377,40 @@ def test_http_backend_statuses(judge_server):
     backend.close()
 
 
+def test_http_reply_body_is_bounded(judge_server, monkeypatch):
+    # The client hangs up on a body it refuses; the server may not finish writing.
+    monkeypatch.setattr(judge_server, "handle_error", lambda request, address: None)
+    head, tail = b'{"choices": [{"message": {"content": "', b'"}}]}'
+
+    def body(size):
+        return head + b"x" * (size - len(head) - len(tail)) + tail
+
+    content = "x" * (MAX_REPLY_BYTES - len(head) - len(tail))
+    client = JudgeClient(HttpBackend("j", endpoint=judge_server.url, model="m"),
+                         RetryPolicy(max_attempts=2, base_delay=0.0))
+    for declared in (True, False):
+        if not declared:  # the body ends where the connection does
+            send_header = judge_server.RequestHandlerClass.send_header
+
+            def no_length(handler, key, value):
+                if key == "Content-Length":
+                    handler.close_connection = True
+                else:
+                    send_header(handler, key, value)
+            monkeypatch.setattr(judge_server.RequestHandlerClass, "send_header",
+                                no_length)
+        judge_server.answer = lambda request: (200, body(MAX_REPLY_BYTES))
+        assert client.ask("erc", f"at the bound {declared}") == content
+        judge_server.answer = lambda request: (200, body(MAX_REPLY_BYTES + 1))
+        with pytest.raises(TransportError,
+                           match="'j': reply body is longer than 1048576 bytes"):
+            client.ask("erc", f"one byte more {declared}")
+        assert client.backend._idle == []  # that connection was closed
+    assert client.counts == {"cache_hits": 0, "cache_misses": 0, "backend_calls": 6,
+                             "replies": 2, "transport_failures": 2, "rejected": 0}
+    client.close()
+
+
 def test_http_backend_sends_sampling(judge_server):
     backend = HttpBackend("j", endpoint=judge_server.url, model="judge-1")
     backend.complete("the prompt", Sampling(temperature=0.7, top_p=0.95,
@@ -436,7 +471,7 @@ def test_http_backend_resends_once_when_a_reused_connection_drops(judge_server):
             for seen in judge_server.seen[1:]] == ["p1", "p2", "p2"]
     assert judge_server.seen[2]["peer"] == judge_server.seen[1]["peer"]
     assert judge_server.seen[3]["peer"] != judge_server.seen[2]["peer"]
-    assert client.stats()["transport_failures"] == 0
+    assert client.counts["transport_failures"] == 0
 
 
 def test_http_backend_honours_proxy_variables(judge_server, monkeypatch):

@@ -506,7 +506,7 @@ def test_rc_verdict_mapping_table():
 
 # ---------------------------------------------------------------- layering
 
-def test_metrics_depend_on_corpus_only():
+def test_metrics_depend_on_corpus_and_config_only():
     source = Path(rpeval.metrics.__file__).read_text(encoding="utf-8")
     imported = set()
     for node in ast.walk(ast.parse(source)):
@@ -515,4 +515,6 @@ def test_metrics_depend_on_corpus_only():
             imported.add(module.rstrip("."))
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
-    assert {m for m in imported if m.split(".")[0] == "rpeval"} == {"rpeval.corpus"}
+    # ``config`` imports only ``corpus`` in turn (tests/test_package.py).
+    assert {m for m in imported if m.split(".")[0] == "rpeval"} == {
+        "rpeval.config", "rpeval.corpus"}

@@ -69,3 +69,40 @@ def test_every_export_is_the_object_its_submodule_defines():
     namespace = {}
     exec("from rpeval import *", namespace)
     assert all(namespace[name] is getattr(rpeval, name) for name in rpeval.__all__)
+
+
+def test_reading_a_config_loads_no_judges_pipeline_or_numpy(tmp_path):
+    def spec(name, kind="http"):
+        return {"name": name, "kind": kind, "endpoint": "https://judge.test/v1",
+                "model": "m", "credential_env": "KEY", "rate_limit": 2.0,
+                "timeout": 5.0, "fixture_dir": ""}
+
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({
+        "labels": ["happy", "sadness", "neutral"],
+        "tendency_map": {"happy": "positive", "sadness": "negative",
+                         "neutral": "neutral"},
+        "delimiters": "。.", "tau": 0.6, "passes": 3, "max_repair_attempts": 1,
+        "concurrency": 2, "seed": 7, "sample_limit": 10, "cache_dir": "cache",
+        "smoothing": 1e-6, "divergence_mode": "rows", "rc_floor_unrepairable": True,
+        "rc_routing": {"exp": ["profile"], "cha": ["profile", "previous_info"],
+                       "rel": ["previous_info"]},
+        "judge_sampling": {"temperature": 0.0, "top_p": 1.0, "max_tokens": 256},
+        "generation_sampling": {"temperature": 0.9, "top_p": 0.9, "max_tokens": 512},
+        "retry": {"max_attempts": 2, "base_delay": 0.1, "max_delay": 1.0},
+        "experts": [spec("e0"), spec("e1", "mock")],
+        "rc_evaluators": [spec("c0")],
+        "repair": spec("fixer", "mock"),
+        "generators": [spec("g0")],
+    }), encoding="utf-8")
+    heavy = ("numpy", "sqlite3", "http.client", "rpeval.judges", "rpeval.pipeline",
+             "rpeval.metrics", "rpeval.erc", "rpeval.scheduler")
+    result = _child(f"""
+import json, sys
+import rpeval
+config = rpeval.RunConfig.from_file({str(path)!r})
+print(json.dumps({{"loaded": [m for m in {heavy!r} if m in sys.modules],
+                  "passes": config.passes, "repair": config.repair.kind,
+                  "experts": len(config.experts)}}))
+""")
+    assert result == {"loaded": [], "passes": 3, "repair": "mock", "experts": 2}

@@ -198,6 +198,9 @@ _BAD_CONFIG_VALUES = [
     (RunConfig, "rc_routing", {"exp": "profile"}),
     (RunConfig, "rc_routing", {"bogus": ["profile"]}),
     (RunConfig, "rc_routing", {"exp": ["x"]}),
+    # half a surrogate pair: such text has no UTF-8 form, so no digest
+    (RunConfig, "cache_dir", "cache\ud800"),
+    (BackendSpec, "model", "\udc80"),
 ]
 
 # Config class -> (the path of its values in a run config, the fields it

@@ -98,7 +98,7 @@ def test_rate_limited_judge_does_not_starve_the_others():
     assert replies == ["a"] * 10 + ["b"] * 10
     assert max(b_done) - started < 0.15  # about 0.05 s: ten 10 ms calls on two slots
     assert time.monotonic() - started >= 9 / 40.0
-    assert limited.stats()["replies"] == free.stats()["replies"] == 10
+    assert limited.counts["replies"] == free.counts["replies"] == 10
 
 
 class _Stamped(JudgeClient):
@@ -164,8 +164,8 @@ def test_permits_and_counters_hold_under_thread_stress():
     assert results == [["ok"] * 30] * 8
     assert active.peak <= 3
     assert sum(b.calls for b in backends) == 240
-    assert sum(c.stats()["replies"] for c in clients) == 240
-    assert sum(c.stats()["backend_calls"] for c in clients) == 240
+    assert sum(c.counts["replies"] for c in clients) == 240
+    assert sum(c.counts["backend_calls"] for c in clients) == 240
 
 
 class _Clock:
@@ -500,7 +500,7 @@ def test_a_transient_failure_does_not_delay_other_judges(tmp_path):
     (retried,) = [t for who, t in sends if who == "F"]
     assert steady_done - started < 0.3
     assert retried - failed[0] >= 0.5
-    assert f.stats() == {"cache_hits": 0, "cache_misses": 0, "backend_calls": 2,
+    assert f.counts == {"cache_hits": 0, "cache_misses": 0, "backend_calls": 2,
                          "replies": 1, "transport_failures": 0, "rejected": 0}
 
 
