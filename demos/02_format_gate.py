@@ -61,9 +61,10 @@ def rewrite(prompt, sampling):
         return clean
     return "cannot help"
 
-judge = JudgeClient(backend=MockBackend("fixer", handler=rewrite),
-                    policy=RetryPolicy(max_attempts=2, base_delay=0.0))
-(repaired,) = drive([format_response(broken, judge)])
+# The run's retry policy for failed deliveries goes to drive().
+judge = JudgeClient(backend=MockBackend("fixer", handler=rewrite))
+retry = RetryPolicy(max_attempts=2, base_delay=0.0)
+(repaired,) = drive([format_response(broken, judge)], retry=retry)
 print("broken output, judge present:", repaired.status,
       "after", repaired.repair_attempts, "attempt(s)")
 print("repaired content:", repaired.response.content)
@@ -71,5 +72,5 @@ print("repaired content:", repaired.response.content)
 # A judge that never produces valid JSON exhausts its attempts and the
 # sample stays excluded; scoring later counts it under dropped_format.
 
-(hopeless,) = drive([format_response("%%%% static noise %%%%", judge)])
+(hopeless,) = drive([format_response("%%%% static noise %%%%", judge)], retry=retry)
 print("\nunfixable output:", hopeless.status, "-", hopeless.diagnostic)

@@ -52,8 +52,7 @@ minority_view = {f"emos_{m}": ["anger", "worried"]
 
 def expert(name, view):
     backend = MockBackend(name, handler=lambda p, s: json.dumps(view))
-    return JudgeClient(backend=backend,
-                       policy=RetryPolicy(max_attempts=1, base_delay=0.0))
+    return JudgeClient(backend=backend)
 
 experts = [expert(f"expert{i}", majority_view) for i in range(4)]
 experts.append(expert("expert4", minority_view))
@@ -61,8 +60,9 @@ experts.append(expert("expert4", minority_view))
 # One plain dict per (expert, pass), in (expert, pass) order: each
 # channel's labels, or None where the expert's reply was unusable.
 # run_panel asks all ten (expert, pass) questions in one batch; drive()
-# sends them and hands the replies back.
-(results,) = drive([run_panel(response, utterances, experts, taxonomy, passes=2)])
+# sends them, each tried once, and hands the replies back.
+(results,) = drive([run_panel(response, utterances, experts, taxonomy, passes=2)],
+                   retry=RetryPolicy(max_attempts=1, base_delay=0.0))
 print("panel returned", len(results), "expert-pass vote dicts")
 print("expert4, pass 1:", results[8])
 

@@ -7,7 +7,6 @@ backend exhaustion.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 
@@ -15,6 +14,7 @@ from .config import ConfigError, RunConfig
 from .corpus import CorpusError, parse_json, read_lines
 from .judges import TransportError
 from .pipeline import (
+    _dump_json,
     agreement,
     evaluate,
     generate,
@@ -103,11 +103,11 @@ def _cmd_evaluate(args) -> int:
 def _cmd_gt_stats(args) -> int:
     config = RunConfig.from_file(args.config)
     stats = gt_statistics(config, args.corpus)
-    text = json.dumps(stats, ensure_ascii=False, sort_keys=True, indent=2)
+    text = _dump_json(stats)
     if args.out:
-        print(write_out_file(args.out, "gt_stats.json", text + "\n"))
+        print(write_out_file(args.out, "gt_stats.json", text))
     else:
-        print(text)
+        print(text, end="")
     return EXIT_OK
 
 

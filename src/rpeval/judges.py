@@ -2,9 +2,10 @@
 
 A judge is anything that turns a prompt into text: a remote
 OpenAI-compatible endpoint in production, a fixture-backed mock in
-tests.  ``JudgeClient`` gives a backend the retry policy, on-disk reply
-cache (keyed by request digest), rate limit and counters that
-``scheduler.drive`` applies when it sends the client's requests.
+tests.  ``JudgeClient`` gives a backend the identity, pacing and counters
+that ``scheduler.drive`` keeps when it sends the client's requests with
+the run's retry policy, reply cache (keyed by request digest) and
+sampling.
 """
 
 from __future__ import annotations
@@ -410,12 +411,11 @@ class ReplyCache:
 
 
 _COUNTERS = ("cache_hits", "cache_misses", "backend_calls", "replies",
-             "transport_failures", "rejected")
+             "retries", "transport_failures", "rejected")
 
 
 class JudgeClient:
-    """A judge of a run: a backend with its retry policy, reply cache,
-    sampling, pacing and counters.
+    """A judge of a run: a backend with its identity, pacing and counters.
 
     ``backend`` is anything with a ``name`` and ``complete(prompt,
     sampling)``.  ``scheduler.drive`` sends the client's requests and
@@ -423,17 +423,8 @@ class JudgeClient:
     sender thread.
     """
 
-    def __init__(
-        self,
-        backend,
-        policy: RetryPolicy = RetryPolicy(),
-        cache: Optional[ReplyCache] = None,
-        sampling: Sampling = Sampling(),
-    ):
+    def __init__(self, backend):
         self.backend = backend
-        self.policy = policy
-        self.cache = cache
-        self.sampling = sampling
         self.identity = tuple(getattr(backend, "identity", None)
                               or (type(backend).__name__, backend.name))
         rate = getattr(backend, "rate_limit", 0.0) or 0.0
@@ -445,11 +436,6 @@ class JudgeClient:
     @property
     def name(self) -> str:
         return self.backend.name
-
-    def request(self, kind: str, prompt: str, pass_index: int = 1) -> JudgeRequest:
-        return JudgeRequest(kind=kind, prompt=prompt, sampling=self.sampling,
-                            pass_index=pass_index, judge=self.name,
-                            backend=self.identity)
 
     def attempt(self, request: JudgeRequest) -> str:
         """One backend attempt.
@@ -471,15 +457,14 @@ class JudgeClient:
         if hasattr(self.backend, "close"):
             self.backend.close()
 
-    def call(self, request: JudgeRequest) -> str:
-        """The reply to ``request``'s kind, prompt and pass, asked with this
-        client's sampling and identity through ``scheduler.drive``."""
-        return self.ask(request.kind, request.prompt, request.pass_index)
-
-    def ask(self, kind: str, prompt: str, pass_index: int = 1) -> str:
+    def call(self, request: JudgeRequest, *, cache: Optional[ReplyCache] = None,
+             retry: RetryPolicy = RetryPolicy()) -> str:
+        """The reply to ``request``'s kind, prompt, pass and sampling, asked
+        under this client's name and identity through ``scheduler.drive``."""
         from .scheduler import ask_once, drive
 
-        return drive([ask_once(self, kind, prompt, pass_index)])[0]
+        return drive([ask_once(self, request.kind, request.prompt, request.pass_index)],
+                     cache=cache, retry=retry, sampling=request.sampling)[0]
 
 
 _FENCE_RE = re.compile(r"```(?:json)?\s*(.*?)```", re.DOTALL)

@@ -33,7 +33,6 @@ from .config import (
     BackendSpec,
     ConfigError,
     RunConfig,
-    Sampling,
     _require_unique_names,
 )
 from .corpus import (
@@ -189,20 +188,19 @@ def _backend(obj):
 
 
 @contextlib.contextmanager
-def _judging(config: RunConfig, sampling: Sampling, *groups: Sequence):
-    """The judges of a run: one client list per group of backend specs or
-    objects, all sharing the run's retry policy and reply cache.  On exit
-    every client and the cache are closed."""
+def _judging(config: RunConfig, *groups: Sequence):
+    """The run's reply cache (``None`` without a ``cache_dir``), then one
+    client list per group of backend specs or objects.  On exit every
+    client and the cache are closed."""
     cache = ReplyCache(config.cache_dir) if config.cache_dir else None
     judges: list[JudgeClient] = []
     try:
         built = []
         for group in groups:
-            built.append([JudgeClient(_backend(obj), config.retry, cache, sampling)
-                          for obj in group])
+            built.append([JudgeClient(_backend(obj)) for obj in group])
             judges += built[-1]
         _require_unique_names([c.name for c in judges])
-        yield built
+        yield cache, *built
     finally:
         for client in judges:
             client.close()
@@ -397,8 +395,8 @@ def evaluate(
     objects (anything with ``name`` and ``complete``) or ``BackendSpec``s
     and override the config-declared backends, which keeps the whole
     pipeline drivable from tests without HTTP.  Each gets a client of
-    this run, with its retry policy and reply cache; ``scheduler.drive``
-    sends every request.
+    this run; ``scheduler.drive`` sends every request with the run's
+    retry policy, reply cache and judge sampling.
     """
     t0 = time.monotonic()
     taxonomy = config.taxonomy()
@@ -426,13 +424,14 @@ def evaluate(
         if not group:
             raise ConfigError(f"run config declares no {what}")
     repair = repair_judge if repair_judge is not None else config.repair
-    with _judging(config, config.judge_sampling, experts, rc_evaluators,
+    with _judging(config, experts, rc_evaluators,
                   [] if repair is None else [repair]) as (
-                      experts, rc_evaluators, repairs):
+                      cache, experts, rc_evaluators, repairs):
         repair = repairs[0] if repairs else None
         judged = drive((judge_sample(pred, by_id[pred.sample_id], config, taxonomy,
                                      experts, rc_evaluators, repair)
-                        for pred in predictions), config.concurrency)
+                        for pred in predictions), config.concurrency,
+                       cache=cache, retry=config.retry, sampling=config.judge_sampling)
     judges = experts + rc_evaluators + repairs
 
     judge_stats = {c.name: dict(c.counts) for c in judges}
@@ -628,9 +627,10 @@ def generate(
             (s for s in config.generators if s.name == backend_name), None)
         if generator is None:
             raise ConfigError(f"no generator backend named {backend_name!r}")
-    with _judging(config, config.generation_sampling, [generator]) as ((client,),):
+    with _judging(config, [generator]) as (cache, (client,)):
         replies = drive((ask_once(client, "generate", _generate_prompt(sample))
-                         for sample in samples), config.concurrency)
+                         for sample in samples), config.concurrency, cache=cache,
+                        retry=config.retry, sampling=config.generation_sampling)
     records = [PredictionRecord(sample_id=sample.sample_id, raw_output=reply)
                for sample, reply in zip(samples, replies)]
     try:

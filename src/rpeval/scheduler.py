@@ -4,14 +4,15 @@ A sample is a flow: a generator that yields batches of independent asks,
 each ``(judge, kind, prompt, pass_index)``, is sent each batch's replies
 in order (the text, or the ``TransportError`` that ended the ask) and
 returns its result.  ``drive`` runs a run's flows on the calling thread,
-which owns the reply cache, pacing, retries, counters and the bound on
-requests in flight; up to ``concurrency`` sender threads (none at 1)
-only make backend attempts.  At most ``2 * concurrency`` flows are open.
+which alone reads the run's reply cache, retry policy and sampling, and
+keeps the pacing, counters and the bound on requests in flight; up to
+``concurrency`` sender threads (none at 1) only make backend attempts.
+At most ``2 * concurrency`` flows are open.
 An ask whose request is already on its way waits for its reply and
 counts as a cache hit.  A rate-limited judge's ask goes out ``interval``
 after that judge's last send at the earliest and, once due, takes the
 next free slot first; a transient failure is queued again
-``policy.delay(attempt)`` later; neither holds a slot while it waits.
+``retry.delay(attempt)`` later; neither holds a slot while it waits.
 The first exception that is not a ``TransportError``, Ctrl-C included,
 stops dispatch and is re-raised once the senders have stopped.
 """
@@ -26,19 +27,24 @@ import queue
 import threading
 import time
 from collections import deque
-from typing import Generator, Iterable
+from typing import Generator, Iterable, Optional
 
-from .judges import RequestRejected, TransportError
+from .config import RetryPolicy, Sampling
+from .judges import JudgeRequest, ReplyCache, RequestRejected, TransportError
 
 logger = logging.getLogger(__name__)
 
 Flow = Generator[list, list, object]  # yields asks, is sent replies
 
 
-def drive(flows: Iterable[Flow], concurrency: int = 1) -> list:
+def drive(flows: Iterable[Flow], concurrency: int = 1, *,
+          cache: Optional[ReplyCache] = None, retry: RetryPolicy = RetryPolicy(),
+          sampling: Sampling = Sampling()) -> list:
     """The result of each flow, in order, with at most ``concurrency``
-    backend attempts in flight; ``flows`` is read lazily."""
-    return _Driver(concurrency).run(flows)
+    backend attempts in flight; ``flows`` is read lazily.  Every ask is
+    sent with ``sampling``, looked up in and stored to ``cache`` when
+    there is one, and tried up to ``retry.max_attempts`` times."""
+    return _Driver(concurrency, cache, retry, sampling).run(flows)
 
 
 def ask_once(judge, kind: str, prompt: str, pass_index: int = 1):
@@ -80,13 +86,15 @@ def _attempt(job: _Job):
 class _Driver:
     """The state of one ``drive`` call."""
 
-    def __init__(self, concurrency: int):
+    def __init__(self, concurrency: int, cache: Optional[ReplyCache],
+                 retry: RetryPolicy, sampling: Sampling):
         # A fractional bound would never be reached, so it would bound nothing.
         if (isinstance(concurrency, bool) or not isinstance(concurrency, int)
                 or concurrency < 1):
             raise ValueError(
                 f"concurrency must be a positive integer, got {concurrency!r}")
         self.concurrency, self.results, self.open = concurrency, [], 0
+        self.cache, self.retry, self.sampling = cache, retry, sampling
         self.resumable: deque[_Sample] = deque()  # their batch is answered
         self.ready: deque[_Job] = deque()  # unpaced, in turn
         self.paced: dict = {}  # judge -> deque of its jobs
@@ -137,16 +145,19 @@ class _Driver:
             replies = []
         sample.replies, sample.missing = [None] * len(batch), len(batch)
         for index, (judge, kind, prompt, pass_index) in enumerate(batch):
-            self._submit(judge.request(kind, prompt, pass_index), (judge, sample, index))
+            request = JudgeRequest(kind=kind, prompt=prompt, sampling=self.sampling,
+                                   pass_index=pass_index, judge=judge.name,
+                                   backend=judge.identity)
+            self._submit(request, (judge, sample, index))
 
     def _submit(self, request, asker) -> None:
         judge, key = asker[0], None
-        if judge.cache is not None:
+        if self.cache is not None:
             key = request.idempotency_key
             if key in self.flying:
                 self.flying[key].askers.append(asker)
                 return
-            cached = judge.cache.get(key)
+            cached = self.cache.get(key)
             judge.counts["cache_misses" if cached is None else "cache_hits"] += 1
             if cached is not None:
                 judge.counts["replies"] += 1
@@ -232,25 +243,28 @@ class _Driver:
         return bool(self.open)
 
     def _finish(self, job: _Job, outcome) -> None:
-        judge, policy = job.judge, job.judge.policy
+        judge, retry = job.judge, self.retry
         judge.counts["backend_calls"] += 1
         if isinstance(outcome, RequestRejected):
             judge.counts["rejected"] += 1
         elif isinstance(outcome, TransportError):
-            logger.warning("judge %s attempt %d/%d failed: %s", judge.name,
-                           job.attempt, policy.max_attempts, outcome)
-            if job.attempt < policy.max_attempts:
-                due = time.monotonic() + policy.delay(job.attempt)
+            again = job.attempt < retry.max_attempts
+            logger.log(logging.INFO if again else logging.WARNING,
+                       "judge %s attempt %d/%d failed: %s", judge.name,
+                       job.attempt, retry.max_attempts, outcome)
+            if again:
+                judge.counts["retries"] += 1
+                due = time.monotonic() + retry.delay(job.attempt)
                 heapq.heappush(self.timers, (due, next(self.seq), job))
                 return
             judge.counts["transport_failures"] += 1
             outcome = TransportError(
-                f"judge {judge.name!r} exhausted {policy.max_attempts} attempts: "
-                f"{outcome}", attempts=policy.max_attempts)
+                f"judge {judge.name!r} exhausted {retry.max_attempts} attempts: "
+                f"{outcome}", attempts=retry.max_attempts)
         elif not isinstance(outcome, str):
             raise outcome
         elif job.key is not None:
-            judge.cache.put(job.key, job.request.kind, outcome)
+            self.cache.put(job.key, job.request.kind, outcome)
         if job.key is not None:
             del self.flying[job.key]
         if isinstance(outcome, str):

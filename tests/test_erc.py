@@ -25,12 +25,13 @@ def _reply(labels):
 
 
 def _client(backend):
-    return JudgeClient(backend, policy=RetryPolicy(max_attempts=1, base_delay=0.0))
+    return JudgeClient(backend)
 
 
 def _panel(*args, **kwargs):
     """``run_panel``'s result, its requests sent by ``drive``."""
-    (result,) = drive([run_panel(*args, **kwargs)])
+    (result,) = drive([run_panel(*args, **kwargs)],
+                     retry=RetryPolicy(max_attempts=1, base_delay=0.0))
     return result
 
 

@@ -27,12 +27,13 @@ GOOD = json.dumps({
 
 def _format(*args, **kwargs):
     """``format_response``'s outcome, its requests sent by ``drive``."""
-    (outcome,) = drive([format_response(*args, **kwargs)])
+    (outcome,) = drive([format_response(*args, **kwargs)],
+                     retry=RetryPolicy(max_attempts=1, base_delay=0.0))
     return outcome
 
 
 def _client(backend):
-    return JudgeClient(backend, policy=RetryPolicy(max_attempts=1, base_delay=0.0))
+    return JudgeClient(backend)
 
 
 def test_validate_accepts_clean_object():

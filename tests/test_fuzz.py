@@ -233,11 +233,11 @@ def _judged_world():
 
 
 def _records(samples, predictions, backends, config):
-    clients = [JudgeClient(b, config.retry, None, config.judge_sampling)
-               for b in backends]
+    clients = [JudgeClient(b) for b in backends]
     return drive((judge_sample(pred, sample, config, config.taxonomy(),
                                clients[:3], clients[3:5], clients[5])
-                  for pred, sample in zip(predictions, samples)), config.concurrency)
+                  for pred, sample in zip(predictions, samples)), config.concurrency,
+                 retry=config.retry, sampling=config.judge_sampling)
 
 
 def test_a_judge_with_mutated_replies_changes_only_the_samples_it_answered():

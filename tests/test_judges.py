@@ -66,27 +66,49 @@ def test_cacheless_client_never_computes_the_key(monkeypatch, tmp_path):
     with monkeypatch.context() as patch:
         patch.setattr(JudgeRequest, "idempotency_key", property(no_key))
         assert client.call(JudgeRequest(kind="erc", prompt="p")) == "reply"
-        assert client.ask("rc", "p") == "reply"
+        assert client.call(JudgeRequest(kind="rc", prompt="p")) == "reply"
     # With a cache, the reply is stored under the key of the request the
-    # client asks: its kind, prompt and pass with the client's sampling,
+    # client asks: its kind, prompt, pass and sampling with the client's
     # name and identity.
     cache = ReplyCache(tmp_path / "cache")
-    client = JudgeClient(MockBackend("m", handler=lambda p, s: "reply"), cache=cache)
-    client.call(JudgeRequest(kind="erc", prompt="p"))
+    client = JudgeClient(MockBackend("m", handler=lambda p, s: "reply"))
+    client.call(JudgeRequest(kind="erc", prompt="p"), cache=cache)
     key = JudgeRequest(kind="erc", prompt="p", judge="m",
                        backend=client.identity).idempotency_key
     assert cache.get(key) == "reply"
     cache.close()
 
 
+def test_call_sends_and_caches_with_its_requests_sampling(tmp_path):
+    seen = []
+
+    def handler(prompt, sampling):
+        seen.append(sampling.temperature)
+        return "warm"
+
+    cache = ReplyCache(tmp_path / "cache")
+    client = JudgeClient(MockBackend("m", handler=handler))
+    warm = Sampling(temperature=0.5)
+    assert client.call(JudgeRequest(kind="erc", prompt="p", sampling=warm),
+                       cache=cache) == "warm"
+    assert seen == [0.5]
+    key = JudgeRequest(kind="erc", prompt="p", sampling=warm, judge="m",
+                       backend=client.identity).idempotency_key
+    greedy = JudgeRequest(kind="erc", prompt="p", judge="m",
+                          backend=client.identity).idempotency_key
+    assert cache.get(key) == "warm"
+    assert cache.get(greedy) is None
+    cache.close()
+
+
 def test_same_prompt_different_judges_do_not_share_cache(tmp_path):
     cache = ReplyCache(tmp_path / "cache")
     judges = [
-        JudgeClient(backend=MockBackend(name, handler=lambda p, s, name=name: name),
-                    policy=RetryPolicy(max_attempts=1), cache=cache)
+        JudgeClient(backend=MockBackend(name, handler=lambda p, s, name=name: name))
         for name in ("expert0", "expert1")
     ]
-    replies = [j.ask("erc", "same prompt") for j in judges]
+    replies = [j.call(JudgeRequest(kind="erc", prompt="same prompt"), cache=cache,
+                      retry=RetryPolicy(max_attempts=1)) for j in judges]
     cache.close()
     assert replies == ["expert0", "expert1"]
     assert all(j.counts["cache_hits"] == 0 for j in judges)
@@ -126,13 +148,12 @@ def test_client_retries_then_succeeds_with_attempt_count(monkeypatch):
 
     clock = _Clock()
     monkeypatch.setattr(rpeval.scheduler, "time", clock)
-    client = JudgeClient(
-        MockBackend("m", handler=handler),
-        policy=RetryPolicy(max_attempts=3, base_delay=0.5),
-    )
-    assert client.call(JudgeRequest(kind="erc", prompt="p")) == "finally"
+    client = JudgeClient(MockBackend("m", handler=handler))
+    assert client.call(JudgeRequest(kind="erc", prompt="p"),
+                       retry=RetryPolicy(max_attempts=3, base_delay=0.5)) == "finally"
     assert client.counts["backend_calls"] == 3
     assert client.counts["replies"] == 1
+    assert client.counts["retries"] == 2
     assert clock.slept == [0.5, 1.0]
 
 
@@ -142,12 +163,10 @@ def test_client_exhaustion_raises_with_attempts():
 
     # 1100 attempts: more than a doubled delay fits in a float.
     for attempts in (3, 1100):
-        client = JudgeClient(
-            MockBackend("m", handler=down),
-            policy=RetryPolicy(max_attempts=attempts, base_delay=0.0, max_delay=0.0),
-        )
+        client = JudgeClient(MockBackend("m", handler=down))
         with pytest.raises(TransportError) as err:
-            client.call(JudgeRequest(kind="erc", prompt="p"))
+            client.call(JudgeRequest(kind="erc", prompt="p"), retry=RetryPolicy(
+                max_attempts=attempts, base_delay=0.0, max_delay=0.0))
         assert err.value.attempts == attempts
         assert client.counts["backend_calls"] == attempts
 
@@ -159,25 +178,25 @@ def test_config_errors_are_not_retried():
         calls.append(1)
         raise ConfigError("bad key")
 
-    client = JudgeClient(MockBackend("m", handler=handler),
-                         policy=RetryPolicy(max_attempts=3, base_delay=0.0))
+    client = JudgeClient(MockBackend("m", handler=handler))
     with pytest.raises(ConfigError):
-        client.call(JudgeRequest(kind="erc", prompt="p"))
+        client.call(JudgeRequest(kind="erc", prompt="p"),
+                    retry=RetryPolicy(max_attempts=3, base_delay=0.0))
     assert len(calls) == 1
 
 
 def test_cache_second_call_is_served_locally(tmp_path):
     backend = MockBackend("m", handler=lambda p, s: "reply!")
     cache = ReplyCache(tmp_path / "cache")
-    client = JudgeClient(backend, cache=cache)
+    client = JudgeClient(backend)
     request = JudgeRequest(kind="erc", prompt="p")
-    assert client.call(request) == "reply!"
-    assert client.call(request) == "reply!"
+    assert client.call(request, cache=cache) == "reply!"
+    assert client.call(request, cache=cache) == "reply!"
     cache.close()
     assert backend.calls == 1
     assert client.counts == {
         "cache_hits": 1, "cache_misses": 1, "backend_calls": 1,
-        "replies": 2, "transport_failures": 0, "rejected": 0}
+        "replies": 2, "retries": 0, "transport_failures": 0, "rejected": 0}
 
 
 def test_cache_layout_is_one_sqlite_file(tmp_path):
@@ -274,9 +293,9 @@ def test_cache_is_shared_by_threads_and_a_second_cache(tmp_path):
 def test_distinct_pass_index_bypasses_cache(tmp_path):
     backend = MockBackend("m", handler=lambda p, s: "r")
     cache = ReplyCache(tmp_path / "cache")
-    client = JudgeClient(backend, cache=cache)
-    client.call(JudgeRequest(kind="erc", prompt="p", pass_index=1))
-    client.call(JudgeRequest(kind="erc", prompt="p", pass_index=2))
+    client = JudgeClient(backend)
+    client.call(JudgeRequest(kind="erc", prompt="p", pass_index=1), cache=cache)
+    client.call(JudgeRequest(kind="erc", prompt="p", pass_index=2), cache=cache)
     cache.close()
     assert backend.calls == 2
 
@@ -386,8 +405,8 @@ def test_http_reply_body_is_bounded(judge_server, monkeypatch):
         return head + b"x" * (size - len(head) - len(tail)) + tail
 
     content = "x" * (MAX_REPLY_BYTES - len(head) - len(tail))
-    client = JudgeClient(HttpBackend("j", endpoint=judge_server.url, model="m"),
-                         RetryPolicy(max_attempts=2, base_delay=0.0))
+    client = JudgeClient(HttpBackend("j", endpoint=judge_server.url, model="m"))
+    retry = RetryPolicy(max_attempts=2, base_delay=0.0)
     for declared in (True, False):
         if not declared:  # the body ends where the connection does
             send_header = judge_server.RequestHandlerClass.send_header
@@ -400,14 +419,17 @@ def test_http_reply_body_is_bounded(judge_server, monkeypatch):
             monkeypatch.setattr(judge_server.RequestHandlerClass, "send_header",
                                 no_length)
         judge_server.answer = lambda request: (200, body(MAX_REPLY_BYTES))
-        assert client.ask("erc", f"at the bound {declared}") == content
+        assert client.call(JudgeRequest(kind="erc", prompt=f"at the bound {declared}"),
+                           retry=retry) == content
         judge_server.answer = lambda request: (200, body(MAX_REPLY_BYTES + 1))
         with pytest.raises(TransportError,
                            match="'j': reply body is longer than 1048576 bytes"):
-            client.ask("erc", f"one byte more {declared}")
+            client.call(JudgeRequest(kind="erc", prompt=f"one byte more {declared}"),
+                        retry=retry)
         assert client.backend._idle == []  # that connection was closed
     assert client.counts == {"cache_hits": 0, "cache_misses": 0, "backend_calls": 6,
-                             "replies": 2, "transport_failures": 2, "rejected": 0}
+                             "replies": 2, "retries": 2, "transport_failures": 2,
+                             "rejected": 0}
     client.close()
 
 
@@ -437,7 +459,7 @@ def test_http_backend_keeps_connection_alive(judge_server):
 
 def test_client_close_closes_the_backends_idle_connections(judge_server):
     client = JudgeClient(HttpBackend("j", endpoint=judge_server.url, model="judge-1"))
-    assert client.ask("erc", "p") == "ok"
+    assert client.call(JudgeRequest(kind="erc", prompt="p")) == "ok"
     assert len(client.backend._idle) == 1
     client.close()
     assert client.backend._idle == []
@@ -461,11 +483,11 @@ def test_http_backend_resends_once_when_a_reused_connection_drops(judge_server):
         backend.complete("p", Sampling())
     assert len(judge_server.seen) == 1
 
-    client = JudgeClient(backend, policy=RetryPolicy(max_attempts=1))
-    assert client.ask("erc", "p1") == "ok"
+    client, once = JudgeClient(backend), RetryPolicy(max_attempts=1)
+    assert client.call(JudgeRequest(kind="erc", prompt="p1"), retry=once) == "ok"
     # The server hangs up on the kept-alive connection after the idle check.
     judge_server.script.append((None, None))
-    assert client.ask("erc", "p2") == "ok"
+    assert client.call(JudgeRequest(kind="erc", prompt="p2"), retry=once) == "ok"
     backend.close()
     assert [seen["json"]["messages"][0]["content"]
             for seen in judge_server.seen[1:]] == ["p1", "p2", "p2"]
@@ -498,7 +520,8 @@ def test_cache_misses_when_the_model_changes(judge_server, tmp_path):
     cache = ReplyCache(tmp_path / "cache")
     for model in ("judge-1", "judge-1", "judge-2"):
         backend = HttpBackend("j", endpoint=judge_server.url, model=model)
-        JudgeClient(backend, cache=cache).ask("erc", "same prompt")
+        JudgeClient(backend).call(JudgeRequest(kind="erc", prompt="same prompt"),
+                                  cache=cache)
         backend.close()
     cache.close()
     assert [seen["json"]["model"] for seen in judge_server.seen] == [

@@ -442,13 +442,14 @@ def test_assemble_rc_drops_abstaining_and_unusable(small_world):
     # alpha quotes no evidence (abstains), beta's replies are unusable
     def replying(name, text):
         backend = MockBackend(name, handler=lambda prompt, sampling: text)
-        return JudgeClient(backend, RetryPolicy(max_attempts=1, base_delay=0.0))
+        return JudgeClient(backend)
 
     evaluators = [replying("alpha", '{"agree_evidence": [], "disagree_evidence": []}'),
                   replying("beta", "no verdict")]
     sample = small_world["samples"][0]
     (scores,) = drive([_rc_judge_sample(sample, sample.ground_truth, evaluators,
-                                        fast_config())])
+                                        fast_config())],
+                      retry=RetryPolicy(max_attempts=1, base_delay=0.0))
     assert scores == {m: {"alpha": None} for m in RC_METRICS}
     # a sample where only beta scores is kept; one floored sample adds 1.0
     records = _rc_records(
@@ -525,11 +526,11 @@ def test_judge_keeps_one_plain_record_per_sample():
         return MockBackend(name, handler=handler)
 
     config = fast_config()
-    experts = [JudgeClient(guarded(f"e{i}"), config.retry) for i in range(5)]
-    critics = [JudgeClient(b, config.retry) for b in make_rc_evaluators()]
-    judged = drive(judge_sample(pred, sample, config, config.taxonomy(),
-                                experts, critics, None)
-                   for pred, sample in zip(predictions, samples))
+    experts = [JudgeClient(guarded(f"e{i}")) for i in range(5)]
+    critics = [JudgeClient(b) for b in make_rc_evaluators()]
+    judged = drive((judge_sample(pred, sample, config, config.taxonomy(),
+                                 experts, critics, None)
+                    for pred, sample in zip(predictions, samples)), retry=config.retry)
     records = {pred.sample_id: record for pred, record in zip(predictions, judged)}
     assert json.loads(json.dumps(records)) == records
     assert all(list(r) == ["status", "labels", "entropy", "rc"]

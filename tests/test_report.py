@@ -183,7 +183,7 @@ def test_saved_records_reassemble_to_the_golden_file(tmp_path, monkeypatch,
     assert render_report(report, "json").encode("utf-8") == (DATA / golden).read_bytes()
 
 
-def test_gt_stats_matches_the_golden_file(tmp_path):
+def test_gt_stats_matches_the_golden_file(tmp_path, capsys):
     _, corpus = _golden_corpus(tmp_path)
     config = tmp_path / "run.json"
     config.write_text("{}", encoding="utf-8")
@@ -191,6 +191,10 @@ def test_gt_stats_matches_the_golden_file(tmp_path):
                  "--out", str(tmp_path / "out")]) == 0
     written = (tmp_path / "out" / "gt_stats.json").read_bytes()
     assert written == (DATA / "golden_gt_stats.json").read_bytes()
+    # Without --out the same bytes go to stdout.
+    capsys.readouterr()
+    assert main(["gt-stats", "--config", str(config), "--corpus", corpus]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == written
 
 
 def _null_ec_metrics():

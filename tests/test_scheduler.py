@@ -314,14 +314,10 @@ def test_run_starts_at_most_concurrency_sender_threads(tmp_path, concurrency):
 
 
 class _Recording(JudgeClient):
-    """Records, per paced judge, when each ask was queued and when sent."""
+    """Records, per paced judge, when each ask was sent; the test adds
+    when each was queued."""
 
     events = []  # (time, judge name, "queued" | "sent")
-
-    def request(self, kind, prompt, pass_index=1):
-        if self.interval > 0:
-            self.events.append((time.monotonic(), self.name, "queued"))
-        return super().request(kind, prompt, pass_index)
 
     @property
     def last_send(self):
@@ -342,6 +338,14 @@ def test_paced_judge_leaves_the_others_their_concurrency(tmp_path, monkeypatch):
     # backends record each attempt's start and end.
     monkeypatch.setattr(_Recording, "events", [])
     monkeypatch.setattr(rpeval.pipeline, "JudgeClient", _Recording)
+    queue = rpeval.scheduler._Driver._queue
+
+    def queued(driver, job):
+        if job.judge.interval > 0:
+            _Recording.events.append((time.monotonic(), job.judge.name, "queued"))
+        queue(driver, job)
+
+    monkeypatch.setattr(rpeval.scheduler._Driver, "_queue", queued)
     attempts, lock = [], threading.Lock()
 
     def timed(backend):
@@ -489,19 +493,53 @@ def test_a_transient_failure_does_not_delay_other_judges(tmp_path):
         sends.append(("S", time.monotonic()))
         return "s"
 
-    policy = RetryPolicy(max_attempts=2, base_delay=0.5)
-    f = JudgeClient(MockBackend("F", handler=flaky), policy=policy)
-    s = JudgeClient(MockBackend("S", handler=steady), policy=policy)
+    f = JudgeClient(MockBackend("F", handler=flaky))
+    s = JudgeClient(MockBackend("S", handler=steady))
     started = time.monotonic()
     results = drive([_asking((f, "erc", "f", 1))]
-                    + [_in_turn(s, [f"s{i}-{k}" for k in range(4)]) for i in range(3)], 2)
+                    + [_in_turn(s, [f"s{i}-{k}" for k in range(4)]) for i in range(3)], 2,
+                    retry=RetryPolicy(max_attempts=2, base_delay=0.5))
     assert results == [["f"]] + [["s"] * 4] * 3
     steady_done = max(t for who, t in sends if who == "S")
     (retried,) = [t for who, t in sends if who == "F"]
     assert steady_done - started < 0.3
     assert retried - failed[0] >= 0.5
     assert f.counts == {"cache_hits": 0, "cache_misses": 0, "backend_calls": 2,
-                         "replies": 1, "transport_failures": 0, "rejected": 0}
+                         "replies": 1, "retries": 1, "transport_failures": 0,
+                         "rejected": 0}
+
+
+def test_a_retried_failure_logs_no_warning_and_counts_a_retry(caplog):
+    # A transient failure that is sent again is routine: it shows under
+    # -v and in the judge's counters, not as a warning.  The failure
+    # that ends an ask still warns.
+    failures = []
+
+    def once(prompt, sampling):
+        if not failures:
+            failures.append(prompt)
+            raise TransportError("connection reset")
+        return "ok"
+
+    def down(prompt, sampling):
+        raise TransportError("connection refused")
+
+    flaky = JudgeClient(MockBackend("F", handler=once))
+    dead = JudgeClient(MockBackend("D", handler=down))
+    retry = RetryPolicy(max_attempts=2, base_delay=0.0)
+    with caplog.at_level("INFO", logger="rpeval.scheduler"):
+        assert drive([_asking((flaky, "erc", "f", 1))], retry=retry) == [["ok"]]
+    assert [r.levelname for r in caplog.records] == ["INFO"]
+    assert flaky.counts["retries"] == 1
+    assert flaky.counts["transport_failures"] == 0
+    caplog.clear()
+    with caplog.at_level("INFO", logger="rpeval.scheduler"):
+        (replies,) = drive([_asking((dead, "erc", "d", 1))], retry=retry)
+    assert isinstance(replies[0], TransportError)
+    assert [r.levelname for r in caplog.records] == ["INFO", "WARNING"]
+    assert "attempt 2/2 failed" in caplog.records[-1].getMessage()
+    assert dead.counts["retries"] == 1
+    assert dead.counts["transport_failures"] == 1
 
 
 class _NamedJudge:

@@ -13,8 +13,8 @@ first on the path.  REV's source is exported with ``git archive`` into a
 temporary directory, so nothing needs the network and no worktree is
 left behind.
 
-Compared per cell: the bytes of ``report.json``, ``gt_stats.json`` and
-the predictions file, the manifest's ``counts``, and each judge's
+Compared per cell: the bytes of ``report.json``, ``gt_stats.json`` (as
+written with ``--out`` and as printed without it) and the predictions file, the manifest's ``counts``, and each judge's
 ``replies``, ``backend_calls``, ``transport_failures`` and ``rejected``.
 
 The grid is fixed here.  Cells may be added, never dropped:
@@ -28,6 +28,8 @@ The grid is fixed here.  Cells may be added, never dropped:
   and every RC question grounded in other role materials than the default;
 - ``gt-stats`` on each corpus (and in rows mode on the 400-sample one);
 - a run at concurrency 1 that fills a reply cache, and its warm rerun;
+  the same at concurrency 4, where sender threads make the attempts,
+  with a cache of its own;
 - seed 1 with ``expert0`` rate-limited to 2000 requests per second, at
   concurrency 1, 2 and 4 (its asks wait for their due time on the driver
   while the other judges' asks go out);
@@ -98,6 +100,8 @@ def grid() -> list[dict]:
                          "rel": ["profile"]})
     evaluate("s1", concurrency=1, cache="warm-s1", tag="cold-cache")
     evaluate("s1", concurrency=1, cache="warm-s1", tag="warm-cache")
+    evaluate("s1", concurrency=4, cache="warm-s1-c4", tag="cold-cache")
+    evaluate("s1", concurrency=4, cache="warm-s1-c4", tag="warm-cache")
     for concurrency in (1, 2, 4):
         evaluate("s1", concurrency=concurrency, tag="expert0-2000rps", limit=2000.0)
     evaluate("s1", tag="backoff-5ms",
@@ -149,12 +153,15 @@ def _run_cell(cell: dict, inputs: Path, work: Path) -> dict:
         out.mkdir(parents=True)
         (out / "config.json").write_text(json.dumps(config), encoding="utf-8")
         argv = ["gt-stats", "--config", str(out / "config.json"),
-                "--corpus", str(corpus / "corpus.jsonl"), "--out", str(out)]
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = rpeval.cli.main(argv)
-        if code != 0:
-            raise RuntimeError(f"rpeval gt-stats exited with {code}")
-        return {"files": {"gt_stats.json": str(out / "gt_stats.json")}}
+                "--corpus", str(corpus / "corpus.jsonl")]
+        for extra in (["--out", str(out)], []):
+            with contextlib.redirect_stdout(io.StringIO()) as printed:
+                code = rpeval.cli.main(argv + extra)
+            if code != 0:
+                raise RuntimeError(f"rpeval gt-stats exited with {code}")
+        (out / "stdout.json").write_text(printed.getvalue(), encoding="utf-8")
+        return {"files": {"gt_stats.json": str(out / "gt_stats.json"),
+                          "stdout": str(out / "stdout.json")}}
     if cell["command"] == "generate":
         def handler(prompt, sampling):
             return "reply " + hashlib.sha256(prompt.encode("utf-8")).hexdigest()
