@@ -76,49 +76,38 @@ def run_panel(
     ``None``: its votes are simply absent, shrinking the denominators
     for the affected cells.
 
-    The first queries go out in one batch.  A malformed reply earns one
-    corrective re-prompt restating the closed label set and the exact
-    list length, all in a second batch; modalities still invalid after
-    that are dropped for that (expert, pass) with a logged shortfall.
-    Transport failures are treated the same way.
+    The first queries go out in one batch.  A malformed or lost reply
+    earns one corrective re-prompt restating the closed label set and the
+    exact list length, all in a second batch, which fills in only the
+    modalities still missing; those still missing after it are dropped
+    for that (expert, pass) with a logged shortfall.
     """
     if not experts:
         raise ValueError("panel needs at least one expert")
     if passes < 1:
         raise ValueError("passes must be at least 1")
     response_json = response.to_json()
-    prompt, retry_prompt = (
-        build_erc_prompt(response_json, utterances, taxonomy.labels),
-        build_erc_prompt(response_json, utterances, taxonomy.labels, retry=True),
-    )
     cells = [(expert, pass_index) for expert in experts
              for pass_index in range(1, passes + 1)]
-    replies = yield [(expert, "erc", prompt, p) for expert, p in cells]
-    votes = [_votes(cell, reply, len(utterances), taxonomy)
-             for cell, reply in zip(cells, replies)]
-    again = [i for i, v in enumerate(votes) if any(v[m] is None for m in MODALITIES)]
-    if again:
-        replies = yield [(cells[i][0], "erc", retry_prompt, cells[i][1]) for i in again]
-        for i, reply in zip(again, replies):
-            retried = _votes(cells[i], reply, len(utterances), taxonomy)
+    prompts = [build_erc_prompt(response_json, utterances, taxonomy.labels, retry=retry)
+               for retry in (False, True)]
+    votes = [dict.fromkeys(MODALITIES) for _ in cells]
+    for prompt in prompts:
+        waiting = [i for i, v in enumerate(votes) if None in v.values()]
+        replies = yield [(cells[i][0], "erc", prompt, cells[i][1]) for i in waiting]
+        for i, reply in zip(waiting, replies):
+            if isinstance(reply, TransportError):
+                continue
+            parsed = parse_erc_reply(reply, len(utterances), taxonomy)
             for m in MODALITIES:
                 if votes[i][m] is None:
-                    votes[i][m] = retried[m]
+                    votes[i][m] = parsed[m]
     for (expert, pass_index), v in zip(cells, votes):
         dropped = [m for m in MODALITIES if v[m] is None]
         if dropped:
             logger.warning("expert %s pass %d: dropping modalities %s",
-                           getattr(expert, "name", "?"), pass_index, dropped)
+                           expert.name, pass_index, dropped)
     return votes
-
-
-def _votes(cell, reply, n_utterances, taxonomy):
-    if isinstance(reply, TransportError):
-        expert, pass_index = cell
-        logger.warning("expert %s pass %d: %s", getattr(expert, "name", "?"),
-                       pass_index, reply)
-        return {m: None for m in MODALITIES}
-    return parse_erc_reply(reply, n_utterances, taxonomy)
 
 
 def select_label(counts: Mapping[str, int], total: int, tau: float = DEFAULT_TAU) -> str:

@@ -10,15 +10,12 @@ tallied, never silently guessed at.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .corpus import RESPONSE_FIELDS, MultimodalResponse
 from .judges import TransportError, extract_json_object
 from .prompts import build_repair_prompt
-
-logger = logging.getLogger(__name__)
 
 VALID_DIRECT = "valid_direct"
 REPAIRED = "repaired"
@@ -120,7 +117,6 @@ def format_response(raw: str, judge=None, max_attempts: int = 2):
         (reply,) = yield [(judge, "repair", prompt, attempt)]
         if isinstance(reply, TransportError):
             diagnostic = f"repair attempt {attempt}: {reply}"
-            logger.warning(diagnostic)
             continue
         response = validate(reply)
         if response is not None:

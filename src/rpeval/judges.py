@@ -135,7 +135,7 @@ _RETRIABLE_STATUSES = {408, 409, 425, 429, 500, 502, 503, 504}
 _REJECTED_STATUSES = {400, 413, 422}
 
 
-def _proxy_for(scheme: str, host: str) -> Optional[tuple[str, int, dict]]:
+def _proxy_for(name: str, scheme: str, host: str) -> Optional[tuple[str, int, dict]]:
     """(host, port, auth headers) of the proxy the environment names, or ``None``.
 
     Reads ``HTTP_PROXY``, ``HTTPS_PROXY``, ``ALL_PROXY`` and ``NO_PROXY``
@@ -147,15 +147,21 @@ def _proxy_for(scheme: str, host: str) -> Optional[tuple[str, int, dict]]:
     url = proxies.get(scheme) or proxies.get("all")
     if not url or urllib.request.proxy_bypass(host):
         return None
-    parts = urlsplit(url if "://" in url else f"http://{url}")
+    shown = url.rpartition("@")[2]  # an error names no proxy password
+    try:
+        parts = urlsplit(url if "://" in url else f"http://{url}")
+        port = parts.port or 80
+    except ValueError as exc:
+        raise ConfigError(f"backend {name!r}: proxy {shown!r}: {exc}") from None
     if parts.scheme != "http" or not parts.hostname:
-        raise ConfigError(f"unsupported proxy {url!r}: only http:// proxies")
+        raise ConfigError(
+            f"backend {name!r}: unsupported proxy {shown!r}: only http:// proxies")
     auth = {}
     if parts.username:
         pair = f"{unquote(parts.username)}:{unquote(parts.password or '')}"
         auth["Proxy-Authorization"] = (
             "Basic " + base64.b64encode(pair.encode("utf-8")).decode("ascii"))
-    return parts.hostname, parts.port or 80, auth
+    return parts.hostname, port, auth
 
 
 def _dropped(sock) -> bool:
@@ -196,7 +202,12 @@ class HttpBackend:
             raise ConfigError(f"backend {name!r}: endpoint is required")
         if not model:
             raise ConfigError(f"backend {name!r}: model is required")
-        url = urlsplit(endpoint)
+        try:
+            url = urlsplit(endpoint)
+            port = url.port
+        except ValueError as exc:
+            raise ConfigError(
+                f"backend {name!r}: endpoint {endpoint!r}: {exc}") from None
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ConfigError(
                 f"backend {name!r}: endpoint {endpoint!r} is not an http(s) URL")
@@ -209,10 +220,10 @@ class HttpBackend:
         self.timeout = timeout
         self._https = url.scheme == "https"
         self._host = url.hostname
-        self._port = url.port or (443 if self._https else 80)
+        self._port = port or (443 if self._https else 80)
         self._target = (url.path or "/") + (f"?{url.query}" if url.query else "")
         self._headers = {"Content-Type": "application/json", "User-Agent": "rpeval"}
-        self._proxy = _proxy_for(url.scheme, url.hostname)
+        self._proxy = _proxy_for(name, url.scheme, url.hostname)
         if self._proxy is not None and not self._https:
             # A plain-HTTP proxy takes the absolute URL as the target.
             self._target = endpoint

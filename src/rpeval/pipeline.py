@@ -755,7 +755,7 @@ def render_report(report: Mapping, fmt: str) -> str:
         if counts:
             lines += ["", "## Exclusions and tallies", "",
                       "| Count | Value |", "| --- | --- |"]
-            for key, value in sorted(counts.items()):
+            for key, value in flatten_report(counts).items():
                 lines.append(f"| {key} | {value} |")
         per_class = report["per_class"].get("lower", {})
         if per_class:

@@ -15,6 +15,8 @@ next free slot first; a transient failure is queued again
 ``retry.delay(attempt)`` later; neither holds a slot while it waits.
 The first exception that is not a ``TransportError``, Ctrl-C included,
 stops dispatch and is re-raised once the senders have stopped.
+Only the driver logs a lost ask: a WARNING per rejected request and per
+exhausted ask, an INFO per failed attempt that is sent again.
 """
 
 from __future__ import annotations
@@ -245,12 +247,14 @@ class _Driver:
     def _finish(self, job: _Job, outcome) -> None:
         judge, retry = job.judge, self.retry
         judge.counts["backend_calls"] += 1
+        ask = (judge.name, job.request.kind, job.request.pass_index)
         if isinstance(outcome, RequestRejected):
             judge.counts["rejected"] += 1
+            logger.warning("judge %s %s pass %d rejected: %s", *ask, outcome)
         elif isinstance(outcome, TransportError):
             again = job.attempt < retry.max_attempts
             logger.log(logging.INFO if again else logging.WARNING,
-                       "judge %s attempt %d/%d failed: %s", judge.name,
+                       "judge %s %s pass %d attempt %d/%d failed: %s", *ask,
                        job.attempt, retry.max_attempts, outcome)
             if again:
                 judge.counts["retries"] += 1

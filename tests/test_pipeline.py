@@ -644,6 +644,13 @@ def test_render_report_formats(small_world, tmp_path):
                         .read_text(encoding="utf-8"))
     for fmt in ("json", "csv", "md"):  # passes the layout check
         render_report(golden, fmt)
+    # Nested tallies get one dotted row each, never a Python dict.
+    golden_md = render_report(golden, "md")
+    tallies = golden_md.split("## Exclusions and tallies")[1].split("## ")[0]
+    for row in ("| rc_dropped.cha | 1 |", "| rc_dropped.exp | 0 |",
+                "| rc_dropped.rel | 0 |", "| dropped_format | 1 |"):
+        assert row in tallies
+    assert "{" not in tallies
 
 
 # ---------------------------------------------------- agreement + table io
@@ -923,7 +930,10 @@ def test_cli_exit_codes(tmp_path, capsys, judge_server):
     # (the expert answers on the loopback judge)
     expert = {"name": "e", "kind": "http", "model": "m", "endpoint": judge_server.url}
     for refused in ({"endpoint": judge_server.url}, {"model": "m"},
-                    {"endpoint": "ftp://127.0.0.1/v1", "model": "m"}):
+                    {"endpoint": "ftp://127.0.0.1/v1", "model": "m"},
+                    {"endpoint": "http://127.0.0.1:abc/v1", "model": "m"},
+                    {"endpoint": "http://127.0.0.1:99999/v1", "model": "m"},
+                    {"endpoint": "http://[::1/v1", "model": "m"}):
         unusable = tmp_path / "unusable.json"
         unusable.write_text(json.dumps({
             "experts": [expert],

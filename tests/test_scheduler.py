@@ -30,11 +30,12 @@ from conftest import (
 import rpeval.pipeline
 import rpeval.scheduler
 from rpeval.cli import main
-from rpeval.corpus import PredictionRecord
-from rpeval.erc import MODALITIES
+from rpeval.corpus import PredictionRecord, segment_utterances
+from rpeval.erc import MODALITIES, run_panel
 from rpeval.judges import (
     JudgeClient,
     MockBackend,
+    RequestRejected,
     RetryPolicy,
     TransportError,
 )
@@ -540,6 +541,47 @@ def test_a_retried_failure_logs_no_warning_and_counts_a_retry(caplog):
     assert "attempt 2/2 failed" in caplog.records[-1].getMessage()
     assert dead.counts["retries"] == 1
     assert dead.counts["transport_failures"] == 1
+
+
+def test_a_lost_ask_is_told_once(caplog):
+    # The driver warns once per lost or rejected ask, naming its error;
+    # the panel and the role questions report only what they lost.
+    sample = make_sample("c1", gt=("happy", "anger"))
+    response = sample.ground_truth
+    config = fast_config()
+    taxonomy = config.taxonomy()
+
+    def down(prompt, sampling):
+        raise TransportError("connection refused")
+
+    def too_large(prompt, sampling):
+        raise RequestRejected("backend 'critic1': request rejected (HTTP 413): too large")
+
+    dead = JudgeClient(MockBackend("dead", handler=down))
+    echo = JudgeClient(make_experts(1)[0])
+    utterances = segment_utterances(response.content)
+    with caplog.at_level("WARNING", logger="rpeval"):
+        drive([run_panel(response, utterances, [dead, echo], taxonomy, passes=2)],
+              retry=RetryPolicy(max_attempts=1))
+    warned = Counter(r.name for r in caplog.records if r.levelname == "WARNING")
+    assert warned == {"rpeval.scheduler": 4, "rpeval.erc": 2}
+    assert all("dropping modalities" in r.getMessage()
+               for r in caplog.records if r.name == "rpeval.erc")
+    assert all("judge dead erc pass" in r.getMessage() and "refused" in r.getMessage()
+               for r in caplog.records if r.name == "rpeval.scheduler")
+    caplog.clear()
+    critics = [JudgeClient(make_rc_evaluators(1)[0]),
+               JudgeClient(MockBackend("critic1", handler=too_large))]
+    with caplog.at_level("WARNING", logger="rpeval"):
+        (record,) = drive([judge_sample(echo_prediction(sample), sample, config,
+                                        taxonomy, [echo], critics, None)])
+    assert all(list(by_critic) == ["critic0"] for by_critic in record["rc"].values())
+    rejected = [r.getMessage() for r in caplog.records if r.name == "rpeval.scheduler"]
+    assert len(rejected) == 2 * len(RC_METRICS)  # each question, then its re-prompt
+    assert all("critic1" in line and "HTTP 413" in line for line in rejected)
+    assert critics[1].counts["rejected"] == len(rejected)
+    assert not any("413" in r.getMessage() for r in caplog.records
+                   if r.name != "rpeval.scheduler")
 
 
 class _NamedJudge:

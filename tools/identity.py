@@ -37,7 +37,10 @@ The grid is fixed here.  Cells may be added, never dropped:
   transient failures are queued again behind other requests;
 - ``generate`` over seed 1 at concurrency 1 and 4, with a generator whose
   reply is built from the SHA-256 of its prompt, so the predictions file
-  shows whether samples are written in corpus order.
+  shows whether samples are written in corpus order;
+- seed 1 with one judge that fails every attempt, so each of its asks
+  exhausts its retries: ``expert0`` at concurrency 1 and 4, ``critic1``
+  and ``fixer`` at concurrency 4.
 
 Exit codes: 0 when every cell matches, 1 with the list of cells that
 differ, 2 for a REV that cannot be exported or run.
@@ -81,10 +84,10 @@ def grid() -> list[dict]:
     cells = []
 
     def evaluate(corpus, fault="", concurrency=4, cache="", tag="", limit=0.0,
-                 **config):
+                 dead="", **config):
         name = f"{corpus}/{fault or 'clean'}/c{concurrency}" + (f"/{tag}" if tag else "")
         cells.append({"name": name, "command": "evaluate", "corpus": corpus,
-                      "fault": fault, "cache": cache, "limit": limit,
+                      "fault": fault, "cache": cache, "limit": limit, "dead": dead,
                       "config": {"concurrency": concurrency, **config}})
 
     for corpus in ("s1", "s2", "s3"):
@@ -114,14 +117,18 @@ def grid() -> list[dict]:
     for concurrency in (1, 4):
         cells.append({"name": f"s1/generate/c{concurrency}", "command": "generate",
                       "corpus": "s1", "config": {"concurrency": concurrency}})
+    for concurrency, dead in ((1, "expert0"), (4, "expert0"), (4, "critic1"),
+                              (4, "fixer")):
+        evaluate("s1", concurrency=concurrency, tag=f"dead-{dead}", dead=dead)
     return cells
 
 
 # -- child: run the grid with one side's source ------------------------
 
-def _judges(fault: str, limit: float) -> dict:
+def _judges(fault: str, limit: float, dead: str = "") -> dict:
     """The Replier's judges; ``expert0`` sends at most ``limit`` requests
-    per second (0: unlimited)."""
+    per second (0: unlimited), and the judge named ``dead`` fails every
+    attempt."""
     import rpeval
     from replies import Replier, Transient
 
@@ -129,6 +136,8 @@ def _judges(fault: str, limit: float) -> dict:
 
     def judge(name):
         def handler(prompt, sampling):
+            if name == dead:
+                raise rpeval.TransportError(f"judge {name} is down")
             try:
                 return replier.reply(name, prompt)
             except Transient as exc:
@@ -175,7 +184,7 @@ def _run_cell(cell: dict, inputs: Path, work: Path) -> dict:
         config["cache_dir"] = str(work / "caches" / cell["cache"])
     run = rpeval.evaluate(rpeval.RunConfig.from_dict(config), corpus / "corpus.jsonl",
                           corpus / "predictions.jsonl", out_dir=out,
-                          **_judges(cell["fault"], cell["limit"]))
+                          **_judges(cell["fault"], cell["limit"], cell["dead"]))
     return {"files": {"report.json": str(out / "report.json")},
             "counts": run.manifest["counts"],
             "judges": {name: {key: stats[key] for key in JUDGE_KEYS}
