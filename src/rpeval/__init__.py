@@ -41,7 +41,7 @@ _EXPORTS = {
     ),
     "config": ("ConfigError", "RetryPolicy", "RunConfig", "Sampling"),
     "erc": ("aggregate", "run_panel", "select_label"),
-    "formatter": ("FormatOutcome", "format_response", "validate"),
+    "formatter": ("format_response", "validate"),
     "judges": (
         "HttpBackend",
         "JudgeClient",

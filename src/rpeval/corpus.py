@@ -68,9 +68,10 @@ class CorpusError(ValueError):
 
 
 def read_lines(path: str | Path, error: type[Exception] = CorpusError) -> Iterator[str]:
-    """Stream a UTF-8 file's lines as written; an unreadable file raises ``error``."""
+    """Stream a UTF-8 file's lines as written, less a leading byte-order
+    mark; an unreadable file raises ``error``."""
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             yield from fh
     except OSError as exc:
         raise error(f"cannot read {path}: {exc}") from None

@@ -10,7 +10,6 @@ tallied, never silently guessed at.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .corpus import RESPONSE_FIELDS, MultimodalResponse
@@ -39,22 +38,6 @@ DEFAULT_KEY_ALIASES: dict[str, str] = {
     "reply": "content",
     "message": "content",
 }
-
-
-@dataclass
-class FormatOutcome:
-    """Result of pushing one raw output through the gate."""
-
-    status: str  # valid_direct | repaired | unrepairable
-    response: Optional[MultimodalResponse]
-    repair_attempts: int = 0
-    diagnostic: str = ""
-
-    def __post_init__(self) -> None:
-        if self.status not in (VALID_DIRECT, REPAIRED, UNREPAIRABLE):
-            raise ValueError(f"bad format status: {self.status!r}")
-        if (self.response is None) != (self.status == UNREPAIRABLE):
-            raise ValueError("response must be present exactly when usable")
 
 
 def _normalize_keys(obj: Mapping) -> Optional[dict]:
@@ -96,37 +79,22 @@ def validate(raw: str) -> Optional[MultimodalResponse]:
 def format_response(raw: str, judge=None, max_attempts: int = 2):
     """Full gate: direct validation, then up to ``max_attempts`` repairs.
 
-    A flow for ``scheduler.drive`` that returns a ``FormatOutcome``; each
-    repair attempt is one ask of ``judge`` (a ``JudgeClient``).  Without
-    a judge, invalid output is unrepairable.
+    A flow for ``scheduler.drive`` that returns ``(status, response)``,
+    ``response`` being ``None`` exactly when the status is
+    ``UNREPAIRABLE``; each repair attempt is one ask of ``judge`` (a
+    ``JudgeClient``).  Without a judge, invalid output is unrepairable.
     """
     response = validate(raw)
     if response is not None:
-        return FormatOutcome(status=VALID_DIRECT, response=response)
+        return VALID_DIRECT, response
     if judge is None:
-        return FormatOutcome(
-            status=UNREPAIRABLE,
-            response=None,
-            diagnostic="invalid format and no repair judge configured",
-        )
+        return UNREPAIRABLE, None
     if max_attempts < 1:
         raise ValueError("max_attempts must be at least 1")
-    diagnostic = "invalid format"
     for attempt in range(1, max_attempts + 1):
         prompt = build_repair_prompt(raw, attempt=attempt)
         (reply,) = yield [(judge, "repair", prompt, attempt)]
-        if isinstance(reply, TransportError):
-            diagnostic = f"repair attempt {attempt}: {reply}"
-            continue
-        response = validate(reply)
+        response = None if isinstance(reply, TransportError) else validate(reply)
         if response is not None:
-            return FormatOutcome(
-                status=REPAIRED, response=response, repair_attempts=attempt
-            )
-        diagnostic = f"repair attempt {attempt}: judge reply failed validation"
-    return FormatOutcome(
-        status=UNREPAIRABLE,
-        response=None,
-        repair_attempts=max_attempts,
-        diagnostic=diagnostic,
-    )
+            return REPAIRED, response
+    return UNREPAIRABLE, None

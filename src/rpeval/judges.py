@@ -18,6 +18,7 @@ import os
 import re
 import select
 import threading
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -30,10 +31,6 @@ logger = logging.getLogger(__name__)
 
 class TransportError(RuntimeError):
     """A transient delivery failure; eligible for retry."""
-
-    def __init__(self, message: str, attempts: int = 1):
-        super().__init__(message)
-        self.attempts = attempts
 
 
 class RequestRejected(TransportError):
@@ -89,10 +86,10 @@ class MockBackend:
 
     Replies come from a handler callable or, without one, from
     ``<digest>.txt`` files in a fixture directory, keyed by prompt
-    digest.  A prompt with no fixture raises
-    ``TransportError`` so exhaustion paths stay testable.  ``rate_limit``
-    (requests per second) is kept by ``scheduler.drive``, as for HTTP
-    backends.
+    digest.  A prompt with no fixture, or one whose fixture is not UTF-8
+    text, raises ``TransportError`` so exhaustion paths stay testable.
+    ``rate_limit`` (requests per second) is kept by ``scheduler.drive``,
+    as for HTTP backends.
     """
 
     def __init__(
@@ -119,7 +116,11 @@ class MockBackend:
         if self.fixture_dir is not None:
             path = self.fixture_dir / f"{key}.txt"
             if path.exists():
-                return path.read_text(encoding="utf-8")
+                try:
+                    return path.read_bytes().decode("utf-8")
+                except UnicodeDecodeError:
+                    raise TransportError(f"{self.name}: fixture for prompt digest "
+                                         f"{key[:12]} is not UTF-8 text") from None
         raise TransportError(f"{self.name}: no fixture for prompt digest {key[:12]}")
 
 
@@ -212,7 +213,6 @@ class HttpBackend:
             raise ConfigError(
                 f"backend {name!r}: endpoint {endpoint!r} is not an http(s) URL")
         self.name = name
-        self.endpoint = endpoint
         self.model = model
         self.identity = ("http", model, endpoint)
         self.credential_env = credential_env
@@ -355,9 +355,9 @@ class ReplyCache:
     ``replies(key TEXT PRIMARY KEY, kind TEXT NOT NULL, text TEXT NOT
     NULL)``, where ``key`` is the request digest.  The database runs in
     WAL mode; each ``put`` is its own transaction, so readers never see a
-    partial record, and runs sharing a root wait out each other's writes
-    instead of failing.  ``close`` checkpoints the WAL into the database
-    file.  A database that fails, on opening or mid-run, is a
+    partial record, and runs sharing a root wait out each other's opens
+    and writes instead of failing.  ``close`` checkpoints the WAL into the
+    database file.  A database that fails, on opening or mid-run, is a
     ``ConfigError`` that names the file.  Only the thread that opened a
     cache uses it: in a run, that is the driver.
     """
@@ -374,8 +374,20 @@ class ReplyCache:
         try:
             self.root.mkdir(parents=True, exist_ok=True)
             # The timeout is how long a write waits out another process's.
-            self._db = sqlite3.connect(self.path, timeout=30.0)
-            self._db.execute("PRAGMA journal_mode=WAL")
+            timeout = 30.0
+            self._db = sqlite3.connect(self.path, timeout=timeout)
+            # Turning a new database to WAL needs it alone, and SQLite says
+            # "locked" at once, without waiting, while another connection
+            # opens it too; so the wait is made here.
+            deadline = time.monotonic() + timeout
+            while True:
+                try:
+                    self._db.execute("PRAGMA journal_mode=WAL")
+                    break
+                except sqlite3.OperationalError as exc:
+                    if "locked" not in str(exc) or time.monotonic() > deadline:
+                        raise
+                    time.sleep(0.005)
             self._db.execute("PRAGMA synchronous=NORMAL")
             self._db.execute("CREATE TABLE IF NOT EXISTS replies (key TEXT PRIMARY KEY,"
                              " kind TEXT NOT NULL, text TEXT NOT NULL)")

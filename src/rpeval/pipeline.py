@@ -358,11 +358,10 @@ def judge_sample(pred: PredictionRecord, sample: DialogueSample,
     consistency: a flow for ``scheduler.drive``, each stage's independent
     requests in one batch.  The response text and the vote histograms
     end here."""
-    outcome = yield from format_response(pred.raw_output, repair,
-                                         max_attempts=config.max_repair_attempts)
-    record: SampleRecord = {"status": outcome.status, "labels": None,
+    status, response = yield from format_response(
+        pred.raw_output, repair, max_attempts=config.max_repair_attempts)
+    record: SampleRecord = {"status": status, "labels": None,
                             "entropy": None, "rc": None}
-    response = outcome.response
     if response is None:
         return record
     utterances = segment_utterances(response.content, config.delimiters)

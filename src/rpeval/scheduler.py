@@ -262,9 +262,8 @@ class _Driver:
                 heapq.heappush(self.timers, (due, next(self.seq), job))
                 return
             judge.counts["transport_failures"] += 1
-            outcome = TransportError(
-                f"judge {judge.name!r} exhausted {retry.max_attempts} attempts: "
-                f"{outcome}", attempts=retry.max_attempts)
+            outcome = TransportError(f"judge {judge.name!r} exhausted "
+                                     f"{retry.max_attempts} attempts: {outcome}")
         elif not isinstance(outcome, str):
             raise outcome
         elif job.key is not None:

@@ -4,13 +4,12 @@ import json
 
 import pytest
 
-from conftest import make_repair_judge, make_response
+from conftest import answer, make_repair_judge
 
 from rpeval.formatter import (
     REPAIRED,
     UNREPAIRABLE,
     VALID_DIRECT,
-    FormatOutcome,
     format_response,
     validate,
 )
@@ -26,10 +25,33 @@ GOOD = json.dumps({
 
 
 def _format(*args, **kwargs):
-    """``format_response``'s outcome, its requests sent by ``drive``."""
-    (outcome,) = drive([format_response(*args, **kwargs)],
-                     retry=RetryPolicy(max_attempts=1, base_delay=0.0))
-    return outcome
+    """``format_response``'s ``(status, response)``, its requests sent by
+    ``drive``."""
+    (result,) = drive([format_response(*args, **kwargs)],
+                      retry=RetryPolicy(max_attempts=1, base_delay=0.0))
+    return result
+
+
+def _gate(raw, fix=None, max_attempts=2):
+    """``format_response``'s ``(status, response)`` and the asks it made, as
+    ``(judge, kind, pass_index, prompt)``.  ``fix(prompt)`` answers each
+    ask of the judge ``"fixer"``; without it there is no repair judge."""
+    asks = []
+
+    def reply(judge, kind, prompt, pass_index):
+        asks.append((judge, kind, pass_index, prompt))
+        return fix(prompt)
+
+    judge = None if fix is None else "fixer"
+    return answer(format_response(raw, judge, max_attempts), reply), asks
+
+
+def _passes(asks):
+    return [(judge, kind, pass_index) for judge, kind, pass_index, _ in asks]
+
+
+def _down(prompt):
+    raise TransportError("down")
 
 
 def _client(backend):
@@ -97,75 +119,79 @@ def test_validate_rejects(raw):
 
 
 def test_format_response_direct():
-    outcome = _format(GOOD)
-    assert outcome.status == VALID_DIRECT
-    assert outcome.repair_attempts == 0
-    assert outcome.response.speech_prompt == "hushed"
+    (status, response), asks = _gate(GOOD, fix=lambda prompt: GOOD)
+    assert status == VALID_DIRECT
+    assert response.speech_prompt == "hushed"
+    assert asks == []
 
 
 def test_repair_fixes_on_first_attempt():
     raw = "content: hello there. face: smiling"
+    (status, response), asks = _gate(raw, fix=lambda prompt: GOOD)
+    assert (status, response) == (REPAIRED, validate(GOOD))
+    assert _passes(asks) == [("fixer", "repair", 1)]
+    # The same repair through ``drive`` and a scripted backend.
     judge = _client(make_repair_judge({raw: GOOD}))
-    outcome = _format(raw, judge)
-    assert outcome.status == REPAIRED
-    assert outcome.repair_attempts == 1
-    assert outcome.response == validate(GOOD)
+    assert _format(raw, judge) == (REPAIRED, validate(GOOD))
+    assert judge.counts["replies"] == 1
 
 
 def test_repair_second_attempt_uses_corrective_prompt():
-    raw = "still broken {"
-    seen = []
+    def fix(prompt):
+        return GOOD if "previous rewrite still failed" in prompt else "nope"
 
-    def handler(prompt, sampling):
-        seen.append(prompt)
-        if "previous rewrite still failed" in prompt:
-            return GOOD
-        return "nope"
-
-    outcome = _format(raw, _client(MockBackend("fix", handler=handler)),
-                      max_attempts=2)
-    assert outcome.status == REPAIRED
-    assert outcome.repair_attempts == 2
-    assert len(seen) == 2
-    assert seen[0] != seen[1]
+    (status, response), asks = _gate("still broken {", fix=fix, max_attempts=2)
+    assert (status, response) == (REPAIRED, validate(GOOD))
+    assert _passes(asks) == [("fixer", "repair", 1), ("fixer", "repair", 2)]
+    assert asks[0][3] != asks[1][3]
 
 
 def test_repair_gives_up_after_max_attempts():
-    judge = _client(MockBackend("fix", handler=lambda p, s: "garbage"))
-    outcome = _format("broken", judge, max_attempts=2)
-    assert outcome.status == UNREPAIRABLE
-    assert outcome.response is None
-    assert outcome.repair_attempts == 2
-    assert "failed validation" in outcome.diagnostic
+    for attempts in (1, 2, 3):
+        result, asks = _gate("broken", fix=lambda prompt: "garbage",
+                             max_attempts=attempts)
+        assert result == (UNREPAIRABLE, None)
+        assert _passes(asks) == [("fixer", "repair", n)
+                                 for n in range(1, attempts + 1)]
 
 
 def test_repair_survives_transport_failures():
-    def handler(prompt, sampling):
-        raise TransportError("down")
-
-    outcome = _format("broken", _client(MockBackend("fix", handler=handler)),
-                      max_attempts=2)
-    assert outcome.status == UNREPAIRABLE
-    assert "down" in outcome.diagnostic
+    result, asks = _gate("broken", fix=_down, max_attempts=2)
+    assert result == (UNREPAIRABLE, None)
+    assert len(asks) == 2
+    # Through ``drive``: each lost ask costs its one attempt, not the run.
+    judge = _client(MockBackend("fix", handler=lambda p, s: _down(p)))
+    assert _format("broken", judge, max_attempts=2) == (UNREPAIRABLE, None)
+    assert judge.counts["transport_failures"] == 2
 
 
 def test_max_attempts_is_checked_only_when_repairing():
     judge = _client(MockBackend("fix", handler=lambda p, s: GOOD))
-    assert _format(GOOD, judge, max_attempts=0).status == VALID_DIRECT
+    assert _format(GOOD, judge, max_attempts=0)[0] == VALID_DIRECT
     with pytest.raises(ValueError, match="max_attempts"):
         _format("broken", judge, max_attempts=0)
 
 
 def test_format_without_judge_cannot_repair():
-    outcome = _format("broken")
-    assert outcome.status == UNREPAIRABLE
-    assert "no repair judge" in outcome.diagnostic
+    result, asks = _gate("broken")
+    assert result == (UNREPAIRABLE, None)
+    assert asks == []
 
 
 def test_outcome_invariants():
-    with pytest.raises(ValueError):
-        FormatOutcome(status="weird", response=None)
-    with pytest.raises(ValueError):
-        FormatOutcome(status=VALID_DIRECT, response=None)
-    with pytest.raises(ValueError):
-        FormatOutcome(status=UNREPAIRABLE, response=make_response("hi."))
+    def second_try(prompt):
+        return GOOD if "previous rewrite still failed" in prompt else "nope"
+
+    branches = [
+        _gate(GOOD),                                  # valid direct
+        _gate("broken"),                              # no judge
+        _gate("broken", fix=lambda prompt: GOOD),     # repaired at once
+        _gate("broken", fix=second_try),              # repaired on retry
+        _gate("broken", fix=lambda prompt: "nope"),   # never fixed
+        _gate("broken", fix=_down),                   # judge down
+    ]
+    statuses = [status for (status, _), _ in branches]
+    assert statuses == [VALID_DIRECT, UNREPAIRABLE, REPAIRED, REPAIRED,
+                        UNREPAIRABLE, UNREPAIRABLE]
+    for (status, response), _ in branches:
+        assert (response is None) == (status == UNREPAIRABLE)

@@ -164,10 +164,9 @@ def test_client_exhaustion_raises_with_attempts():
     # 1100 attempts: more than a doubled delay fits in a float.
     for attempts in (3, 1100):
         client = JudgeClient(MockBackend("m", handler=down))
-        with pytest.raises(TransportError) as err:
+        with pytest.raises(TransportError, match=f"exhausted {attempts} attempts"):
             client.call(JudgeRequest(kind="erc", prompt="p"), retry=RetryPolicy(
                 max_attempts=attempts, base_delay=0.0, max_delay=0.0))
-        assert err.value.attempts == attempts
         assert client.counts["backend_calls"] == attempts
 
 
@@ -309,6 +308,18 @@ def test_mock_backend_fixture_sources(tmp_path):
     assert disk.complete("bye", Sampling()) == "from disk"
     with pytest.raises(TransportError):
         disk.complete("unknown", Sampling())
+
+
+def test_a_fixture_that_is_not_utf8_costs_the_request(tmp_path):
+    digest = prompt_digest("p")
+    (tmp_path / f"{digest}.txt").write_bytes(b"\xff\xfe bad")
+    client = JudgeClient(MockBackend("m", fixture_dir=tmp_path))
+    with pytest.raises(TransportError,
+                       match=f"fixture for prompt digest {digest[:12]} is not UTF-8"):
+        client.call(JudgeRequest(kind="erc", prompt="p"),
+                    retry=RetryPolicy(max_attempts=3, base_delay=0.0))
+    assert client.counts["backend_calls"] == 3
+    assert client.counts["transport_failures"] == 1
 
 
 def test_limiter_bounds_concurrent_backend_calls():

@@ -27,7 +27,7 @@ from conftest import (
 
 import rpeval.pipeline
 from rpeval.cli import main
-from rpeval.corpus import CorpusError, PredictionRecord, load_predictions
+from rpeval.corpus import CorpusError, PredictionRecord, load_corpus, load_predictions
 from rpeval.erc import MODALITIES
 from rpeval.formatter import UNREPAIRABLE, VALID_DIRECT
 from rpeval.judges import (
@@ -669,6 +669,33 @@ def test_agreement_loads_csv_and_json(tmp_path):
         agreement("interval", rows)
     with pytest.raises(CorpusError):
         agreement("nominal", [["a", "b"]])
+
+
+
+def _bom_inputs():
+    sample = make_sample("s1")
+    corpus = json.dumps(sample.to_record(), ensure_ascii=False) + "\n"
+    preds = json.dumps(echo_prediction(sample).to_record(), ensure_ascii=False) + "\n"
+    return {
+        "table.csv": ("3,1,2,2\n3,1,2,2\n", load_agreement_table),
+        "table.json": ('[["a", "b"], ["a", null]]', load_agreement_table),
+        "corpus.jsonl": (corpus, load_corpus),
+        "preds.jsonl": (preds, load_predictions),
+        "run.json": ('{"tau": 0.3}', RunConfig.from_file),
+    }
+
+
+@pytest.mark.parametrize("name", list(_bom_inputs()))
+def test_a_leading_byte_order_mark_is_ignored(tmp_path, name):
+    """Spreadsheet tools write a UTF-8 BOM; every input file reads past it."""
+    text, load = _bom_inputs()[name]
+    plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert load(marked) == load(plain)
+    if name == "table.csv":
+        for kind in ("nominal", "ordinal"):
+            assert agreement(kind, load(marked)) == agreement(kind, load(plain)) == 1.0
 
 
 # ------------------------------------------------------------- generation

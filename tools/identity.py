@@ -40,7 +40,9 @@ The grid is fixed here.  Cells may be added, never dropped:
   shows whether samples are written in corpus order;
 - seed 1 with one judge that fails every attempt, so each of its asks
   exhausts its retries: ``expert0`` at concurrency 1 and 4, ``critic1``
-  and ``fixer`` at concurrency 4.
+  and ``fixer`` at concurrency 4;
+- seed 1 at concurrency 4 with no repair judge, so every invalid output
+  is dropped unasked, and with one repair attempt per sample.
 
 Exit codes: 0 when every cell matches, 1 with the list of cells that
 differ, 2 for a REV that cannot be exported or run.
@@ -84,10 +86,11 @@ def grid() -> list[dict]:
     cells = []
 
     def evaluate(corpus, fault="", concurrency=4, cache="", tag="", limit=0.0,
-                 dead="", **config):
+                 dead="", repair=True, **config):
         name = f"{corpus}/{fault or 'clean'}/c{concurrency}" + (f"/{tag}" if tag else "")
         cells.append({"name": name, "command": "evaluate", "corpus": corpus,
                       "fault": fault, "cache": cache, "limit": limit, "dead": dead,
+                      "repair": repair,
                       "config": {"concurrency": concurrency, **config}})
 
     for corpus in ("s1", "s2", "s3"):
@@ -120,15 +123,17 @@ def grid() -> list[dict]:
     for concurrency, dead in ((1, "expert0"), (4, "expert0"), (4, "critic1"),
                               (4, "fixer")):
         evaluate("s1", concurrency=concurrency, tag=f"dead-{dead}", dead=dead)
+    evaluate("s1", tag="no-repair", repair=False)
+    evaluate("s1", tag="one-repair", max_repair_attempts=1)
     return cells
 
 
 # -- child: run the grid with one side's source ------------------------
 
-def _judges(fault: str, limit: float, dead: str = "") -> dict:
+def _judges(fault: str, limit: float, dead: str = "", repair: bool = True) -> dict:
     """The Replier's judges; ``expert0`` sends at most ``limit`` requests
-    per second (0: unlimited), and the judge named ``dead`` fails every
-    attempt."""
+    per second (0: unlimited), the judge named ``dead`` fails every
+    attempt, and without ``repair`` there is no repair judge."""
     import rpeval
     from replies import Replier, Transient
 
@@ -147,7 +152,7 @@ def _judges(fault: str, limit: float, dead: str = "") -> dict:
 
     return {"experts": [judge(n) for n in EXPERTS],
             "rc_evaluators": [judge(n) for n in CRITICS],
-            "repair_judge": judge("fixer")}
+            "repair_judge": judge("fixer") if repair else None}
 
 
 def _run_cell(cell: dict, inputs: Path, work: Path) -> dict:
@@ -184,7 +189,8 @@ def _run_cell(cell: dict, inputs: Path, work: Path) -> dict:
         config["cache_dir"] = str(work / "caches" / cell["cache"])
     run = rpeval.evaluate(rpeval.RunConfig.from_dict(config), corpus / "corpus.jsonl",
                           corpus / "predictions.jsonl", out_dir=out,
-                          **_judges(cell["fault"], cell["limit"], cell["dead"]))
+                          **_judges(cell["fault"], cell["limit"], cell["dead"],
+                                    cell["repair"]))
     return {"files": {"report.json": str(out / "report.json")},
             "counts": run.manifest["counts"],
             "judges": {name: {key: stats[key] for key in JUDGE_KEYS}
