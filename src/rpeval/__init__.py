@@ -45,7 +45,6 @@ _EXPORTS = {
     "judges": (
         "HttpBackend",
         "JudgeClient",
-        "JudgeRequest",
         "MockBackend",
         "ReplyCache",
         "TransportError",

@@ -4,7 +4,7 @@ A judge is anything that turns a prompt into text: a remote
 OpenAI-compatible endpoint in production, a fixture-backed mock in
 tests.  ``JudgeClient`` gives a backend the identity, pacing and counters
 that ``scheduler.drive`` keeps when it sends the client's requests with
-the run's retry policy, reply cache (keyed by request digest) and
+the run's retry policy, reply cache (keyed by ``JudgeClient.key``) and
 sampling.
 """
 
@@ -19,7 +19,6 @@ import re
 import select
 import threading
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 from urllib.parse import unquote, urlsplit
@@ -39,42 +38,6 @@ class RequestRejected(TransportError):
 
 # Version of the reply-cache key layout; bumping it orphans old entries.
 CACHE_SCHEMA = 2
-
-
-@dataclass(frozen=True)
-class JudgeRequest:
-    """One unit of judge work; the digest doubles as a cache key.
-
-    ``judge`` is the asking judge's name.  It is part of the key so
-    panel members never share cached replies: the same prompt sent to
-    two different judges is two different opinions.  ``backend`` is the
-    answering backend's identity (kind, model, endpoint; a mock's name),
-    so a judge switched to another model never gets the old model's
-    replies.
-    """
-
-    kind: str  # repair | erc | rc | generate
-    prompt: str
-    sampling: Sampling = Sampling()
-    pass_index: int = 1
-    judge: str = ""
-    backend: tuple = ()
-
-    @property
-    def idempotency_key(self) -> str:
-        payload = json.dumps(
-            [
-                CACHE_SCHEMA,
-                list(self.backend),
-                self.judge,
-                self.kind,
-                self.prompt,
-                *(getattr(self.sampling, name) for name in _SAMPLING_FIELDS),
-                self.pass_index,
-            ],
-            ensure_ascii=False,
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def prompt_digest(prompt: str) -> str:
@@ -181,9 +144,10 @@ class HttpBackend:
     """OpenAI-compatible chat-completions backend over ``http.client``.
 
     Credentials come from the environment variable named by
-    ``credential_env``; a missing credential or an auth rejection is a
-    configuration error, not a transient fault.  ``rate_limit``
-    (requests per second) is kept by ``scheduler.drive``.
+    ``credential_env``, read on each call; a missing credential, one that
+    is not printable ASCII, or an auth rejection is a configuration
+    error, not a transient fault, and no error shows the credential.
+    ``rate_limit`` (requests per second) is kept by ``scheduler.drive``.
     Connections are kept alive for reuse when the server allows it; each
     call checks one out, so no more stay open than calls ever overlapped.
     Proxies come from the environment, and TLS verifies against the
@@ -281,6 +245,12 @@ class HttpBackend:
                     f"backend {self.name!r}: environment variable "
                     f"{self.credential_env!r} is not set"
                 )
+            if not (token.isascii() and token.isprintable()):
+                # http.client would refuse the header with its value shown.
+                raise ConfigError(
+                    f"backend {self.name!r}: environment variable "
+                    f"{self.credential_env!r} is not printable ASCII "
+                    f"(a stray newline?)")
             headers["Authorization"] = f"Bearer {token}"
         body = json.dumps({
             "model": self.model,
@@ -353,11 +323,11 @@ class ReplyCache:
 
     Layout is stable: ``<root>/replies.sqlite3`` holds one table,
     ``replies(key TEXT PRIMARY KEY, kind TEXT NOT NULL, text TEXT NOT
-    NULL)``, where ``key`` is the request digest.  The database runs in
-    WAL mode; each ``put`` is its own transaction, so readers never see a
-    partial record, and runs sharing a root wait out each other's opens
-    and writes instead of failing.  ``close`` checkpoints the WAL into the
-    database file.  A database that fails, on opening or mid-run, is a
+    NULL)``, where ``key`` is an ask's ``JudgeClient.key``.  The database
+    runs in WAL mode; each ``put`` is its own transaction, so readers
+    never see a partial record, and runs sharing a root wait out each
+    other's opens and writes instead of failing.  ``close`` checkpoints
+    the WAL into the database file.  A database that fails, on opening or mid-run, is a
     ``ConfigError`` that names the file.  Only the thread that opened a
     cache uses it: in a run, that is the driver.
     """
@@ -460,13 +430,28 @@ class JudgeClient:
     def name(self) -> str:
         return self.backend.name
 
-    def attempt(self, request: JudgeRequest) -> str:
+    def key(self, kind: str, prompt: str, sampling: Sampling, pass_index: int) -> str:
+        """The cache key of this judge's ask: a digest of the cache schema,
+        the backend's identity, the judge's name, and the ask's kind,
+        prompt, sampling and pass.
+
+        The name keeps panel members from sharing replies: the same prompt
+        sent to two judges is two opinions.  The identity (kind, model,
+        endpoint; a mock's name) keeps a judge switched to another model
+        from getting the old model's replies."""
+        payload = json.dumps(
+            [CACHE_SCHEMA, list(self.identity), self.name, kind, prompt,
+             *(getattr(sampling, name) for name in _SAMPLING_FIELDS), pass_index],
+            ensure_ascii=False)
+        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+    def attempt(self, prompt: str, sampling: Sampling) -> str:
         """One backend attempt.
 
         A reply that is not UTF-8 text (not a ``str``, or one holding a
         lone surrogate) is a ``TransportError``: it costs this request,
         never the run."""
-        text = self.backend.complete(request.prompt, request.sampling)
+        text = self.backend.complete(prompt, sampling)
         if isinstance(text, str):
             try:
                 text.encode("utf-8")
@@ -480,14 +465,14 @@ class JudgeClient:
         if hasattr(self.backend, "close"):
             self.backend.close()
 
-    def call(self, request: JudgeRequest, *, cache: Optional[ReplyCache] = None,
+    def call(self, kind: str, prompt: str, pass_index: int = 1, *,
+             sampling: Sampling = Sampling(), cache: Optional[ReplyCache] = None,
              retry: RetryPolicy = RetryPolicy()) -> str:
-        """The reply to ``request``'s kind, prompt, pass and sampling, asked
-        under this client's name and identity through ``scheduler.drive``."""
+        """The reply to one ask of this judge, sent through ``scheduler.drive``."""
         from .scheduler import ask_once, drive
 
-        return drive([ask_once(self, request.kind, request.prompt, request.pass_index)],
-                     cache=cache, retry=retry, sampling=request.sampling)[0]
+        return drive([ask_once(self, kind, prompt, pass_index)],
+                     cache=cache, retry=retry, sampling=sampling)[0]
 
 
 _FENCE_RE = re.compile(r"```(?:json)?\s*(.*?)```", re.DOTALL)

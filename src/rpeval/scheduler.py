@@ -32,7 +32,7 @@ from collections import deque
 from typing import Generator, Iterable, Optional
 
 from .config import RetryPolicy, Sampling
-from .judges import JudgeRequest, ReplyCache, RequestRejected, TransportError
+from .judges import ReplyCache, RequestRejected, TransportError
 
 logger = logging.getLogger(__name__)
 
@@ -67,22 +67,15 @@ class _Sample:
 
 
 class _Job:
-    """A request on its way; ``askers`` holds (judge, sample, index) of
-    the ask that sent it, then of each identical ask that waits on it."""
+    """A request on its way: the ask that sent it, its judge and cache key;
+    ``askers`` holds (ask, sample, index) of that ask, then of each
+    identical ask that waits on it."""
 
-    __slots__ = ("judge", "request", "key", "askers", "attempt")
+    __slots__ = ("ask", "judge", "key", "askers", "attempt")
 
-    def __init__(self, request, key, asker):
-        self.judge, self.request, self.key = asker[0], request, key
+    def __init__(self, key, asker):
+        self.ask, self.judge, self.key = asker[0], asker[0][0], key
         self.askers, self.attempt = [asker], 0
-
-
-def _attempt(job: _Job):
-    """One backend attempt: the reply text, or the exception it raised."""
-    try:
-        return job.judge.attempt(job.request)
-    except BaseException as exc:
-        return exc
 
 
 class _Driver:
@@ -146,16 +139,13 @@ class _Driver:
                 break
             replies = []
         sample.replies, sample.missing = [None] * len(batch), len(batch)
-        for index, (judge, kind, prompt, pass_index) in enumerate(batch):
-            request = JudgeRequest(kind=kind, prompt=prompt, sampling=self.sampling,
-                                   pass_index=pass_index, judge=judge.name,
-                                   backend=judge.identity)
-            self._submit(request, (judge, sample, index))
+        for index, ask in enumerate(batch):
+            self._submit((ask, sample, index))
 
-    def _submit(self, request, asker) -> None:
-        judge, key = asker[0], None
+    def _submit(self, asker) -> None:
+        (judge, kind, prompt, pass_index), key = asker[0], None
         if self.cache is not None:
-            key = request.idempotency_key
+            key = judge.key(kind, prompt, self.sampling, pass_index)
             if key in self.flying:
                 self.flying[key].askers.append(asker)
                 return
@@ -165,7 +155,7 @@ class _Driver:
                 judge.counts["replies"] += 1
                 self._deliver(asker, cached)
                 return
-        job = _Job(request, key, asker)
+        job = _Job(key, asker)
         if key is not None:
             self.flying[key] = job
         self._queue(job)
@@ -204,7 +194,7 @@ class _Driver:
                 return
             job.attempt += 1
             if self.concurrency == 1:
-                self._finish(job, _attempt(job))
+                self._finish(job, self._attempt(job))
                 continue
             if self.in_flight == len(self.senders):
                 sender = threading.Thread(target=self._send,
@@ -214,12 +204,19 @@ class _Driver:
             self.in_flight += 1
             self.jobs.put(job)
 
+    def _attempt(self, job: _Job):
+        """One backend attempt: the reply text, or the exception it raised."""
+        try:
+            return job.judge.attempt(job.ask[2], self.sampling)
+        except BaseException as exc:
+            return exc
+
     def _send(self) -> None:
         while True:
             job = self.jobs.get()
             if job is None or self.stopped:
                 return
-            outcome = _attempt(job)
+            outcome = self._attempt(job)
             if not isinstance(outcome, (str, TransportError)):
                 self.stopped = True  # no attempt starts after this one
             self.done.put((job, outcome))
@@ -245,16 +242,16 @@ class _Driver:
         return bool(self.open)
 
     def _finish(self, job: _Job, outcome) -> None:
-        judge, retry = job.judge, self.retry
+        (judge, kind, _, pass_index), retry = job.ask, self.retry
         judge.counts["backend_calls"] += 1
-        ask = (judge.name, job.request.kind, job.request.pass_index)
+        about = (judge.name, kind, pass_index)
         if isinstance(outcome, RequestRejected):
             judge.counts["rejected"] += 1
-            logger.warning("judge %s %s pass %d rejected: %s", *ask, outcome)
+            logger.warning("judge %s %s pass %d rejected: %s", *about, outcome)
         elif isinstance(outcome, TransportError):
             again = job.attempt < retry.max_attempts
             logger.log(logging.INFO if again else logging.WARNING,
-                       "judge %s %s pass %d attempt %d/%d failed: %s", *ask,
+                       "judge %s %s pass %d attempt %d/%d failed: %s", *about,
                        job.attempt, retry.max_attempts, outcome)
             if again:
                 judge.counts["retries"] += 1
@@ -267,13 +264,14 @@ class _Driver:
         elif not isinstance(outcome, str):
             raise outcome
         elif job.key is not None:
-            self.cache.put(job.key, job.request.kind, outcome)
+            self.cache.put(job.key, kind, outcome)
         if job.key is not None:
             del self.flying[job.key]
         if isinstance(outcome, str):
             for n, asker in enumerate(job.askers):
-                asker[0].counts["replies"] += 1
-                asker[0].counts["cache_hits"] += n > 0
+                counts = asker[0][0].counts
+                counts["replies"] += 1
+                counts["cache_hits"] += n > 0
                 self._deliver(asker, outcome)
             return
         # The error is the first asker's; each waiting ask is asked again,
@@ -281,4 +279,4 @@ class _Driver:
         first, *waiting = job.askers
         self._deliver(first, outcome)
         for asker in waiting:
-            self._submit(job.request, asker)
+            self._submit(asker)

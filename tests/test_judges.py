@@ -10,15 +10,16 @@ import threading
 import time
 
 import pytest
+from conftest import echo_prediction, make_sample, write_corpus, write_predictions
 
 import rpeval.scheduler
+from rpeval.cli import main
 from rpeval.judges import (
     _FENCE_RE,
     MAX_REPLY_BYTES,
     ConfigError,
     HttpBackend,
     JudgeClient,
-    JudgeRequest,
     MockBackend,
     ReplyCache,
     RequestRejected,
@@ -34,48 +35,46 @@ from rpeval.judges import (
 
 
 def test_idempotency_key_is_stable_and_sensitive():
-    base = JudgeRequest(kind="erc", prompt="hello")
-    assert base.idempotency_key == JudgeRequest(kind="erc", prompt="hello").idempotency_key
-    assert base.idempotency_key != JudgeRequest(kind="rc", prompt="hello").idempotency_key
-    assert base.idempotency_key != JudgeRequest(kind="erc", prompt="hello!").idempotency_key
-    assert base.idempotency_key != JudgeRequest(
-        kind="erc", prompt="hello", pass_index=2).idempotency_key
-    assert base.idempotency_key != JudgeRequest(
-        kind="erc", prompt="hello", sampling=Sampling(temperature=0.5)).idempotency_key
-    # two panel members asking the same question are two opinions
-    assert base.idempotency_key != JudgeRequest(
-        kind="erc", prompt="hello", judge="expert1").idempotency_key
+    def client(name):
+        return JudgeClient(HttpBackend(name, endpoint="http://127.0.0.1/v1",
+                                       model="judge-1"))
+
+    judge = client("m")
+    base = judge.key("erc", "hello", Sampling(), 1)
+    assert base == client("m").key("erc", "hello", Sampling(), 1)
+    assert base != judge.key("rc", "hello", Sampling(), 1)
+    assert base != judge.key("erc", "hello!", Sampling(), 1)
+    assert base != judge.key("erc", "hello", Sampling(), 2)
+    assert base != judge.key("erc", "hello", Sampling(temperature=0.5), 1)
+    # two panel members asking the same model the same question are two opinions
+    assert base != client("expert1").key("erc", "hello", Sampling(), 1)
 
 
 def test_idempotency_key_is_pinned():
     # Existing reply caches keep hitting only while these bytes hold.
-    request = JudgeRequest(
-        kind="erc", prompt="h\u00e9llo",
-        sampling=Sampling(temperature=0.5, top_p=0.9, max_tokens=77),
-        pass_index=2, judge="expert1",
-        backend=("http", "judge-1", "http://127.0.0.1/v1"))
-    assert request.idempotency_key == (
+    client = JudgeClient(HttpBackend("expert1", endpoint="http://127.0.0.1/v1",
+                                     model="judge-1"))
+    key = client.key("erc", "h\u00e9llo",
+                     Sampling(temperature=0.5, top_p=0.9, max_tokens=77), 2)
+    assert key == (
         "4eee7b6d13cd6028608b04fe7f331e43b52d9bf7e23b2d550c3a0d652eb59f89")
 
 
 def test_cacheless_client_never_computes_the_key(monkeypatch, tmp_path):
-    def no_key(request):
-        raise AssertionError("idempotency_key read without a cache")
+    def no_key(*args):
+        raise AssertionError("key computed without a cache")
 
     client = JudgeClient(MockBackend("m", handler=lambda p, s: "reply"))
     with monkeypatch.context() as patch:
-        patch.setattr(JudgeRequest, "idempotency_key", property(no_key))
-        assert client.call(JudgeRequest(kind="erc", prompt="p")) == "reply"
-        assert client.call(JudgeRequest(kind="rc", prompt="p")) == "reply"
-    # With a cache, the reply is stored under the key of the request the
-    # client asks: its kind, prompt, pass and sampling with the client's
-    # name and identity.
+        patch.setattr(JudgeClient, "key", no_key)
+        assert client.call("erc", "p") == "reply"
+        assert client.call("rc", "p") == "reply"
+    # With a cache, the reply is stored under the client's key of its
+    # kind, prompt, sampling and pass.
     cache = ReplyCache(tmp_path / "cache")
     client = JudgeClient(MockBackend("m", handler=lambda p, s: "reply"))
-    client.call(JudgeRequest(kind="erc", prompt="p"), cache=cache)
-    key = JudgeRequest(kind="erc", prompt="p", judge="m",
-                       backend=client.identity).idempotency_key
-    assert cache.get(key) == "reply"
+    client.call("erc", "p", cache=cache)
+    assert cache.get(client.key("erc", "p", Sampling(), 1)) == "reply"
     cache.close()
 
 
@@ -89,15 +88,10 @@ def test_call_sends_and_caches_with_its_requests_sampling(tmp_path):
     cache = ReplyCache(tmp_path / "cache")
     client = JudgeClient(MockBackend("m", handler=handler))
     warm = Sampling(temperature=0.5)
-    assert client.call(JudgeRequest(kind="erc", prompt="p", sampling=warm),
-                       cache=cache) == "warm"
+    assert client.call("erc", "p", sampling=warm, cache=cache) == "warm"
     assert seen == [0.5]
-    key = JudgeRequest(kind="erc", prompt="p", sampling=warm, judge="m",
-                       backend=client.identity).idempotency_key
-    greedy = JudgeRequest(kind="erc", prompt="p", judge="m",
-                          backend=client.identity).idempotency_key
-    assert cache.get(key) == "warm"
-    assert cache.get(greedy) is None
+    assert cache.get(client.key("erc", "p", warm, 1)) == "warm"
+    assert cache.get(client.key("erc", "p", Sampling(), 1)) is None
     cache.close()
 
 
@@ -107,7 +101,7 @@ def test_same_prompt_different_judges_do_not_share_cache(tmp_path):
         JudgeClient(backend=MockBackend(name, handler=lambda p, s, name=name: name))
         for name in ("expert0", "expert1")
     ]
-    replies = [j.call(JudgeRequest(kind="erc", prompt="same prompt"), cache=cache,
+    replies = [j.call("erc", "same prompt", cache=cache,
                       retry=RetryPolicy(max_attempts=1)) for j in judges]
     cache.close()
     assert replies == ["expert0", "expert1"]
@@ -149,8 +143,8 @@ def test_client_retries_then_succeeds_with_attempt_count(monkeypatch):
     clock = _Clock()
     monkeypatch.setattr(rpeval.scheduler, "time", clock)
     client = JudgeClient(MockBackend("m", handler=handler))
-    assert client.call(JudgeRequest(kind="erc", prompt="p"),
-                       retry=RetryPolicy(max_attempts=3, base_delay=0.5)) == "finally"
+    assert client.call("erc", "p", retry=RetryPolicy(max_attempts=3,
+                                                     base_delay=0.5)) == "finally"
     assert client.counts["backend_calls"] == 3
     assert client.counts["replies"] == 1
     assert client.counts["retries"] == 2
@@ -165,7 +159,7 @@ def test_client_exhaustion_raises_with_attempts():
     for attempts in (3, 1100):
         client = JudgeClient(MockBackend("m", handler=down))
         with pytest.raises(TransportError, match=f"exhausted {attempts} attempts"):
-            client.call(JudgeRequest(kind="erc", prompt="p"), retry=RetryPolicy(
+            client.call("erc", "p", retry=RetryPolicy(
                 max_attempts=attempts, base_delay=0.0, max_delay=0.0))
         assert client.counts["backend_calls"] == attempts
 
@@ -179,8 +173,7 @@ def test_config_errors_are_not_retried():
 
     client = JudgeClient(MockBackend("m", handler=handler))
     with pytest.raises(ConfigError):
-        client.call(JudgeRequest(kind="erc", prompt="p"),
-                    retry=RetryPolicy(max_attempts=3, base_delay=0.0))
+        client.call("erc", "p", retry=RetryPolicy(max_attempts=3, base_delay=0.0))
     assert len(calls) == 1
 
 
@@ -188,9 +181,8 @@ def test_cache_second_call_is_served_locally(tmp_path):
     backend = MockBackend("m", handler=lambda p, s: "reply!")
     cache = ReplyCache(tmp_path / "cache")
     client = JudgeClient(backend)
-    request = JudgeRequest(kind="erc", prompt="p")
-    assert client.call(request, cache=cache) == "reply!"
-    assert client.call(request, cache=cache) == "reply!"
+    assert client.call("erc", "p", cache=cache) == "reply!"
+    assert client.call("erc", "p", cache=cache) == "reply!"
     cache.close()
     assert backend.calls == 1
     assert client.counts == {
@@ -293,8 +285,8 @@ def test_distinct_pass_index_bypasses_cache(tmp_path):
     backend = MockBackend("m", handler=lambda p, s: "r")
     cache = ReplyCache(tmp_path / "cache")
     client = JudgeClient(backend)
-    client.call(JudgeRequest(kind="erc", prompt="p", pass_index=1), cache=cache)
-    client.call(JudgeRequest(kind="erc", prompt="p", pass_index=2), cache=cache)
+    client.call("erc", "p", 1, cache=cache)
+    client.call("erc", "p", 2, cache=cache)
     cache.close()
     assert backend.calls == 2
 
@@ -316,8 +308,7 @@ def test_a_fixture_that_is_not_utf8_costs_the_request(tmp_path):
     client = JudgeClient(MockBackend("m", fixture_dir=tmp_path))
     with pytest.raises(TransportError,
                        match=f"fixture for prompt digest {digest[:12]} is not UTF-8"):
-        client.call(JudgeRequest(kind="erc", prompt="p"),
-                    retry=RetryPolicy(max_attempts=3, base_delay=0.0))
+        client.call("erc", "p", retry=RetryPolicy(max_attempts=3, base_delay=0.0))
     assert client.counts["backend_calls"] == 3
     assert client.counts["transport_failures"] == 1
 
@@ -352,6 +343,50 @@ def test_http_backend_requires_credential(monkeypatch):
     monkeypatch.delenv("MISSING_KEY_VAR", raising=False)
     with pytest.raises(ConfigError, match="MISSING_KEY_VAR"):
         backend.complete("p", Sampling())
+
+
+def test_http_backend_sends_the_credential_it_reads_on_each_call(judge_server,
+                                                                monkeypatch):
+    backend = HttpBackend("j", endpoint=judge_server.url, model="judge-1",
+                          credential_env="JUDGE_KEY")
+    for token in ("sk-first", "sk-second"):
+        monkeypatch.setenv("JUDGE_KEY", token)
+        assert backend.complete("p", Sampling()) == "ok"
+    backend.close()
+    assert [seen["headers"]["Authorization"] for seen in judge_server.seen] == [
+        "Bearer sk-first", "Bearer sk-second"]
+
+
+def test_a_credential_that_is_not_printable_ascii_is_refused_unshown(
+        judge_server, monkeypatch, tmp_path, capsys):
+    backend = HttpBackend("j", endpoint=judge_server.url, model="judge-1",
+                          credential_env="JUDGE_KEY")
+    for token in ("sk-live-SECRET123\r\n", "sk-live-SECRET123\n",
+                  "sk-live-SECRET123\u00e9"):
+        monkeypatch.setenv("JUDGE_KEY", token)
+        with pytest.raises(ConfigError, match="'j': environment variable "
+                                              "'JUDGE_KEY' is not printable") as refused:
+            backend.complete("p", Sampling())
+        assert "SECRET" not in str(refused.value)
+    assert judge_server.seen == []
+    # The CLI names the variable and exits 2, with no traceback.
+    monkeypatch.setenv("JUDGE_KEY", "sk-live-SECRET123\r\n")
+    sample = make_sample("a")
+    corpus = write_corpus(tmp_path / "c.jsonl", [sample])
+    predictions = write_predictions(tmp_path / "p.jsonl", [echo_prediction(sample)])
+    judge = {"kind": "http", "model": "m", "endpoint": judge_server.url,
+             "credential_env": "JUDGE_KEY"}
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "experts": [{"name": "e", **judge}], "rc_evaluators": [{"name": "r", **judge}],
+    }), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(config), "--corpus", corpus,
+                 "--predictions", predictions, "--out", str(tmp_path / "out")]) == 2
+    out, err = capsys.readouterr()
+    assert "config error: backend 'e': environment variable 'JUDGE_KEY'" in err
+    assert "SECRET" not in out + err
+    assert "Traceback" not in err
 
 
 def test_http_backend_statuses(judge_server):
@@ -430,13 +465,11 @@ def test_http_reply_body_is_bounded(judge_server, monkeypatch):
             monkeypatch.setattr(judge_server.RequestHandlerClass, "send_header",
                                 no_length)
         judge_server.answer = lambda request: (200, body(MAX_REPLY_BYTES))
-        assert client.call(JudgeRequest(kind="erc", prompt=f"at the bound {declared}"),
-                           retry=retry) == content
+        assert client.call("erc", f"at the bound {declared}", retry=retry) == content
         judge_server.answer = lambda request: (200, body(MAX_REPLY_BYTES + 1))
         with pytest.raises(TransportError,
                            match="'j': reply body is longer than 1048576 bytes"):
-            client.call(JudgeRequest(kind="erc", prompt=f"one byte more {declared}"),
-                        retry=retry)
+            client.call("erc", f"one byte more {declared}", retry=retry)
         assert client.backend._idle == []  # that connection was closed
     assert client.counts == {"cache_hits": 0, "cache_misses": 0, "backend_calls": 6,
                              "replies": 2, "retries": 2, "transport_failures": 2,
@@ -470,7 +503,7 @@ def test_http_backend_keeps_connection_alive(judge_server):
 
 def test_client_close_closes_the_backends_idle_connections(judge_server):
     client = JudgeClient(HttpBackend("j", endpoint=judge_server.url, model="judge-1"))
-    assert client.call(JudgeRequest(kind="erc", prompt="p")) == "ok"
+    assert client.call("erc", "p") == "ok"
     assert len(client.backend._idle) == 1
     client.close()
     assert client.backend._idle == []
@@ -495,10 +528,10 @@ def test_http_backend_resends_once_when_a_reused_connection_drops(judge_server):
     assert len(judge_server.seen) == 1
 
     client, once = JudgeClient(backend), RetryPolicy(max_attempts=1)
-    assert client.call(JudgeRequest(kind="erc", prompt="p1"), retry=once) == "ok"
+    assert client.call("erc", "p1", retry=once) == "ok"
     # The server hangs up on the kept-alive connection after the idle check.
     judge_server.script.append((None, None))
-    assert client.call(JudgeRequest(kind="erc", prompt="p2"), retry=once) == "ok"
+    assert client.call("erc", "p2", retry=once) == "ok"
     backend.close()
     assert [seen["json"]["messages"][0]["content"]
             for seen in judge_server.seen[1:]] == ["p1", "p2", "p2"]
@@ -544,8 +577,7 @@ def test_cache_misses_when_the_model_changes(judge_server, tmp_path):
     cache = ReplyCache(tmp_path / "cache")
     for model in ("judge-1", "judge-1", "judge-2"):
         backend = HttpBackend("j", endpoint=judge_server.url, model=model)
-        JudgeClient(backend).call(JudgeRequest(kind="erc", prompt="same prompt"),
-                                  cache=cache)
+        JudgeClient(backend).call("erc", "same prompt", cache=cache)
         backend.close()
     cache.close()
     assert [seen["json"]["model"] for seen in judge_server.seen] == [

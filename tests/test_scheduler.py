@@ -35,8 +35,10 @@ from rpeval.erc import MODALITIES, run_panel
 from rpeval.judges import (
     JudgeClient,
     MockBackend,
+    ReplyCache,
     RequestRejected,
     RetryPolicy,
+    Sampling,
     TransportError,
 )
 from rpeval.pipeline import RC_METRICS, ConfigError, evaluate, generate, judge_sample
@@ -205,6 +207,22 @@ def test_paced_waiter_takes_the_next_permit_first(monkeypatch):
                    *[(paced, "erc", f"p{i}", 1) for i in range(2)])])
     # P at 0; U at 0-20 and 20-40; P due at 30, sent at 40; U, U.
     assert order == ["P", "U", "U", "P", "U", "U"]
+
+
+def test_a_due_paced_ask_does_not_wait_for_an_unrelated_reply():
+    # P's first reply comes back at once while S's takes 0.6 s: P's second
+    # ask falls due 50 ms later and goes out on the free slot then, not
+    # when S's reply ends the driver's wait.
+    def slow(prompt, sampling):
+        time.sleep(0.6)
+        return "s"
+
+    paced = _Stamped(MockBackend("P", handler=lambda p, s: "p", rate_limit=20.0))
+    other = JudgeClient(MockBackend("S", handler=slow))
+    assert drive([_asking((paced, "erc", "p0", 1), (paced, "erc", "p1", 1),
+                          (other, "erc", "s", 1))], 2) == [["p", "p", "s"]]
+    first, second = paced.sends
+    assert 0.05 <= second - first < 0.3
 
 
 def test_permits_need_a_positive_integer_count():
@@ -683,6 +701,35 @@ def test_identical_asks_in_flight_coalesce_under_a_cache(tmp_path):
         calls, shared = run(4, index)
         assert calls == once, index
         assert shared == cache, index
+
+
+@pytest.mark.parametrize("concurrency", [1, 2])
+def test_a_failed_ask_sends_the_asks_waiting_on_it_again(tmp_path, concurrency):
+    # Two identical asks in one batch share one request under a cache.
+    # Its failure is the first ask's; the second is asked again, as if it
+    # had come after, and its reply is the one cached.
+    attempts = []
+
+    def flaky(prompt, sampling):
+        attempts.append(prompt)
+        if len(attempts) == 1:
+            raise TransportError("connection reset")
+        return "ok"
+
+    judge = JudgeClient(MockBackend("F", handler=flaky))
+    ask = (judge, "erc", "same prompt", 1)
+    cache = ReplyCache(tmp_path / "cache")
+    try:
+        ((lost, reply),) = drive([_asking(ask, ask)], concurrency, cache=cache,
+                                 retry=RetryPolicy(max_attempts=1))
+        cached = cache.get(judge.key("erc", "same prompt", Sampling(), 1))
+    finally:
+        cache.close()
+    assert isinstance(lost, TransportError)
+    assert reply == "ok" == cached
+    assert judge.counts == {"cache_hits": 0, "cache_misses": 2, "backend_calls": 2,
+                            "replies": 1, "retries": 0, "transport_failures": 1,
+                            "rejected": 0}
 
 
 def test_auth_failure_in_a_worker_aborts_the_run(judge_server, tmp_path):

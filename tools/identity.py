@@ -42,7 +42,10 @@ The grid is fixed here.  Cells may be added, never dropped:
   exhausts its retries: ``expert0`` at concurrency 1 and 4, ``critic1``
   and ``fixer`` at concurrency 4;
 - seed 1 at concurrency 4 with no repair judge, so every invalid output
-  is dropped unasked, and with one repair attempt per sample.
+  is dropped unasked, and with one repair attempt per sample;
+- seed 1 at concurrency 4 with ``expert0`` failing every attempt while a
+  reply cache fills, and the warm rerun with ``expert0`` alive, which
+  asks again only what was lost, as a lost reply is never cached.
 
 Exit codes: 0 when every cell matches, 1 with the list of cells that
 differ, 2 for a REV that cannot be exported or run.
@@ -125,6 +128,8 @@ def grid() -> list[dict]:
         evaluate("s1", concurrency=concurrency, tag=f"dead-{dead}", dead=dead)
     evaluate("s1", tag="no-repair", repair=False)
     evaluate("s1", tag="one-repair", max_repair_attempts=1)
+    evaluate("s1", cache="dead-s1-c4", tag="dead-expert0-cached", dead="expert0")
+    evaluate("s1", cache="dead-s1-c4", tag="revived-expert0")
     return cells
 
 
