@@ -309,23 +309,10 @@ def segment_utterances(
     """
     if not content or not content.strip():
         raise CorpusError("cannot segment empty content")
-    parts: list[str] = []
-    buf: list[str] = []
-    for ch in content:
-        if ch in delimiters:
-            frag = "".join(buf).strip()
-            if frag:
-                parts.append(frag)
-            buf = []
-        else:
-            buf.append(ch)
-    frag = "".join(buf).strip()
-    if frag:
-        parts.append(frag)
-    if not parts:
-        # content was made of delimiters/whitespace only
-        parts = [content.strip()]
-    return parts
+    pieces = re.split(f"[{re.escape(delimiters)}]", content) if delimiters else [content]
+    parts = [piece.strip() for piece in pieces if piece.strip()]
+    # content made of delimiters and whitespace only is one utterance
+    return parts or [content.strip()]
 
 
 @dataclass

@@ -11,6 +11,7 @@ ambiguous sentinel.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from typing import Mapping, Optional, Sequence
 
 from .config import DEFAULT_PASSES, DEFAULT_TAU
@@ -147,11 +148,8 @@ def aggregate(
     for modality in MODALITIES:
         row = counts[modality] = []
         for u in range(n_utterances):
-            hist: dict[str, int] = {}
-            for votes in results:
-                cell = votes[modality]
-                if cell is not None:
-                    hist[cell[u]] = hist.get(cell[u], 0) + 1
+            hist = Counter(votes[modality][u] for votes in results
+                           if votes[modality] is not None)
             row.append(dict(sorted(hist.items())))
         labels[modality] = [select_label(h, sum(h.values()), tau) for h in row]
     return labels, counts

@@ -43,8 +43,6 @@ DEFAULT_KEY_ALIASES: dict[str, str] = {
 def _normalize_keys(obj: Mapping) -> Optional[dict]:
     out: dict = {}
     for key, value in obj.items():
-        if not isinstance(key, str):
-            return None
         canon = key.strip().lower()
         canon = DEFAULT_KEY_ALIASES.get(canon, canon)
         if canon in out:

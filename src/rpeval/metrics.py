@@ -308,10 +308,8 @@ def krippendorff_alpha(
     coincidence = np.zeros((k, k))
     for unit in units:
         m = len(unit)
-        for i, a in enumerate(unit):
-            for j, b in enumerate(unit):
-                if i != j:
-                    coincidence[index[a], index[b]] += 1.0 / (m - 1)
+        for a, b in itertools.permutations(unit, 2):
+            coincidence[index[a], index[b]] += 1.0 / (m - 1)
     n_c = coincidence.sum(axis=1)
     n = n_c.sum()
     if level == "nominal":

@@ -5,8 +5,8 @@ each ``(judge, kind, prompt, pass_index)``, is sent each batch's replies
 in order (the text, or the ``TransportError`` that ended the ask) and
 returns its result.  ``drive`` runs a run's flows on the calling thread,
 which alone reads the run's reply cache, retry policy and sampling, and
-keeps the pacing, counters and the bound on requests in flight; up to
-``concurrency`` sender threads (none at 1) only make backend attempts.
+keeps the pacing, counters and the bound on requests in flight; a pool of
+up to ``concurrency`` sender threads (none at 1) only makes backend attempts.
 At most ``2 * concurrency`` flows are open.
 An ask whose request is already on its way waits for its reply and
 counts as a cache hit.  A rate-limited judge's ask goes out ``interval``
@@ -26,9 +26,9 @@ import itertools
 import logging
 import math
 import queue
-import threading
 import time
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from typing import Generator, Iterable, Optional
 
 from .config import RetryPolicy, Sampling
@@ -97,8 +97,8 @@ class _Driver:
         self.seq = itertools.count()  # orders timers that fall due together
         self.flying: dict[str, _Job] = {}  # cache key -> its job
         self.in_flight, self.stopped = 0, False
-        self.senders: list[threading.Thread] = []
-        self.jobs, self.done = queue.SimpleQueue(), queue.SimpleQueue()
+        self.senders: Optional[ThreadPoolExecutor] = None  # made by the first send
+        self.done = queue.SimpleQueue()
 
     def run(self, flows: Iterable[Flow]) -> list:
         pending = iter(flows)
@@ -120,11 +120,8 @@ class _Driver:
             self.stopped = True
             raise
         finally:
-            for _ in self.senders:
-                self.jobs.put(None)
-            for sender in self.senders:
-                if sender.ident is not None:  # it started
-                    sender.join()
+            if self.senders is not None:
+                self.senders.shutdown(cancel_futures=True)
 
     def _step(self, sample: _Sample, replies) -> None:
         """Send ``replies`` to ``sample`` and submit the batch it yields next."""
@@ -196,13 +193,10 @@ class _Driver:
             if self.concurrency == 1:
                 self._finish(job, self._attempt(job))
                 continue
-            if self.in_flight == len(self.senders):
-                sender = threading.Thread(target=self._send,
-                                          name=f"rpeval-sender-{len(self.senders)}")
-                self.senders.append(sender)  # before it starts: it is joined
-                sender.start()
+            if self.senders is None:
+                self.senders = ThreadPoolExecutor(self.concurrency, "rpeval-sender")
             self.in_flight += 1
-            self.jobs.put(job)
+            self.senders.submit(self._send, job)
 
     def _attempt(self, job: _Job):
         """One backend attempt: the reply text, or the exception it raised."""
@@ -211,15 +205,14 @@ class _Driver:
         except BaseException as exc:
             return exc
 
-    def _send(self) -> None:
-        while True:
-            job = self.jobs.get()
-            if job is None or self.stopped:
-                return
-            outcome = self._attempt(job)
-            if not isinstance(outcome, (str, TransportError)):
-                self.stopped = True  # no attempt starts after this one
-            self.done.put((job, outcome))
+    def _send(self, job: _Job) -> None:
+        # Every outcome goes on ``done``, so no future holds an exception.
+        if self.stopped:
+            return
+        outcome = self._attempt(job)
+        if not isinstance(outcome, (str, TransportError)):
+            self.stopped = True  # no attempt starts after this one
+        self.done.put((job, outcome))
 
     def _wait(self) -> bool:
         """Wait for a reply or the next due time; ``False`` once all is done."""

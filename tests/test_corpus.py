@@ -2,6 +2,7 @@
 
 import contextlib
 import json
+import random
 
 import pytest
 
@@ -12,6 +13,7 @@ import rpeval.pipeline
 from rpeval.cli import main
 from rpeval.corpus import (
     AMBIGUOUS,
+    DEFAULT_DELIMITERS,
     DEFAULT_EMOTION_LABELS,
     CorpusError,
     DialogueSample,
@@ -123,6 +125,42 @@ def test_segmentation_rejects_empty_content():
 
 def test_segmentation_custom_delimiters():
     assert segment_utterances("a|b|c", delimiters="|") == ["a", "b", "c"]
+
+
+def _segment_by_characters(content, delimiters):
+    """The splitter as a loop over characters, kept as the reference."""
+    parts, buf = [], []
+    for ch in content:
+        if ch in delimiters:
+            frag = "".join(buf).strip()
+            if frag:
+                parts.append(frag)
+            buf = []
+        else:
+            buf.append(ch)
+    frag = "".join(buf).strip()
+    if frag:
+        parts.append(frag)
+    return parts or [content.strip()]
+
+
+def test_segmentation_matches_a_loop_over_characters():
+    # Regular-expression syntax among the delimiters must split as
+    # literal characters, and no delimiters at all must not split.
+    alphabet = "ab ^]\\-[.*+?()|{}$\t\n。，！你…"
+    rng = random.Random("segment")
+    fixed = ["", "^", "]", "\\", "-", "^-]\\", "a-c", "[]", DEFAULT_DELIMITERS,
+             "^" + DEFAULT_DELIMITERS[::-1]]
+    for trial in range(6000):
+        delimiters = (fixed[trial // 2 % len(fixed)] if trial % 2 else
+                      "".join(rng.sample(alphabet, rng.randint(0, 6))))
+        content = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 16)))
+        if not content.strip():
+            with pytest.raises(CorpusError):
+                segment_utterances(content, delimiters)
+            continue
+        assert (segment_utterances(content, delimiters)
+                == _segment_by_characters(content, delimiters)), (content, delimiters)
 
 
 def test_response_roundtrip_and_canonical_json():

@@ -32,6 +32,7 @@ from rpeval.judges import (
     parse_rc_verdict,
     prompt_digest,
 )
+from rpeval.pipeline import evaluate
 
 
 def test_idempotency_key_is_stable_and_sensitive():
@@ -58,6 +59,39 @@ def test_idempotency_key_is_pinned():
                      Sampling(temperature=0.5, top_p=0.9, max_tokens=77), 2)
     assert key == (
         "4eee7b6d13cd6028608b04fe7f331e43b52d9bf7e23b2d550c3a0d652eb59f89")
+
+
+class PlainBackend:
+    """A custom backend with only a ``name`` and ``complete``: no
+    ``identity`` and no ``rate_limit``."""
+
+    def __init__(self, name, handler):
+        self.name, self.handler, self.calls = name, handler, 0
+
+    def complete(self, prompt, sampling):
+        self.calls += 1
+        return self.handler(prompt, sampling)
+
+
+def test_a_backend_without_an_identity_is_keyed_by_its_type_and_name(small_world):
+    client = JudgeClient(PlainBackend("custom", lambda p, s: "reply"))
+    assert client.identity == ("PlainBackend", "custom")
+    assert client.interval == 0
+    # A custom backend's reply cache keeps hitting only while these bytes hold.
+    key = client.key("erc", "h\u00e9llo",
+                     Sampling(temperature=0.5, top_p=0.9, max_tokens=77), 2)
+    assert key == (
+        "41b8775333c985a1b0946b57645cd1d858e889f6a748a0d82cccce5e5c8c54dd")
+    world = small_world
+    judges = [PlainBackend(b.name, b.handler) for b in world["experts"] + world["rc"]]
+    reports = []
+    for rerun in (False, True):  # under the reply cache of the world's config
+        before = sum(b.calls for b in judges)
+        run = evaluate(world["config"], world["corpus"], world["predictions"],
+                       experts=judges[:5], rc_evaluators=judges[5:])
+        assert (sum(b.calls for b in judges) == before) == rerun
+        reports.append(run.report)
+    assert reports[0] == reports[1]
 
 
 def test_cacheless_client_never_computes_the_key(monkeypatch, tmp_path):
@@ -228,6 +262,46 @@ def test_cache_file_that_is_not_a_database_is_a_config_error(tmp_path):
     (root / "replies.sqlite3").write_text("not a database " * 100, encoding="utf-8")
     with pytest.raises(ConfigError, match="not a database"):
         ReplyCache(root)
+
+
+def _refusing_wal(monkeypatch, errors):
+    """Make ``sqlite3.connect`` give connections whose first
+    ``PRAGMA journal_mode=WAL`` statements raise ``errors``, in turn;
+    the list it returns grows by one per such statement."""
+    tried, connect = [], sqlite3.connect
+
+    class Refusing(sqlite3.Connection):
+        def execute(self, sql, *args):
+            if sql == "PRAGMA journal_mode=WAL":
+                tried.append(sql)
+                if errors:
+                    raise errors.pop(0)
+            return super().execute(sql, *args)
+
+    monkeypatch.setattr(sqlite3, "connect", lambda *args, **kwargs: connect(
+        *args, factory=Refusing, **kwargs))
+    return tried
+
+
+def test_cache_waits_while_another_connection_turns_the_file_to_wal(
+        tmp_path, monkeypatch):
+    locked = [sqlite3.OperationalError("database is locked") for _ in range(2)]
+    tried = _refusing_wal(monkeypatch, locked)
+    cache = ReplyCache(tmp_path / "cache")
+    assert len(tried) == 3
+    key = "ab" + "0" * 62
+    cache.put(key, "erc", "reply")
+    assert cache.get(key) == "reply"
+    cache.close()
+
+
+def test_cache_that_cannot_turn_to_wal_is_a_config_error_at_once(tmp_path, monkeypatch):
+    tried = _refusing_wal(monkeypatch, [sqlite3.OperationalError("disk I/O error")])
+    path = tmp_path / "cache" / ReplyCache.FILE
+    message = f"reply cache {path}: disk I/O error"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        ReplyCache(tmp_path / "cache")
+    assert len(tried) == 1  # no retry
 
 
 def test_cache_is_shared_by_threads_and_a_second_cache(tmp_path):

@@ -24,6 +24,7 @@ from conftest import (
     write_corpus,
     write_predictions,
 )
+from oracles import alpha_pairwise
 
 import rpeval.pipeline
 from rpeval.cli import main
@@ -894,6 +895,42 @@ def test_cli_gt_stats_and_agreement(tmp_path, capsys):
     table.write_text("1,2,3\n1,2,3\n", encoding="utf-8")
     assert main(["agreement", "--kind", "ordinal", "--table", str(table)]) == 0
     assert "alpha\t1.0" in capsys.readouterr().out
+
+
+def test_cli_agreement_on_a_csv_of_label_strings(tmp_path, capsys):
+    rows = [["happy", "sad", None, "anger", "happy"],
+            ["happy", "sad", "calm", "anger", "sad"],
+            ["happy", None, "calm", "sad", "happy"]]
+    csv_path, json_path = tmp_path / "labels.csv", tmp_path / "labels.json"
+    csv_path.write_text("".join(",".join(cell or "" for cell in row) + "\n"
+                                for row in rows), encoding="utf-8")
+    json_path.write_text(json.dumps(rows), encoding="utf-8")
+    assert load_agreement_table(csv_path) == rows  # no cell parses as a number
+    printed = []
+    for table in (csv_path, json_path):
+        assert main(["agreement", "--kind", "nominal", "--table", str(table)]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed == [f"alpha\t{alpha_pairwise(rows):.9f}\n"] * 2
+
+
+def test_cli_generate_writes_predictions_in_corpus_order(tmp_path, capsys,
+                                                          judge_server):
+    ids = ["s03", "s01", "s06", "s02", "s05", "s04"]
+    corpus = write_corpus(tmp_path / "c.jsonl", [make_sample(i) for i in ids])
+    judge_server.answer = lambda request: (200, {"choices": [{"message": {
+        "content": "reply to " + request["messages"][-1]["content"][-40:]}}]})
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"generators": [
+        {"name": "g", "kind": "http", "model": "m", "endpoint": judge_server.url}]}),
+        encoding="utf-8")
+    out = tmp_path / "predictions.jsonl"
+    assert main(["generate", "--config", str(config), "--corpus", corpus,
+                 "--backend", "g", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote 6 predictions to {out}\n"
+    assert [p.sample_id for p in load_predictions(out)] == ids
+    sent = [seen["json"] for seen in judge_server.seen]
+    assert len(sent) == 6
+    assert {(r["temperature"], r["top_p"]) for r in sent} == {(0.7, 0.95)}
 
 
 def test_cli_corpus_parts_that_are_not_objects_are_data_errors(tmp_path):

@@ -45,7 +45,10 @@ The grid is fixed here.  Cells may be added, never dropped:
   is dropped unasked, and with one repair attempt per sample;
 - seed 1 at concurrency 4 with ``expert0`` failing every attempt while a
   reply cache fills, and the warm rerun with ``expert0`` alive, which
-  asks again only what was lost, as a lost reply is never cached.
+  asks again only what was lost, as a lost reply is never cached;
+- seed 1 at concurrency 4 with the default delimiters reordered behind a
+  ``^``, which generated text never holds, so a splitter that reads the
+  set as a regular expression without escaping it splits differently.
 
 Exit codes: 0 when every cell matches, 1 with the list of cells that
 differ, 2 for a REV that cannot be exported or run.
@@ -130,6 +133,7 @@ def grid() -> list[dict]:
     evaluate("s1", tag="one-repair", max_repair_attempts=1)
     evaluate("s1", cache="dead-s1-c4", tag="dead-expert0-cached", dead="expert0")
     evaluate("s1", cache="dead-s1-c4", tag="revived-expert0")
+    evaluate("s1", tag="caret-delimiters", delimiters="^" + "。，！？；….,!?;"[::-1])
     return cells
 
 
