@@ -57,12 +57,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--predictions", required=True,
                         help="predictions JSONL")
     p_eval.add_argument("--out", required=True, help="output directory")
+    p_eval.set_defaults(run=_cmd_evaluate)
 
     p_gt = sub.add_parser("gt-stats",
                           help="ground-truth transition statistics")
     p_gt.add_argument("--config", required=True)
     p_gt.add_argument("--corpus", required=True)
     p_gt.add_argument("--out", help="output directory (default: stdout)")
+    p_gt.set_defaults(run=_cmd_gt_stats)
 
     p_agree = sub.add_parser("agreement",
                              help="inter-rater agreement for a table")
@@ -70,6 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          choices=["nominal", "ordinal"])
     p_agree.add_argument("--table", required=True,
                          help="raters-by-units table (.csv or .json)")
+    p_agree.set_defaults(run=_cmd_agreement)
 
     p_gen = sub.add_parser("generate",
                            help="produce predictions by role-playing the corpus")
@@ -78,6 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--backend", required=True,
                        help="generator backend name from the config")
     p_gen.add_argument("--out", required=True, help="predictions JSONL path")
+    p_gen.set_defaults(run=_cmd_generate)
 
     p_rep = sub.add_parser("report", help="render a report in another format")
     p_rep.add_argument("--report", required=True,
@@ -85,6 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--format", required=True,
                        choices=["json", "csv", "md"])
     p_rep.add_argument("--out", required=True, help="output directory")
+    p_rep.set_defaults(run=_cmd_report)
     return parser
 
 
@@ -134,15 +139,6 @@ def _cmd_report(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "evaluate": _cmd_evaluate,
-    "gt-stats": _cmd_gt_stats,
-    "agreement": _cmd_agreement,
-    "generate": _cmd_generate,
-    "report": _cmd_report,
-}
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     logging.basicConfig(
@@ -150,7 +146,7 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -15,7 +15,7 @@ import re
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence, TypeVar
 
 POSITIVE = "positive"
 NEUTRAL = "neutral"
@@ -26,23 +26,8 @@ TENDENCIES = (POSITIVE, NEUTRAL, NEGATIVE)
 # Deliberately not a member of any taxonomy.
 AMBIGUOUS = "ambiguous"
 
-# Default 13-category utterance emotion scheme (the CPED labelling scheme).
-DEFAULT_EMOTION_LABELS = (
-    "happy",
-    "grateful",
-    "relaxed",
-    "positive-other",
-    "neutral",
-    "anger",
-    "sadness",
-    "fear",
-    "depress",
-    "disgust",
-    "astonished",
-    "worried",
-    "negative-other",
-)
-
+# Default 13-category utterance emotion scheme (the CPED labelling scheme),
+# each label with its tendency, in the taxonomy's label order.
 DEFAULT_TENDENCY_MAP = {
     "happy": POSITIVE,
     "grateful": POSITIVE,
@@ -58,6 +43,7 @@ DEFAULT_TENDENCY_MAP = {
     "worried": NEGATIVE,
     "negative-other": NEGATIVE,
 }
+DEFAULT_EMOTION_LABELS = tuple(DEFAULT_TENDENCY_MAP)
 
 # Utterance boundaries: CJK sentence punctuation plus ASCII counterparts.
 DEFAULT_DELIMITERS = "。，！？；….,!?;"
@@ -104,7 +90,10 @@ def _check_object(obj, what: str) -> None:
 def _text(obj: Mapping, key: str, owner: str, required: bool = False) -> str:
     """``obj[key]`` as text: a string, or a number (not a boolean) so that
     numeric ids load.  An absent or null optional field reads as ``""``;
-    a null required one, or a value of any other type, is an error."""
+    an absent or null required one, or a value of any other type, is an
+    error."""
+    if required and key not in obj:
+        raise CorpusError(f"{owner} is missing field {key!r}")
     value = obj.get(key)
     if value is None:
         if required:
@@ -200,8 +189,6 @@ class RoleCard:
     @classmethod
     def from_dict(cls, obj: Mapping) -> "RoleCard":
         _check_object(obj, "role card")
-        if "role_id" not in obj:
-            raise CorpusError("role card is missing 'role_id'")
         role_id = _text(obj, "role_id", "role card", required=True)
         if not role_id:
             raise CorpusError("role_id must be non-empty")
@@ -232,8 +219,6 @@ class UserTurn:
     @classmethod
     def from_dict(cls, obj: Mapping) -> "UserTurn":
         _check_object(obj, "user turn")
-        if "content" not in obj:
-            raise CorpusError("user turn is missing 'content'")
         return cls(
             content=_text(obj, "content", "user turn", required=True),
             audio_ref=_text(obj, "audio_ref", "user turn"),
@@ -417,25 +402,45 @@ class PredictionRecord:
     @classmethod
     def from_record(cls, record: Mapping) -> "PredictionRecord":
         _check_object(record, "prediction")
-        for key in ("sample_id", "raw_output"):
-            if key not in record:
-                raise CorpusError(f"prediction is missing field {key!r}")
         sample_id = _text(record, "sample_id", "prediction", required=True)
         if not sample_id:
             raise CorpusError("prediction sample_id must be non-empty")
-        if not isinstance(record["raw_output"], str):
+        if not isinstance(record.get("raw_output"), str):
             raise CorpusError("raw_output must be a string")
         return cls(sample_id=sample_id, raw_output=record["raw_output"])
 
 
-def _iter_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
+_R = TypeVar("_R")
+
+
+def _load_jsonl(path: str | Path, record_of: Callable[[dict], _R],
+                what: str) -> list[_R]:
+    """``record_of`` each JSON object line of ``path``, in file order.
+
+    An error names its ``path:lineno``; a repeated ``sample_id``, or a
+    file with no record, is an error too.
+    """
+    path = Path(path)
+    records: list[_R] = []
+    seen: set[str] = set()
     for lineno, line in enumerate(read_lines(path), start=1):
         if not line.strip():
             continue
-        obj = parse_json(line, f"{path}:{lineno}")
-        if not isinstance(obj, dict):
-            raise CorpusError(f"{path}:{lineno}: expected a JSON object")
-        yield lineno, obj
+        where = f"{path}:{lineno}"
+        obj = parse_json(line, where)
+        try:
+            if not isinstance(obj, dict):
+                raise CorpusError("expected a JSON object")
+            record = record_of(obj)
+            if record.sample_id in seen:
+                raise CorpusError(f"duplicate sample_id {record.sample_id!r}")
+        except CorpusError as exc:
+            raise CorpusError(f"{where}: {exc}") from None
+        seen.add(record.sample_id)
+        records.append(record)
+    if not records:
+        raise CorpusError(f"{path}: {what} is empty")
+    return records
 
 
 def load_corpus(
@@ -449,54 +454,22 @@ def load_corpus(
     per-sample agreement between gold labels and utterance segmentation.
     """
     taxonomy = taxonomy or default_taxonomy()
-    path = Path(path)
-    samples: list[DialogueSample] = []
-    seen_ids: set[str] = set()
     role_cards: dict[str, RoleCard] = {}
-    for lineno, obj in _iter_jsonl(path):
-        try:
-            sample = DialogueSample.from_record(obj)
-            sample.validate_against(taxonomy, delimiters)
-        except CorpusError as exc:
-            raise CorpusError(f"{path}:{lineno}: {exc}") from None
-        if sample.sample_id in seen_ids:
-            raise CorpusError(
-                f"{path}:{lineno}: duplicate sample_id {sample.sample_id!r}"
-            )
-        seen_ids.add(sample.sample_id)
-        known = role_cards.get(sample.role.role_id)
-        if known is None:
-            role_cards[sample.role.role_id] = sample.role
-        elif known != sample.role:
-            raise CorpusError(
-                f"{path}:{lineno}: role {sample.role.role_id!r} appears with "
-                "conflicting role cards"
-            )
-        samples.append(sample)
-    if not samples:
-        raise CorpusError(f"{path}: corpus is empty")
-    return samples
+
+    def sample_of(obj: dict) -> DialogueSample:
+        sample = DialogueSample.from_record(obj)
+        sample.validate_against(taxonomy, delimiters)
+        if role_cards.setdefault(sample.role.role_id, sample.role) != sample.role:
+            raise CorpusError(f"role {sample.role.role_id!r} appears with "
+                              "conflicting role cards")
+        return sample
+
+    return _load_jsonl(path, sample_of, "corpus")
 
 
 def load_predictions(path: str | Path) -> list[PredictionRecord]:
     """Load a predictions JSONL file; sample ids must be unique."""
-    path = Path(path)
-    records: list[PredictionRecord] = []
-    seen: set[str] = set()
-    for lineno, obj in _iter_jsonl(path):
-        try:
-            record = PredictionRecord.from_record(obj)
-        except CorpusError as exc:
-            raise CorpusError(f"{path}:{lineno}: {exc}") from None
-        if record.sample_id in seen:
-            raise CorpusError(
-                f"{path}:{lineno}: duplicate prediction for {record.sample_id!r}"
-            )
-        seen.add(record.sample_id)
-        records.append(record)
-    if not records:
-        raise CorpusError(f"{path}: predictions file is empty")
-    return records
+    return _load_jsonl(path, PredictionRecord.from_record, "predictions file")
 
 
 @contextmanager

@@ -107,7 +107,6 @@ def group_role_dialogues(
     file order, and any interleaved sample breaks such a run.
     """
     groups: dict[tuple, list[DialogueSample]] = {}
-    order: list[tuple] = []
     run_counter = 0
     current_run: Optional[tuple] = None
     for sample in samples:
@@ -122,11 +121,8 @@ def group_role_dialogues(
                 run_counter += 1
                 key = ("run", run_counter, role_id)
             current_run = key
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(sample)
-    return [(key[2], groups[key]) for key in order]
+        groups.setdefault(key, []).append(sample)
+    return [(key[2], thread) for key, thread in groups.items()]
 
 
 @dataclass
@@ -499,7 +495,7 @@ def assemble(config: RunConfig, samples: Sequence[DialogueSample],
             for name, value in given.items():
                 per_evaluator[name].append(value)
             if given:
-                sample_scores.append(float(np.mean(list(given.values()))))
+                sample_scores.append(sum(given.values()) / len(given))
         dropped = len(scored) - len(sample_scores)
         sample_scores.extend(1.0 for _ in range(floored))
         rc[metric] = {

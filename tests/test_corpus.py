@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from conftest import make_sample, write_corpus, write_predictions
+from conftest import echo_prediction, make_sample, write_corpus, write_predictions
 
 import rpeval.corpus
 import rpeval.pipeline
@@ -15,11 +15,13 @@ from rpeval.corpus import (
     AMBIGUOUS,
     DEFAULT_DELIMITERS,
     DEFAULT_EMOTION_LABELS,
+    DEFAULT_TENDENCY_MAP,
     CorpusError,
     DialogueSample,
     EmotionTaxonomy,
     MultimodalResponse,
     PredictionRecord,
+    UserTurn,
     default_taxonomy,
     load_corpus,
     load_predictions,
@@ -36,6 +38,15 @@ def test_default_taxonomy_has_thirteen_labels():
     assert tax.size == 13
     assert len(set(tax.labels)) == 13
     assert AMBIGUOUS not in tax
+
+
+def test_default_labels_are_the_tendency_maps_keys_in_the_cped_order():
+    assert DEFAULT_EMOTION_LABELS == (
+        "happy", "grateful", "relaxed", "positive-other", "neutral", "anger",
+        "sadness", "fear", "depress", "disgust", "astonished", "worried",
+        "negative-other")
+    assert tuple(DEFAULT_TENDENCY_MAP) == DEFAULT_EMOTION_LABELS
+    assert default_taxonomy().fingerprint == "2c6665bdc160d38a"
 
 
 def test_tendency_partition_is_total():
@@ -273,12 +284,76 @@ def test_load_predictions_rejects_duplicates_and_bad_fields(tmp_path):
         tmp_path / "p.jsonl",
         [PredictionRecord("a", "x"), PredictionRecord("a", "y")],
     )
-    with pytest.raises(CorpusError, match="duplicate prediction"):
+    with pytest.raises(CorpusError, match="duplicate sample_id"):
         load_predictions(path)
     bad = tmp_path / "bad.jsonl"
     bad.write_text(json.dumps({"sample_id": "a"}) + "\n", encoding="utf-8")
     with pytest.raises(CorpusError, match="raw_output"):
         load_predictions(bad)
+
+
+def test_a_predictions_file_of_blank_lines_is_empty(tmp_path):
+    path = tmp_path / "p.jsonl"
+    path.write_text("\n   \n\r\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match=r"p\.jsonl: predictions file is empty$"):
+        load_predictions(path)
+
+
+def test_user_turn_media_refs_round_trip():
+    sample = make_sample("a", history=1)
+    sample.user_input = UserTurn("hi", audio_ref="a/1.wav", video_ref="v/1.mp4")
+    sample.history[0] = (UserTurn("yo", video_ref="v/0.mp4"), sample.history[0][1])
+    record = sample.to_record()
+    assert record["user_input"] == {"content": "hi", "audio_ref": "a/1.wav",
+                                    "video_ref": "v/1.mp4"}
+    assert record["history"][0]["user"] == {"content": "yo", "video_ref": "v/0.mp4"}
+    assert DialogueSample.from_record(json.loads(json.dumps(record))) == sample
+
+
+@pytest.mark.parametrize("path, error", [
+    (("role", "role_id"), "role_id must be non-empty"),
+    (("sample_id",), "sample_id must be non-empty"),
+])
+def test_an_empty_id_is_a_data_error(tmp_path, capsys, path, error):
+    record = make_sample("a").to_record()
+    _parent(record, path)[path[-1]] = ""
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match=f"corpus.jsonl:1: {error}"):
+        load_corpus(corpus)
+    config = tmp_path / "config.json"
+    config.write_text("{}", encoding="utf-8")
+    assert main(["gt-stats", "--config", str(config), "--corpus", str(corpus)]) == 3
+    assert error in capsys.readouterr().err
+
+
+# A required field left out is named with its owner; ``raw_output`` is
+# refused by its type check.
+_ABSENT_FIELDS = [
+    ("corpus", ("sample_id",), "sample is missing field 'sample_id'"),
+    ("corpus", ("gt_emotions",), "sample is missing field 'gt_emotions'"),
+    ("corpus", ("role", "role_id"), "role card is missing field 'role_id'"),
+    ("corpus", ("user_input", "content"), "user turn is missing field 'content'"),
+    ("corpus", ("history", 0, "user", "content"),
+     "user turn is missing field 'content'"),
+    ("predictions", ("sample_id",), "prediction is missing field 'sample_id'"),
+    ("predictions", ("raw_output",), "raw_output must be a string"),
+]
+
+
+@pytest.mark.parametrize("where, path, error", _ABSENT_FIELDS,
+                         ids=[".".join(map(str, row[1])) + "@" + row[0]
+                              for row in _ABSENT_FIELDS])
+def test_an_absent_required_field_is_named(tmp_path, where, path, error):
+    sample = make_sample("a", history=1)
+    record = (sample.to_record() if where == "corpus"
+              else echo_prediction(sample).to_record())
+    del _parent(record, path)[path[-1]]
+    file = tmp_path / f"{where}.jsonl"
+    file.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    load = load_corpus if where == "corpus" else load_predictions
+    with pytest.raises(CorpusError, match=f"{where}.jsonl:1: {error}$"):
+        load(file)
 
 
 # A JSON null in an optional field reads as the field left out; in a

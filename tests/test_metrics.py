@@ -437,6 +437,11 @@ def test_cec_identical_modalities_agree_perfectly():
     assert cec(rows, TAX) == 1.0
 
 
+def test_cec_rejects_an_unknown_level():
+    with pytest.raises(ValueError, match="bad level: 'x'"):
+        cec([["happy"], ["happy"]], TAX, level="x")
+
+
 def test_cec_ambiguous_counts_as_missing():
     rows = [
         ["happy", AMBIGUOUS],

@@ -66,6 +66,28 @@ from rpeval.scheduler import drive
 
 # ------------------------------------------------------------------ config
 
+def test_config_refuses_negative_smoothing():
+    with pytest.raises(ConfigError, match="smoothing must be non-negative"):
+        RunConfig(smoothing=-1e-9)
+    assert RunConfig(smoothing=0.0).smoothing == 0.0
+
+
+def test_evaluate_needs_experts_and_rc_evaluators(small_world):
+    w = small_world
+    with pytest.raises(ConfigError, match="run config declares no experts"):
+        evaluate(w["config"], w["corpus"], w["predictions"],
+                 rc_evaluators=w["rc"])
+    with pytest.raises(ConfigError, match="run config declares no rc_evaluators"):
+        evaluate(w["config"], w["corpus"], w["predictions"],
+                 experts=w["experts"])
+    assert sum(e.calls for e in w["experts"]) == 0
+
+
+def test_rc_prompt_refuses_an_unknown_metric():
+    with pytest.raises(ValueError, match="unknown role-consistency metric: 'xyz'"):
+        build_rc_prompt("xyz", "materials", "history", "hi", "{}")
+
+
 def test_config_rejects_unknown_keys_and_bad_values():
     with pytest.raises(ConfigError, match="unknown keys"):
         RunConfig.from_dict({"tau": 0.7, "typo_key": 1})
@@ -911,6 +933,32 @@ def test_cli_agreement_on_a_csv_of_label_strings(tmp_path, capsys):
         assert main(["agreement", "--kind", "nominal", "--table", str(table)]) == 0
         printed.append(capsys.readouterr().out)
     assert printed == [f"alpha\t{alpha_pairwise(rows):.9f}\n"] * 2
+
+
+def test_cli_agreement_on_a_csv_mixing_numbers_and_labels(tmp_path, capsys):
+    # Numbers and label strings do not sort together: nominal categories
+    # fall back to sorting by repr, and ordinal data is refused.
+    csv_path = tmp_path / "mixed.csv"
+    csv_path.write_text("1,a,2,,b\n1,a,b,3,b\n2,a,2,3,\n", encoding="utf-8")
+    rows = load_agreement_table(csv_path)
+    assert rows == [[1.0, "a", 2.0, None, "b"], [1.0, "a", "b", 3.0, "b"],
+                    [2.0, "a", 2.0, 3.0, None]]
+    assert main(["agreement", "--kind", "nominal", "--table", str(csv_path)]) == 0
+    assert capsys.readouterr().out == f"alpha\t{alpha_pairwise(rows):.9f}\n"
+    assert main(["agreement", "--kind", "ordinal", "--table", str(csv_path)]) == 3
+    assert "mutually orderable" in capsys.readouterr().err
+
+
+def test_cli_agreement_refuses_a_table_that_is_not_rows(tmp_path, capsys):
+    not_rows = "expected a list of rater rows"
+    tables = {"object.json": ('{"rows": [[1, 2], [1, 2]]}', not_rows),
+              "flat.json": ("[1, 2]", not_rows),
+              "empty.csv": ("", "table is empty")}
+    for name, (text, error) in tables.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        assert main(["agreement", "--kind", "nominal",
+                     "--table", str(tmp_path / name)]) == 3
+        assert error in capsys.readouterr().err
 
 
 def test_cli_generate_writes_predictions_in_corpus_order(tmp_path, capsys,

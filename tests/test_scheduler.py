@@ -225,7 +225,7 @@ def test_a_due_paced_ask_does_not_wait_for_an_unrelated_reply():
     assert 0.05 <= second - first < 0.3
 
 
-def test_permits_need_a_positive_integer_count():
+def test_drive_needs_a_positive_integer_slot_count():
     for count in (2.5, True, 0, "2"):
         with pytest.raises(ValueError, match="concurrency"):
             drive([], count)
@@ -821,7 +821,7 @@ def _returns(value):
     yield  # a flow that asks nothing
 
 
-def test_map_keeps_no_state_per_item():
+def test_drive_keeps_no_state_per_flow():
     items, shared = range(20_000), object()
     tracemalloc.start()
     try:
@@ -835,7 +835,7 @@ def test_map_keeps_no_state_per_item():
     assert peak / len(items) < 100, peak
 
 
-def test_map_runs_each_item_once_in_order_under_thread_stress():
+def test_drive_runs_each_flow_once_in_order_under_thread_stress():
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:

@@ -48,7 +48,11 @@ The grid is fixed here.  Cells may be added, never dropped:
   asks again only what was lost, as a lost reply is never cached;
 - seed 1 at concurrency 4 with the default delimiters reordered behind a
   ``^``, which generated text never holds, so a splitter that reads the
-  set as a regular expression without escaping it splits differently.
+  set as a regular expression without escaping it splits differently;
+- ``s1-raw``: seed 1's corpus and predictions rewritten with a UTF-8
+  byte-order mark, CRLF line ends, a blank line after every record and
+  integer sample ids (1, 2, ... in corpus order, the same in both
+  files), evaluated at concurrency 4 and read by ``gt-stats``.
 
 Exit codes: 0 when every cell matches, 1 with the list of cells that
 differ, 2 for a REV that cannot be exported or run.
@@ -83,6 +87,8 @@ CORPORA = {
 }
 EXPERTS = [f"expert{i}" for i in range(5)]
 CRITICS = ["critic0", "critic1"]
+# Rewritten input -> the corpus it is rewritten from (see ``write_inputs``).
+RAW = {"s1-raw": "s1"}
 JUDGE_KEYS = ("replies", "backend_calls", "transport_failures", "rejected")
 ROWS = {"divergence_mode": "rows", "smoothing": 0.0}
 
@@ -134,6 +140,10 @@ def grid() -> list[dict]:
     evaluate("s1", cache="dead-s1-c4", tag="dead-expert0-cached", dead="expert0")
     evaluate("s1", cache="dead-s1-c4", tag="revived-expert0")
     evaluate("s1", tag="caret-delimiters", delimiters="^" + "。，！？；….,!?;"[::-1])
+    for corpus in RAW:
+        evaluate(corpus)
+        cells.append({"name": f"{corpus}/gt-stats", "command": "gt-stats",
+                      "corpus": corpus, "config": {}})
     return cells
 
 
@@ -256,6 +266,16 @@ def write_inputs(inputs: Path) -> None:
              "--out", str(inputs / name), "--seed", str(seed),
              "--samples", str(samples), "--roles", str(roles)],
             check=True, cwd=ROOT, timeout=300)
+    for name, source in RAW.items():
+        (inputs / name).mkdir()
+        ids: dict = {}
+        for file in ("corpus.jsonl", "predictions.jsonl"):
+            lines = (inputs / source / file).read_text(encoding="utf-8").split("\n")
+            text = ""
+            for record in map(json.loads, filter(str.strip, lines)):
+                record["sample_id"] = ids.setdefault(record["sample_id"], len(ids) + 1)
+                text += json.dumps(record, ensure_ascii=False) + "\r\n\r\n"
+            (inputs / name / file).write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
 
 
 def compare(base: dict, tree: dict) -> list[str]:
